@@ -11,7 +11,6 @@ best-suited driver on a new trip.
 from .assessment import (
     DriverAssessment,
     Ranking,
-    TripAdvantage,
     assess_drivers,
     render_ranking,
     trip_advantages,
@@ -22,8 +21,6 @@ from .models import (
     BaselineModel,
     BehaviorModel,
     TrainingParams,
-    advantage,
-    baseline_value,
     behavior_box_from,
     load_bundle,
     save_bundle,
@@ -31,7 +28,7 @@ from .models import (
     train_behavior,
 )
 from .neural import Mlp, MlpConfig, TrainReport, gradient, train
-from .normalization import NormalizationStats, denormalize, fit_stats, normalize
+from .normalization import NormalizationStats, fit_stats
 from .placement import (
     DriverProfile,
     PlacementResult,
@@ -41,7 +38,7 @@ from .placement import (
     place,
 )
 from .synth import GroundTruth, SynthConfig, generate
-from .trip_data import Dataset, DatasetSchema, TripRecord, load_dataset, save_dataset
+from .trip_data import Dataset, DatasetSchema, load_dataset, save_dataset
 
 __version__ = "0.1.0"
 
@@ -64,14 +61,9 @@ __all__ = [
     "SynthConfig",
     "TrainReport",
     "TrainingParams",
-    "TripAdvantage",
-    "TripRecord",
-    "advantage",
     "assess_drivers",
-    "baseline_value",
     "behavior_box_from",
     "build_profiles",
-    "denormalize",
     "fit_stats",
     "generate",
     "gradient",
@@ -80,7 +72,6 @@ __all__ = [
     "match_driver",
     "maximize",
     "minimize",
-    "normalize",
     "optimize_behavior",
     "place",
     "render_ranking",

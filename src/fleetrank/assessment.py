@@ -10,24 +10,18 @@ the ranking.
 from __future__ import annotations
 
 import logging
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyDataset
 from .models import BaselineModel
-from .trip_data import Dataset
+from .trip_data import Dataset, group_offsets
 
 log = logging.getLogger(__name__)
 
 LOW_TRIP_WARN_THRESHOLD = 10
-
-
-@dataclass(frozen=True)
-class TripAdvantage:
-    trip_id: str
-    driver_id: str
-    advantage: float
 
 
 @dataclass(frozen=True)
@@ -50,7 +44,7 @@ def trip_advantages(
     model: BaselineModel,
     metric_index: int | None = None,
     raw_units: bool = False,
-) -> list[TripAdvantage]:
+) -> np.ndarray:
     """Observed-minus-baseline advantage for every trip, in dataset order.
 
     Values are in normalized target-metric units unless ``raw_units`` is
@@ -63,41 +57,49 @@ def trip_advantages(
         metric_index = ds.schema.metric_index
     if not 0 <= metric_index < stats.d_performance:
         raise DimensionMismatch(f"metric_index {metric_index} out of range")
-    if not ds.records:
-        raise EmptyDataset("no trips to assess")
 
-    observed = stats.normalize_performance(ds.performance_matrix())[:, metric_index]
-    predicted = model.net.forward_batch(stats.normalize_env(ds.env_matrix()))[:, metric_index]
+    observed = stats.normalize_performance(ds.performance)[:, metric_index]
+    predicted = model.net.forward_batch(stats.normalize_env(ds.env))[:, metric_index]
     values = observed - predicted
     if raw_units:
         values = values * stats.performance_std(metric_index)
-    return [
-        TripAdvantage(trip_id=rec.trip_id, driver_id=rec.driver_id, advantage=float(v))
-        for rec, v in zip(ds.records, values)
-    ]
+    return values
 
 
 def assess_drivers(
-    advs: list[TripAdvantage], min_trips_warn: int = LOW_TRIP_WARN_THRESHOLD
+    driver_ids: Sequence[str],
+    driver_codes: np.ndarray,
+    advantages: np.ndarray,
+    min_trips_warn: int = LOW_TRIP_WARN_THRESHOLD,
 ) -> Ranking:
     """Aggregate trip advantages per driver and sort into a ranking.
 
-    Mean uses all of a driver's trips; std is the unbiased sample
-    standard deviation (0 for a single trip). A driver with fewer than
-    ``min_trips_warn`` trips is reported with a warning, not excluded,
-    since a thin trip history may not cover enough driving conditions.
+    Trip ``i`` belongs to driver ``driver_ids[driver_codes[i]]``, as in a
+    ``Dataset``. Mean uses all of a driver's trips; std is the unbiased
+    sample standard deviation (0 for a single trip). A driver with fewer
+    than ``min_trips_warn`` trips is reported with a warning, not
+    excluded, since a thin trip history may not cover enough driving
+    conditions. Drivers without trips are left out.
     """
-    if not advs:
+    codes = np.asarray(driver_codes, dtype=np.intp)
+    advantages = np.asarray(advantages, dtype=float)
+    if advantages.ndim != 1 or codes.shape != advantages.shape:
+        raise DimensionMismatch("need one driver code per trip advantage")
+    if len(advantages) == 0:
         raise EmptyDataset("no trip advantages to aggregate")
-    by_driver: dict[str, list[float]] = {}
-    for adv in advs:
-        by_driver.setdefault(adv.driver_id, []).append(adv.advantage)
+    if codes.min() < 0 or codes.max() >= len(driver_ids):
+        raise DimensionMismatch("driver code out of range")
+    # each driver's values in ascending order: a canonical summation order
+    # that makes the result independent of row order
+    ordered = advantages[np.lexsort((advantages, codes))]
+    offsets = group_offsets(codes, len(driver_ids))
 
     assessments = []
     thin = 0
-    for driver_id, values in by_driver.items():
-        # canonical summation order makes the result independent of row order
-        arr = np.sort(np.array(values))
+    for k, driver_id in enumerate(driver_ids):
+        arr = ordered[offsets[k] : offsets[k + 1]]
+        if len(arr) == 0:
+            continue
         std = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
         assessments.append(
             DriverAssessment(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -86,7 +87,12 @@ def _load_vector(path: str) -> np.ndarray:
 
 
 def _parse_hidden(text: str) -> tuple[int, int, int]:
-    parts = [int(p) for p in text.split(",")]
+    try:
+        parts = [int(p) for p in text.split(",")]
+    except ValueError:
+        raise InvalidConfig(
+            f"--hidden expects three comma-separated integers, got {text!r}"
+        ) from None
     if len(parts) != 3:
         raise InvalidConfig("--hidden expects three comma-separated widths")
     return tuple(parts)  # type: ignore[return-value]
@@ -99,6 +105,8 @@ def _free_indices(schema: DatasetSchema, names_csv: str) -> list[int]:
         if name not in schema.behavior_columns:
             raise UnknownDimension(name)
         indices.append(schema.behavior_columns.index(name))
+    if len(set(indices)) != len(indices):
+        raise InvalidConfig(f"--free names a dimension more than once: {names_csv!r}")
     return indices
 
 
@@ -128,9 +136,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     started = time.time()
-    schema = DatasetSchema.load(args.schema)
-    ds = load_dataset(args.data, schema, lenient=args.lenient)
-    stats = fit_stats(ds)
     base_params = TrainingParams(
         epochs=args.epochs,
         batch_size=args.batch,
@@ -138,13 +143,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         hidden_widths=_parse_hidden(args.hidden),
         seed=args.seed,
     )
-    behav_params = TrainingParams(
-        epochs=args.epochs,
-        batch_size=args.batch,
-        learning_rate=args.lr,
-        hidden_widths=_parse_hidden(args.hidden),
-        seed=args.seed + 1,
-    )
+    behav_params = dataclasses.replace(base_params, seed=args.seed + 1)
+    schema = DatasetSchema.load(args.schema)
+    ds = load_dataset(args.data, schema, lenient=args.lenient)
+    stats = fit_stats(ds)
     baseline, baseline_report = train_baseline(ds, stats, base_params)
     behavior, behavior_report = train_behavior(ds, stats, behav_params)
     model = AdvantageModel(
@@ -190,10 +192,12 @@ def cmd_rank(args: argparse.Namespace) -> int:
         if given.to_dict() != schema.to_dict():
             raise InvalidConfig("--schema does not match the schema the bundle was trained on")
     ds = load_dataset(args.data, schema, lenient=args.lenient)
-    advs = assessment.trip_advantages(
+    advantages = assessment.trip_advantages(
         ds, model.baseline, metric_index=model.metric_index, raw_units=args.raw_units
     )
-    ranking = assessment.assess_drivers(advs, min_trips_warn=args.min_trips)
+    ranking = assessment.assess_drivers(
+        ds.driver_ids, ds.driver_codes, advantages, min_trips_warn=args.min_trips
+    )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     text = assessment.render_ranking(ranking)
@@ -209,9 +213,6 @@ def cmd_place(args: argparse.Namespace) -> int:
     started = time.time()
     model, schema, _meta = load_bundle(args.bundle)
     env = _load_vector(args.env)
-    ds = load_dataset(args.data, schema, lenient=args.lenient)
-    profiles = placement.build_profiles(ds, model.stats)
-
     template_norm = None
     free_indices = None
     if args.fix_template:
@@ -222,6 +223,8 @@ def cmd_place(args: argparse.Namespace) -> int:
         free_indices = _free_indices(schema, args.free)
     elif args.free:
         raise InvalidConfig("--free requires --fix-template for the fixed dimensions")
+    ds = load_dataset(args.data, schema, lenient=args.lenient)
+    profiles = placement.build_profiles(ds, model.stats)
 
     result = placement.place(
         model,
@@ -256,6 +259,8 @@ def cmd_place(args: argparse.Namespace) -> int:
 
 def cmd_surface(args: argparse.Namespace) -> int:
     started = time.time()
+    if args.resolution < 2:
+        raise InvalidConfig(f"--resolution must be >= 2 points per axis, got {args.resolution}")
     model, schema, _meta = load_bundle(args.bundle)
     env = _load_vector(args.env)
     template = _load_vector(args.template)

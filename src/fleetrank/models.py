@@ -14,12 +14,13 @@ a fixed environment.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidConfig
 from .neural import Mlp, MlpConfig, TrainReport, load_mlp, save_mlp, train
 from .normalization import NormalizationStats
 from .trip_data import Dataset, DatasetSchema
@@ -38,6 +39,19 @@ class TrainingParams:
     learning_rate: float = 1e-3
     hidden_widths: tuple[int, int, int] = (64, 64, 64)
     seed: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "hidden_widths", tuple(self.hidden_widths))
+        if self.epochs < 1:
+            raise InvalidConfig(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise InvalidConfig(f"batch size must be >= 1, got {self.batch_size}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise InvalidConfig(f"learning rate must be finite and > 0, got {self.learning_rate}")
+        if len(self.hidden_widths) != 3 or min(self.hidden_widths) < 1:
+            raise InvalidConfig(
+                f"hidden widths must be three integers >= 1, got {self.hidden_widths}"
+            )
 
 
 @dataclass
@@ -161,8 +175,8 @@ def train_baseline(
     ds: Dataset, stats: NormalizationStats, params: TrainingParams
 ) -> tuple[BaselineModel, TrainReport]:
     """Fit the environment -> performance regressor on every record."""
-    inputs = stats.normalize_env(ds.env_matrix())
-    targets = stats.normalize_performance(ds.performance_matrix())
+    inputs = stats.normalize_env(ds.env)
+    targets = stats.normalize_performance(ds.performance)
     net = Mlp.init(
         MlpConfig(
             input_dim=stats.d_env,
@@ -188,9 +202,9 @@ def train_behavior(
 ) -> tuple[BehaviorModel, TrainReport]:
     """Fit the (environment, behavior) -> performance regressor."""
     inputs = np.hstack(
-        [stats.normalize_env(ds.env_matrix()), stats.normalize_behavior(ds.behavior_matrix())]
+        [stats.normalize_env(ds.env), stats.normalize_behavior(ds.behavior)]
     )
-    targets = stats.normalize_performance(ds.performance_matrix())
+    targets = stats.normalize_performance(ds.performance)
     net = Mlp.init(
         MlpConfig(
             input_dim=stats.d_env + stats.d_behavior,
@@ -211,21 +225,13 @@ def train_behavior(
     return BehaviorModel(net=net, stats=stats), report
 
 
-def advantage(model: AdvantageModel, s: np.ndarray, a: np.ndarray) -> float:
-    return model.advantage(s, a)
-
-
-def baseline_value(model: BaselineModel, s: np.ndarray) -> np.ndarray:
-    return model.predict(s)
-
-
 def behavior_box_from(ds: Dataset, stats: NormalizationStats, margin: float = BOX_MARGIN) -> np.ndarray:
     """Per-dimension [lo, hi] over normalized behaviors, padded by ``margin``.
 
     Dimensions with zero observed span get a hairline box so downstream
     bound checks remain well-formed.
     """
-    a = stats.normalize_behavior(ds.behavior_matrix())
+    a = stats.normalize_behavior(ds.behavior)
     lo = a.min(axis=0)
     hi = a.max(axis=0)
     span = hi - lo

@@ -145,14 +145,6 @@ class Mlp:
         return loss, grads_w, grads_b
 
 
-def init(config: MlpConfig) -> Mlp:
-    return Mlp.init(config)
-
-
-def forward(net: Mlp, x: np.ndarray) -> np.ndarray:
-    return net.forward(x)
-
-
 def gradient(net: Mlp, x: np.ndarray, target: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Gradient of single-sample MSE w.r.t. every parameter.
 

@@ -145,7 +145,7 @@ def fit_stats(ds: Dataset) -> NormalizationStats:
     recorded as degenerate and assigned std 1 so the transform stays
     invertible and index-aligned.
     """
-    x = ds.stacked_matrix()
+    x = ds.values
     n = x.shape[0]
     if n < 2:
         raise TooFewSamples(f"need at least 2 samples to fit stats, got {n}")
@@ -164,11 +164,3 @@ def fit_stats(ds: Dataset) -> NormalizationStats:
         d_behavior=ds.schema.d_behavior,
         d_performance=ds.schema.d_performance,
     )
-
-
-def normalize(stats: NormalizationStats, x: np.ndarray) -> np.ndarray:
-    return stats.normalize(x)
-
-
-def denormalize(stats: NormalizationStats, x: np.ndarray) -> np.ndarray:
-    return stats.denormalize(x)

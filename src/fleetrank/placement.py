@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cmaes import CmaesConfig, CmaesResult, maximize
-from .errors import DimensionMismatch, EmptyDataset, EmptyProfiles, InvalidConfig
+from .errors import DimensionMismatch, EmptyProfiles, InvalidConfig
 from .models import AdvantageModel
 from .normalization import NormalizationStats
-from .trip_data import Dataset
+from .trip_data import Dataset, group_offsets
 
 DEFAULT_SIGMA = 0.3
 DEFAULT_MAX_GENERATIONS = 300
@@ -67,20 +67,18 @@ class PlacementResult:
 
 def build_profiles(ds: Dataset, stats: NormalizationStats) -> list[DriverProfile]:
     """Mean normalized behavior per driver, sorted by driver id."""
-    if not ds.records:
-        raise EmptyDataset("no records to profile")
-    behaviors = stats.normalize_behavior(ds.behavior_matrix())
-    profiles = []
-    for driver_id in sorted(ds.driver_index):
-        idx = list(ds.driver_index[driver_id])
-        profiles.append(
-            DriverProfile(
-                driver_id=driver_id,
-                mean_behavior=behaviors[idx].mean(axis=0),
-                trip_count=len(idx),
-            )
+    # a stable sort keeps each driver's rows, and so the summation order, in dataset order
+    order = np.argsort(ds.driver_codes, kind="stable")
+    behaviors = stats.normalize_behavior(ds.behavior)[order]
+    offsets = group_offsets(ds.driver_codes, ds.n_drivers)
+    return [
+        DriverProfile(
+            driver_id=driver_id,
+            mean_behavior=behaviors[offsets[k] : offsets[k + 1]].mean(axis=0),
+            trip_count=int(offsets[k + 1] - offsets[k]),
         )
-    return profiles
+        for k, driver_id in enumerate(ds.driver_ids)
+    ]
 
 
 def optimize_behavior(

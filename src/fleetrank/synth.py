@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidConfig
-from .trip_data import Dataset, DatasetSchema, TripRecord
+from .trip_data import Dataset, DatasetSchema
 
 # Bounded amplitude of the tanh component keeps the environment-shift
 # penalty dominant by construction in env_shift_mode.
@@ -217,22 +217,23 @@ def generate(config: SynthConfig) -> tuple[Dataset, GroundTruth]:
         optimum_driver_id=driver_ids[k - 1],
     )
 
-    records = []
-    trip = 0
-    for i in range(k):
-        for _ in range(config.trips_per_driver):
-            s = env_means[i] + rng.normal(size=config.d_env)
-            a = centers[i] + BEHAVIOR_NOISE * rng.normal(size=config.d_behavior)
-            q = truth.performance(s, a, i) + config.noise_sigma * rng.normal(size=2)
-            records.append(
-                TripRecord(
-                    trip_id=f"t{trip:06d}",
-                    driver_id=driver_ids[i],
-                    env=s,
-                    behavior=a,
-                    performance=q,
-                )
-            )
-            trip += 1
+    # each trip's draws are consecutive in the stream, env then behavior then
+    # noise; another layout would change every fleet generated from a seed
+    n = k * config.trips_per_driver
+    d_env, d_behavior = config.d_env, config.d_behavior
+    codes = np.repeat(np.arange(k), config.trips_per_driver)
+    draws = rng.normal(size=(n, d_env + d_behavior + 2))
+    env = env_means[codes] + draws[:, :d_env]
+    behavior = centers[codes] + BEHAVIOR_NOISE * draws[:, d_env : d_env + d_behavior]
+    performance = np.array(
+        [truth.performance(s, a, i) for s, a, i in zip(env, behavior, codes)]
+    ) + config.noise_sigma * draws[:, d_env + d_behavior :]
 
-    return Dataset(records=records, schema=_default_schema(config)), truth
+    ds = Dataset(
+        schema=_default_schema(config),
+        trip_ids=[f"t{trip:06d}" for trip in range(n)],
+        driver_ids=driver_ids,
+        driver_codes=codes,
+        values=np.hstack([env, behavior, performance]),
+    )
+    return ds, truth

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fleetrank.trip_data import Dataset, DatasetSchema, TripRecord
+from fleetrank.trip_data import Dataset, DatasetSchema
 
 
 def spearman(x, y) -> float:
@@ -30,17 +30,12 @@ def make_dataset(env, behavior, performance, driver_ids, schema=None) -> Dataset
             behavior_columns=tuple(f"b{i}" for i in range(behavior.shape[1])),
             performance_columns=("total_mpg",) + tuple(f"p{i}" for i in range(1, performance.shape[1])),
         )
-    records = [
-        TripRecord(
-            trip_id=f"t{i}",
-            driver_id=driver_ids[i],
-            env=env[i],
-            behavior=behavior[i],
-            performance=performance[i],
-        )
-        for i in range(env.shape[0])
-    ]
-    return Dataset(records=records, schema=schema)
+    return Dataset.from_rows(
+        schema,
+        [f"t{i}" for i in range(env.shape[0])],
+        list(driver_ids),
+        np.hstack([env, behavior, performance]),
+    )
 
 
 @pytest.fixture

@@ -203,7 +203,7 @@ def test_criterion_2_normalization(tmp_path):
     from fleetrank.normalization import fit_stats
 
     stats = fit_stats(ds)
-    xn = stats.normalize(ds.stacked_matrix())
+    xn = stats.normalize(ds.values)
     keep = [d for d in range(stats.dim) if d not in stats.degenerate_dims]
     mean_err = float(np.abs(xn[:, keep].mean(axis=0)).max())
     std_err = float(np.abs(xn[:, keep].std(axis=0, ddof=1) - 1.0).max())
@@ -251,7 +251,7 @@ def test_criterion_4_environment_bias_removal(bias_runs):
     truth = GroundTruth.load(root / "data" / "groundtruth.json")
     stats = NormalizationStats.load(root / "bundle" / "stats.json")
 
-    q = ds.performance_matrix()[:, 0]
+    q = ds.performance[:, 0]
     easy = list(ds.driver_index[truth.driver_ids[0]])
     hard = list(ds.driver_index[truth.driver_ids[1]])
     raw_gap = abs(q[easy].mean() - q[hard].mean()) / stats.performance_std(0)

@@ -306,3 +306,67 @@ def test_numeric_failure_exit_code(pipeline, tmp_path, capsys):
                "--hidden", "8,8,8", "--out", str(tmp_path / "b"))
     assert code == 1
     assert "non-finite loss" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--batch", "0"], "batch size"),
+        (["--epochs", "0"], "epochs"),
+        (["--lr", "0"], "learning rate"),
+        (["--lr=-0.001"], "learning rate"),
+        (["--lr", "nan"], "learning rate"),
+        (["--lr", "inf"], "learning rate"),
+        (["--hidden", "4,x,4"], "--hidden"),
+        (["--hidden", "4,0,4"], "hidden widths"),
+    ],
+)
+def test_train_config_errors(tmp_path, capsys, flags, message):
+    # neither input file exists: the config must be rejected before either is read
+    out = tmp_path / "b"
+    code = run("train", "--data", str(tmp_path / "missing.csv"), "--schema",
+               str(tmp_path / "missing.json"), *flags, "--out", str(out))
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_surface_rejects_degenerate_resolution(pipeline, tmp_path, capsys):
+    data, bundle = pipeline
+    env = tmp_path / "env.json"
+    env.write_text(json.dumps([0.0] * 8))
+    template = tmp_path / "a0.json"
+    template.write_text(json.dumps([0.0] * 6))
+    out = tmp_path / "surf"
+    code = run("surface", "--bundle", str(bundle), "--env", str(env),
+               "--template", str(template), "--free", "beh_00,beh_01",
+               "--resolution", "0", "--normalized", "--out", str(out))
+    assert code == 2
+    assert "--resolution" in capsys.readouterr().err
+    assert not (out / "surface.csv").exists()
+
+
+def test_surface_rejects_repeated_free_dimension(pipeline, tmp_path, capsys):
+    data, bundle = pipeline
+    env = tmp_path / "env.json"
+    env.write_text(json.dumps([0.0] * 8))
+    template = tmp_path / "a0.json"
+    template.write_text(json.dumps([0.0] * 6))
+    code = run("surface", "--bundle", str(bundle), "--env", str(env),
+               "--template", str(template), "--free", "beh_00,beh_00",
+               "--resolution", "5", "--normalized", "--out", str(tmp_path / "surf"))
+    assert code == 2
+    assert "more than once" in capsys.readouterr().err
+
+
+def test_place_rejects_repeated_free_dimension(pipeline, tmp_path, capsys):
+    data, bundle = pipeline
+    env = tmp_path / "env.json"
+    env.write_text(json.dumps([0.0] * 8))
+    template = tmp_path / "a0.json"
+    template.write_text(json.dumps([0.0] * 6))
+    code = run("place", "--bundle", str(bundle), "--data", str(data / "data.csv"),
+               "--env", str(env), "--fix-template", str(template),
+               "--free", "beh_00,beh_00", "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert "more than once" in capsys.readouterr().err

@@ -7,8 +7,6 @@ from fleetrank.models import (
     BaselineModel,
     BehaviorModel,
     TrainingParams,
-    advantage,
-    baseline_value,
     behavior_box_from,
     load_bundle,
     save_bundle,
@@ -167,8 +165,8 @@ def test_baseline_value_zero_net_and_purity():
                    [np.zeros(4), np.zeros(4), np.zeros(4), np.zeros(2)])
     model = BaselineModel(net=zero_net, stats=stats)
     s = np.ones(8)
-    np.testing.assert_array_equal(baseline_value(model, s), np.zeros(2))
-    np.testing.assert_array_equal(baseline_value(model, s), baseline_value(model, s))
+    np.testing.assert_array_equal(model.predict(s), np.zeros(2))
+    np.testing.assert_array_equal(model.predict(s), model.predict(s))
 
 
 def test_bundle_roundtrip_bitwise(tmp_path):
@@ -189,9 +187,9 @@ def test_additive_residual_tracks_behavior_effect():
                             hidden_widths=(32, 32, 32), seed=0)
     ds, truth, stats, model = small_advantage_model(seed=17, trips=120, params=params)
     q_std = stats.performance_std(0)
-    g = np.array([truth.behavior_effect(r.behavior) for r in ds.records]) / q_std
-    s_norm = stats.normalize_env(ds.env_matrix())
-    a_norm = stats.normalize_behavior(ds.behavior_matrix())
+    g = np.array([truth.behavior_effect(a) for a in ds.behavior]) / q_std
+    s_norm = stats.normalize_env(ds.env)
+    a_norm = stats.normalize_behavior(ds.behavior)
     adv = np.array([
         model.advantage_normalized(s_norm[i], a_norm[i]) for i in range(len(ds))
     ])
@@ -203,7 +201,7 @@ def test_behavior_box():
     ds, _ = generate(SynthConfig(n_drivers=3, trips_per_driver=40, seed=18))
     stats = fit_stats(ds)
     box = behavior_box_from(ds, stats, margin=0.1)
-    a = stats.normalize_behavior(ds.behavior_matrix())
+    a = stats.normalize_behavior(ds.behavior)
     lo, hi = a.min(axis=0), a.max(axis=0)
     span = hi - lo
     np.testing.assert_allclose(box[:, 0], lo - 0.1 * span)
@@ -221,9 +219,3 @@ def test_behavior_box_degenerate_dim():
     assert box[0, 0] < box[0, 1]  # hairline box around the constant value
     assert box[0, 1] - box[0, 0] == pytest.approx(2e-6)
 
-
-def test_module_level_advantage_matches_method():
-    _, _, _, model = small_advantage_model(seed=22)
-    rng = np.random.default_rng(23)
-    s, a = rng.normal(size=8), rng.normal(size=6)
-    assert advantage(model, s, a) == model.advantage(s, a)

@@ -81,7 +81,7 @@ def test_dimension_mismatch():
 def test_whole_dataset_normalization():
     ds, _ = generate(SynthConfig(n_drivers=5, trips_per_driver=40, seed=3))
     stats = fit_stats(ds)
-    xn = stats.normalize(ds.stacked_matrix())
+    xn = stats.normalize(ds.values)
     keep = [d for d in range(stats.dim) if d not in stats.degenerate_dims]
     assert np.abs(xn[:, keep].mean(axis=0)).max() < 1e-9
     assert np.abs(xn[:, keep].std(axis=0, ddof=1) - 1.0).max() < 1e-6
@@ -90,19 +90,19 @@ def test_whole_dataset_normalization():
 def test_scale_equivariance():
     ds, _ = generate(SynthConfig(n_drivers=4, trips_per_driver=25, seed=5))
     stats = fit_stats(ds)
-    scaled_env = ds.env_matrix().copy()
+    scaled_env = ds.env.copy()
     scaled_env[:, 0] *= 37.5
     scaled = make_dataset(
         env=scaled_env,
-        behavior=ds.behavior_matrix(),
-        performance=ds.performance_matrix(),
-        driver_ids=[r.driver_id for r in ds.records],
+        behavior=ds.behavior,
+        performance=ds.performance,
+        driver_ids=[ds.driver_ids[k] for k in ds.driver_codes],
         schema=ds.schema,
     )
     stats2 = fit_stats(scaled)
     np.testing.assert_allclose(
-        stats.normalize_env(ds.env_matrix()),
-        stats2.normalize_env(scaled.env_matrix()),
+        stats.normalize_env(ds.env),
+        stats2.normalize_env(scaled.env),
         rtol=1e-10,
         atol=1e-12,
     )
@@ -145,6 +145,6 @@ def test_slices():
     assert stats.env_slice == slice(0, 8)
     assert stats.behavior_slice == slice(8, 14)
     assert stats.performance_slice == slice(14, 16)
-    full = stats.normalize(ds.stacked_matrix()[0])
-    np.testing.assert_array_equal(full[:8], stats.normalize_env(ds.records[0].env))
-    np.testing.assert_array_equal(full[8:14], stats.normalize_behavior(ds.records[0].behavior))
+    full = stats.normalize(ds.values[0])
+    np.testing.assert_array_equal(full[:8], stats.normalize_env(ds.env[0]))
+    np.testing.assert_array_equal(full[8:14], stats.normalize_behavior(ds.behavior[0]))

@@ -106,6 +106,23 @@ def test_profile_count_and_recovery():
         assert np.linalg.norm(p.mean_behavior - center_norm) < 0.2
 
 
+def test_build_profiles_match_per_driver_reference():
+    # drivers interleaved in random order; each mean must sum the driver's
+    # rows in dataset order, exactly as a per-driver gather does
+    rng = np.random.default_rng(11)
+    n = 6000
+    drivers = [f"d{k}" for k in rng.integers(0, 9, size=n)]
+    behavior = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+    ds = make_dataset(rng.normal(size=(n, 2)), behavior, rng.normal(size=(n, 1)), drivers)
+    stats = fit_stats(ds)
+    behaviors = stats.normalize_behavior(ds.behavior)
+    for profile in build_profiles(ds, stats):
+        rows = [i for i, d in enumerate(drivers) if d == profile.driver_id]
+        expected = behaviors[rows].mean(axis=0)
+        assert profile.mean_behavior.tobytes() == expected.tobytes()
+        assert profile.trip_count == len(rows)
+
+
 def test_match_driver_hand_case():
     profiles = [
         DriverProfile("d1", np.array([0.0, 0.0]), 1),

@@ -24,10 +24,10 @@ def test_deterministic_file(tmp_path):
 
 def test_noiseless_reconstruction():
     ds, truth = generate(SynthConfig(n_drivers=3, trips_per_driver=15, noise_sigma=0.0, seed=11))
-    for rec in ds.records:
-        k = truth.driver_ids.index(rec.driver_id)
-        expected = truth.performance(rec.env, rec.behavior, k)
-        np.testing.assert_array_equal(rec.performance, expected)
+    for i in range(len(ds)):
+        k = truth.driver_ids.index(ds.driver_ids[ds.driver_codes[i]])
+        expected = truth.performance(ds.env[i], ds.behavior[i], k)
+        np.testing.assert_array_equal(ds.performance[i], expected)
 
 
 def test_env_shift_lowers_raw_performance():
@@ -35,7 +35,7 @@ def test_env_shift_lowers_raw_performance():
         SynthConfig(n_drivers=4, trips_per_driver=200, env_shift_mode=True, seed=13)
     )
     assert np.all(truth.driver_skills == 0.0)
-    q = ds.performance_matrix()[:, 0]
+    q = ds.performance[:, 0]
     odd = [i for d in truth.driver_ids[1::2] for i in ds.driver_index[d]]
     even = [i for d in truth.driver_ids[0::2] for i in ds.driver_index[d]]
     assert q[odd].mean() - q[even].mean() < 0
@@ -78,12 +78,12 @@ def test_interaction_term():
         SynthConfig(n_drivers=3, trips_per_driver=5, noise_sigma=0.0,
                     interaction_scale=0.5, seed=29)
     )
-    rec = ds.records[0]
-    k = truth.driver_ids.index(rec.driver_id)
-    base = truth.env_effect(rec.env) + truth.behavior_effect(rec.behavior) + truth.driver_skills[k]
-    with_cross = base + 0.5 * truth.env_effect(rec.env) * truth.behavior_effect(rec.behavior)
-    assert rec.performance[0] == pytest.approx(with_cross)
-    assert rec.performance[0] != pytest.approx(base)
+    s, a, q = ds.env[0], ds.behavior[0], ds.performance[0]
+    k = truth.driver_ids.index(ds.driver_ids[ds.driver_codes[0]])
+    base = truth.env_effect(s) + truth.behavior_effect(a) + truth.driver_skills[k]
+    with_cross = base + 0.5 * truth.env_effect(s) * truth.behavior_effect(a)
+    assert q[0] == pytest.approx(with_cross)
+    assert q[0] != pytest.approx(base)
 
 
 @pytest.mark.parametrize(

@@ -1,24 +1,47 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fleetrank.errors import BadValue, EmptyDataset, MissingColumn, UnknownDriver
 from fleetrank.synth import SynthConfig, generate
 from fleetrank.trip_data import (
+    Dataset,
     DatasetSchema,
-    TripRecord,
+    chunk_rows,
     load_dataset,
     save_dataset,
 )
+
+HEADER = "trip_id,driver_id,grade,load,overspeed,overrpm,total_mpg,fuel\n"
+CHUNK = chunk_rows(8)  # rows per chunk of the simple schema's 8 columns
+
+
+def write_trips(path, n_rows, bad=None):
+    """``n_rows`` valid simple-schema rows; ``bad`` maps a 1-based row to its grade cell."""
+    bad = bad or {}
+    lines = [HEADER]
+    for i in range(1, n_rows + 1):
+        grade = bad.get(i, f"{i * 0.25}")
+        lines.append(f"t{i},d{i % 3},{grade},10.0,3.0,1.0,6.5,55.0\n")
+    path.write_text("".join(lines), encoding="utf-8")
+    return path
+
+
+def same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_load_basic(simple_csv, simple_schema):
     ds = load_dataset(simple_csv, simple_schema)
     assert len(ds) == 3
     assert ds.n_drivers == 2
-    assert ds.records[0].trip_id == "t1"
-    np.testing.assert_array_equal(ds.records[0].env, [0.5, 10.0])
-    np.testing.assert_array_equal(ds.records[1].behavior, [0.0, 2.0])
-    np.testing.assert_array_equal(ds.records[2].performance, [7.0, 50.0])
+    assert ds.trip_ids[0] == "t1"
+    np.testing.assert_array_equal(ds.env[0], [0.5, 10.0])
+    np.testing.assert_array_equal(ds.behavior[1], [0.0, 2.0])
+    np.testing.assert_array_equal(ds.performance[2], [7.0, 50.0])
+    assert ds.driver_ids == ("d1", "d2")
+    np.testing.assert_array_equal(ds.driver_codes, [0, 1, 0])
 
 
 def test_driver_indices(simple_csv, simple_schema):
@@ -46,11 +69,10 @@ def test_column_order_independence(tmp_path, simple_csv, simple_schema):
     )
     a = load_dataset(simple_csv, simple_schema)
     b = load_dataset(shuffled, simple_schema)
-    for ra, rb in zip(a.records, b.records):
-        assert ra.trip_id == rb.trip_id
-        np.testing.assert_array_equal(ra.env, rb.env)
-        np.testing.assert_array_equal(ra.behavior, rb.behavior)
-        np.testing.assert_array_equal(ra.performance, rb.performance)
+    assert a.trip_ids == b.trip_ids
+    np.testing.assert_array_equal(a.env, b.env)
+    np.testing.assert_array_equal(a.behavior, b.behavior)
+    np.testing.assert_array_equal(a.performance, b.performance)
 
 
 def test_missing_column(tmp_path, simple_schema):
@@ -87,7 +109,7 @@ def test_bad_value_lenient(tmp_path, simple_schema):
     ds = load_dataset(path, simple_schema, lenient=True)
     assert len(ds) == 1
     assert ds.skipped_rows == 1
-    assert ds.records[0].trip_id == "t2"
+    assert ds.trip_ids == ("t2",)
 
 
 def test_empty_dataset(tmp_path, simple_schema):
@@ -117,11 +139,12 @@ def test_roundtrip_bitwise(tmp_path):
     save_dataset(ds, out)
     back = load_dataset(out, ds.schema)
     assert len(back) == len(ds)
-    for ra, rb in zip(ds.records, back.records):
-        assert (ra.trip_id, ra.driver_id) == (rb.trip_id, rb.driver_id)
-        np.testing.assert_array_equal(ra.env, rb.env)
-        np.testing.assert_array_equal(ra.behavior, rb.behavior)
-        np.testing.assert_array_equal(ra.performance, rb.performance)
+    assert back.trip_ids == ds.trip_ids
+    assert back.driver_ids == ds.driver_ids
+    np.testing.assert_array_equal(back.driver_codes, ds.driver_codes)
+    np.testing.assert_array_equal(back.env, ds.env)
+    np.testing.assert_array_equal(back.behavior, ds.behavior)
+    np.testing.assert_array_equal(back.performance, ds.performance)
 
 
 def test_empty_driver_id_rejected(tmp_path, simple_schema):
@@ -138,13 +161,20 @@ def test_empty_driver_id_rejected(tmp_path, simple_schema):
     assert len(ds) == 1 and ds.skipped_rows == 1
 
 
-def test_record_validation():
+def test_record_validation(simple_schema):
+    def build(driver, env=(0.0, 0.0), perf=(0.0, 0.0)):
+        values = np.array([[*env, 0.0, 0.0, *perf]])
+        return Dataset.from_rows(simple_schema, ["t1"], [driver], values)
+
     with pytest.raises(ValueError):
-        TripRecord("t1", "", np.zeros(2), np.zeros(2), np.zeros(1))
+        build("")
     with pytest.raises(ValueError):
-        TripRecord("t1", "d1", np.array([np.nan, 0.0]), np.zeros(2), np.zeros(1))
+        build("d1", env=(np.nan, 0.0))
     with pytest.raises(ValueError):
-        TripRecord("t1", "d1", np.zeros(2), np.zeros(2), np.array([np.inf]))
+        build("d1", perf=(0.0, np.inf))
+    ds = build("d1")
+    with pytest.raises(ValueError):
+        ds.values[0, 0] = 1.0  # the stored arrays are read-only
 
 
 def test_schema_validation():
@@ -168,3 +198,63 @@ def test_schema_json_roundtrip(tmp_path, simple_schema):
     simple_schema.save(path)
     assert DatasetSchema.load(path) == simple_schema
     assert simple_schema.metric_index == 0
+
+
+def test_strict_error_past_first_chunk(tmp_path, simple_schema):
+    row = CHUNK + 37
+    path = write_trips(tmp_path / "late.csv", 2 * CHUNK, bad={row: "x1", row + 5: "nan"})
+    with pytest.raises(BadValue) as err:
+        load_dataset(path, simple_schema)
+    assert (err.value.row, err.value.column, err.value.value) == (row, "grade", "x1")
+
+
+def test_lenient_skips_bad_rows_in_two_chunks(tmp_path, simple_schema):
+    bad = {5: "", CHUNK + 1: "inf", 2 * CHUNK + 3: "1.5.2"}
+    n = 2 * CHUNK + 10
+    path = write_trips(tmp_path / "mixed.csv", n, bad=bad)
+    ds = load_dataset(path, simple_schema, lenient=True)
+    assert ds.skipped_rows == 3
+    assert ds.trip_ids == tuple(f"t{i}" for i in range(1, n + 1) if i not in bad)
+    np.testing.assert_array_equal(
+        ds.env[:, 0], [i * 0.25 for i in range(1, n + 1) if i not in bad]
+    )
+    assert ds.n_drivers == 3
+
+
+def test_blank_lines_and_short_rows(tmp_path, simple_schema):
+    path = tmp_path / "ragged.csv"
+    path.write_text(
+        HEADER + "\n"
+        "t1,d1,0.5,10.0,3.0,1.0,6.5,55.0\n"
+        "\n"
+        "t2,d2,1.5,12.0\n"
+        "t3,d1,-0.5,8.0,1.0,0.0,7.0,50.0,extra\n",
+        encoding="utf-8",
+    )
+    # blank lines are not numbered, and a short row's missing cells are absent
+    with pytest.raises(BadValue) as err:
+        load_dataset(path, simple_schema)
+    assert (err.value.row, err.value.column, err.value.value) == (2, "overspeed", None)
+    ds = load_dataset(path, simple_schema, lenient=True)
+    assert ds.trip_ids == ("t1", "t3") and ds.skipped_rows == 1
+
+
+# simple_schema is a frozen dataclass, so sharing it across examples is safe
+@settings(deadline=None, max_examples=20,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    cells=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=64),
+    extra_rows=st.integers(min_value=1, max_value=50),
+)
+def test_roundtrip_bitwise_property(tmp_path_factory, simple_schema, cells, extra_rows):
+    n = CHUNK + extra_rows  # crosses a chunk boundary
+    values = np.resize(np.array(cells, dtype=float), n * 6).reshape(n, 6)
+    drivers = [f"d{i % 5}" for i in range(n)]
+    ds = Dataset.from_rows(simple_schema, [f"t{i}" for i in range(n)], drivers, values)
+    path = tmp_path_factory.mktemp("roundtrip") / "trips.csv"
+    save_dataset(ds, path)
+    back = load_dataset(path, simple_schema)
+    assert same_bits(back.values, ds.values)  # -0.0 and subnormals included
+    assert back.trip_ids == ds.trip_ids
+    assert back.driver_ids == ds.driver_ids
+    np.testing.assert_array_equal(back.driver_codes, ds.driver_codes)
