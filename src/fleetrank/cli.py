@@ -22,6 +22,7 @@ import numpy as np
 from . import assessment, placement, synth
 from .errors import (
     BadValue,
+    CorruptBundle,
     DimensionMismatch,
     EmptyDataset,
     EmptyProfiles,
@@ -49,6 +50,7 @@ from .trip_data import DatasetSchema, load_dataset, save_dataset
 
 USAGE_ERRORS = (
     InvalidConfig,
+    CorruptBundle,
     MissingColumn,
     BadValue,
     EmptyDataset,
@@ -80,10 +82,26 @@ def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
 
 
 def _load_vector(path: str) -> np.ndarray:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if isinstance(data, dict) and "values" in data:
-        data = data["values"]
-    return np.asarray(data, dtype=float)
+    """A finite 1-D vector from a JSON list, or from a ``{"values": [...]}`` object."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        if isinstance(data, dict) and "values" in data:
+            data = data["values"]
+        vector = np.asarray(data, dtype=float)
+    except (TypeError, ValueError) as exc:  # JSON errors are ValueErrors
+        raise InvalidConfig(f"{path}: expected a JSON list of numbers ({exc})") from None
+    if vector.ndim != 1:
+        raise InvalidConfig(f"{path}: expected a flat list of numbers, got shape {vector.shape}")
+    if not np.all(np.isfinite(vector)):
+        raise InvalidConfig(f"{path}: every entry must be finite, got {vector.tolist()}")
+    return vector
+
+
+def _require_length(vector: np.ndarray, length: int, flag: str) -> None:
+    if vector.shape != (length,):
+        raise DimensionMismatch(
+            f"{flag} has {vector.shape[0]} entries; the bundle expects {length}"
+        )
 
 
 def _parse_hidden(text: str) -> tuple[int, int, int]:
@@ -213,10 +231,12 @@ def cmd_place(args: argparse.Namespace) -> int:
     started = time.time()
     model, schema, _meta = load_bundle(args.bundle)
     env = _load_vector(args.env)
+    _require_length(env, model.stats.d_env, "--env")
     template_norm = None
     free_indices = None
     if args.fix_template:
         template = _load_vector(args.fix_template)
+        _require_length(template, model.stats.d_behavior, "--fix-template")
         template_norm = template if args.normalized else model.stats.normalize_behavior(template)
         if not args.free:
             raise InvalidConfig("--fix-template requires --free naming the searched dimensions")
@@ -263,15 +283,15 @@ def cmd_surface(args: argparse.Namespace) -> int:
         raise InvalidConfig(f"--resolution must be >= 2 points per axis, got {args.resolution}")
     model, schema, _meta = load_bundle(args.bundle)
     env = _load_vector(args.env)
+    _require_length(env, model.stats.d_env, "--env")
     template = _load_vector(args.template)
+    _require_length(template, model.stats.d_behavior, "--template")
     template_norm = template if args.normalized else model.stats.normalize_behavior(template)
     free_indices = _free_indices(schema, args.free)
     if len(free_indices) != 2:
         raise InvalidConfig("--free must name exactly two dimensions for a surface")
     if model.behavior_box is None:
         raise InvalidConfig("bundle has no behavior search box")
-    if template_norm.shape != (model.stats.d_behavior,):
-        raise DimensionMismatch(f"template must have length {model.stats.d_behavior}")
 
     s_norm = env if args.normalized else model.stats.normalize_env(env)
     i, j = free_indices

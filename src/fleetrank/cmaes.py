@@ -3,9 +3,17 @@
 A self-contained (mu/mu_w, lambda) implementation with weighted
 recombination of the best half of each population, cumulative step-size
 adaptation, and rank-one plus rank-mu covariance updates. Selection is
-rank-based, so the optimizer is invariant to any strictly increasing
-transformation of the objective. Box constraints are handled by
-clamping sampled candidates before evaluation.
+rank-based, so the search is invariant to any strictly increasing
+transformation of the objective (the stagnation tolerance alone is
+measured in objective units). Box constraints are handled by clamping
+sampled candidates before evaluation.
+
+The optimizer works in ask/tell form: each generation it samples a
+population of lambda candidates and makes one objective call on all of
+them. An objective maps a read-only candidate matrix ``X`` of shape
+``(lambda, dim)`` to a fitness vector of shape ``(lambda,)``, one value
+per row, so a model-backed objective can score a whole generation in one
+batched pass.
 """
 
 from __future__ import annotations
@@ -36,7 +44,6 @@ class CmaesConfig:
     seed: int = 0
     bounds: np.ndarray | None = None
     restarts: int = 0
-    record_candidates: bool = False
 
     def __post_init__(self):
         self.initial_mean = np.asarray(self.initial_mean, dtype=float)
@@ -73,7 +80,6 @@ class CmaesResult:
     generations_used: int
     history: list[float] = field(default_factory=list)
     termination: str = ""
-    evaluated_points: np.ndarray | None = None
 
 
 class _StrategyParams:
@@ -97,7 +103,13 @@ class _StrategyParams:
 
 
 def minimize(objective, config: CmaesConfig) -> CmaesResult:
-    """Minimize a scalar objective over R^dim (optionally box-bounded).
+    """Minimize an objective over R^dim (optionally box-bounded).
+
+    ``objective`` is called once per generation with the read-only
+    ``(lambda, dim)`` matrix of candidates and must return their
+    ``(lambda,)`` fitness values; any other shape raises
+    ``InvalidConfig``. A non-finite fitness raises ``NonFiniteObjective``
+    carrying the first offending row and the best result so far.
 
     Deterministic for a fixed (objective, config) pair. Terminates when
     the running best fitness improves by less than ``target_tolerance``
@@ -117,7 +129,6 @@ def minimize(objective, config: CmaesConfig) -> CmaesResult:
     best_x: np.ndarray | None = None
     best_f = math.inf
     history: list[float] = []
-    recorded: list[np.ndarray] = []
     generations = 0
     restarts_left = config.restarts
     lam = config.population if config.population is not None else default_population(n)
@@ -160,16 +171,18 @@ def minimize(objective, config: CmaesConfig) -> CmaesResult:
             x = mean + sigma * y
             if lo is not None:
                 x = np.clip(x, lo, hi)
-            if config.record_candidates:
-                recorded.append(x.copy())
+            x.flags.writeable = False
 
-            fitness = np.empty(lam)
-            for k in range(lam):
-                fitness[k] = objective(x[k].copy())
+            fitness = np.asarray(objective(x), dtype=float)
+            if fitness.shape != (lam,):
+                raise InvalidConfig(
+                    f"objective must return shape ({lam},) for {lam} candidates, "
+                    f"got {fitness.shape}"
+                )
             if not np.all(np.isfinite(fitness)):
                 bad = int(np.flatnonzero(~np.isfinite(fitness))[0])
                 raise NonFiniteObjective(
-                    x[bad].copy(), best=_result(best_x, best_f, generations, history, "non_finite", recorded, config)
+                    x[bad].copy(), best=_result(best_x, best_f, generations, history, "non_finite", config)
                 )
 
             order = np.argsort(fitness, kind="stable")
@@ -220,21 +233,19 @@ def minimize(objective, config: CmaesConfig) -> CmaesResult:
                     running = False
                     break
 
-    return _result(best_x, best_f, generations, history, termination, recorded, config)
+    return _result(best_x, best_f, generations, history, termination, config)
 
 
-def _result(best_x, best_f, generations, history, termination, recorded, config) -> CmaesResult:
+def _result(best_x, best_f, generations, history, termination, config) -> CmaesResult:
     if best_x is None:
         best_x = config.initial_mean.copy()
         best_f = math.nan
-    points = np.vstack(recorded) if recorded else None
     return CmaesResult(
         best_point=best_x,
         best_fitness=best_f,
         generations_used=generations,
         history=list(history),
         termination=termination,
-        evaluated_points=points,
     )
 
 
@@ -242,7 +253,7 @@ def maximize(objective, config: CmaesConfig) -> CmaesResult:
     """Maximize by minimizing the negated objective; fitness values are
     reported in the caller's (maximization) sign convention."""
     try:
-        res = minimize(lambda v: -objective(v), config)
+        res = minimize(lambda x: -np.asarray(objective(x), dtype=float), config)
     except NonFiniteObjective as exc:
         best = exc.best
         if best is not None:
@@ -258,5 +269,4 @@ def _flip(res: CmaesResult) -> CmaesResult:
         generations_used=res.generations_used,
         history=[-h for h in res.history],
         termination=res.termination,
-        evaluated_points=res.evaluated_points,
     )

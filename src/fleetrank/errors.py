@@ -68,6 +68,10 @@ class InvalidConfig(FleetrankError):
     """A configuration value violates its documented constraints."""
 
 
+class CorruptBundle(FleetrankError):
+    """A model bundle file is unreadable, incomplete or inconsistent."""
+
+
 class EmptyProfiles(FleetrankError):
     """No driver profiles were supplied to match against."""
 

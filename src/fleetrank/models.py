@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidConfig
+from .errors import CorruptBundle, DimensionMismatch, InvalidConfig
 from .neural import Mlp, MlpConfig, TrainReport, load_mlp, save_mlp, train
 from .normalization import NormalizationStats
 from .trip_data import Dataset, DatasetSchema
@@ -279,17 +280,56 @@ def save_bundle(
 
 
 def load_bundle(directory: str | Path) -> tuple[AdvantageModel, DatasetSchema, dict]:
+    """Read and verify a bundle written by :func:`save_bundle`.
+
+    Raises ``CorruptBundle`` for a file that is not valid JSON, a missing
+    or ill-typed entry, a non-finite weight, bias, statistic or box
+    bound, or statistics whose fingerprint differs from the one recorded
+    in ``meta.json``.
+    """
     directory = Path(directory)
-    meta = json.loads((directory / "meta.json").read_text(encoding="utf-8"))
-    stats = NormalizationStats.load(directory / "stats.json")
-    baseline = BaselineModel(net=load_mlp(directory / "baseline.json"), stats=stats)
-    behavior = BehaviorModel(net=load_mlp(directory / "behavior.json"), stats=stats)
-    box = meta.get("behavior_box")
-    model = AdvantageModel(
-        baseline=baseline,
-        behavior=behavior,
-        metric_index=meta["metric_index"],
-        behavior_box=None if box is None else np.array(box, dtype=float),
-    )
-    schema = DatasetSchema.from_dict(meta["schema"])
+    meta_path = directory / "meta.json"
+    with _bundle_file(meta_path):
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    with _bundle_file(directory / "stats.json"):
+        stats = NormalizationStats.load(directory / "stats.json")
+        _require_finite(stats.mean, stats.std)
+    parts = {}
+    for name, kind in (("baseline", BaselineModel), ("behavior", BehaviorModel)):
+        path = directory / f"{name}.json"
+        with _bundle_file(path):
+            parts[name] = kind(net=load_mlp(path), stats=stats)
+            _require_finite(*parts[name].net.weights, *parts[name].net.biases)
+    with _bundle_file(meta_path):
+        if meta["stats_fingerprint"] != stats.fingerprint():
+            raise ValueError("stats_fingerprint does not match stats.json")
+        if type(meta["metric_index"]) is not int:  # bool is an int subclass
+            raise TypeError(f"metric_index must be an integer, got {meta['metric_index']!r}")
+        box = meta["behavior_box"]
+        if box is not None:
+            box = np.array(box, dtype=float)
+            _require_finite(box)
+        model = AdvantageModel(
+            baseline=parts["baseline"],
+            behavior=parts["behavior"],
+            metric_index=meta["metric_index"],
+            behavior_box=box,
+        )
+        schema = DatasetSchema.from_dict(meta["schema"])
     return model, schema, meta
+
+
+@contextmanager
+def _bundle_file(path: Path):
+    """Re-raise what a bundle file's content breaks as ``CorruptBundle`` naming the file."""
+    try:
+        yield
+    except KeyError as exc:
+        raise CorruptBundle(f"corrupt bundle file {path}: missing entry {exc}") from None
+    except (TypeError, ValueError, DimensionMismatch) as exc:  # JSON errors are ValueErrors
+        raise CorruptBundle(f"corrupt bundle file {path}: {exc}") from None
+
+
+def _require_finite(*arrays: np.ndarray) -> None:
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise ValueError("non-finite value")

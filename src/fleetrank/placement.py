@@ -95,8 +95,7 @@ def optimize_behavior(
     template_norm: np.ndarray | None = None,
     free_indices: list[int] | None = None,
     s_normalized: bool = False,
-    record_candidates: bool = True,
-) -> tuple[np.ndarray, float, CmaesResult]:
+) -> tuple[np.ndarray, float, CmaesResult, bool]:
     """Maximize the advantage surface over behavior at a fixed environment.
 
     The search runs in normalized behavior space over ``bounds`` (default:
@@ -106,8 +105,14 @@ def optimize_behavior(
     dataset-wide mean behavior (the origin in normalized units), clipped
     into the box.
 
-    Returns the full normalized optimum, its advantage, and the raw
-    optimizer result.
+    The baseline term is constant in behavior, so it is evaluated once;
+    each generation then costs one batched behavior-network pass over its
+    candidates.
+
+    Returns the full normalized optimum, its advantage, the raw optimizer
+    result, and whether in every generation the candidate with the
+    highest advantage also had the highest behavior-model output (it
+    must, since the baseline term is constant in behavior).
     """
     s = np.asarray(s, dtype=float)
     stats = model.stats
@@ -142,10 +147,17 @@ def optimize_behavior(
     sub_bounds = bounds[free]
     start = np.clip(np.zeros(len(free)), sub_bounds[:, 0], sub_bounds[:, 1])
 
-    def objective(a_free: np.ndarray) -> float:
-        candidate = base.copy()
-        candidate[free] = a_free
-        return float(model.advantage_normalized(s_norm, candidate))
+    baseline_value = float(model.baseline.predict_normalized(s_norm)[model.metric_index])
+    argmax_consistent = True
+
+    def objective(a_free: np.ndarray) -> np.ndarray:
+        nonlocal argmax_consistent
+        candidates = np.tile(base, (len(a_free), 1))
+        candidates[:, free] = a_free
+        q = model.behavior.predict_normalized_batch(s_norm, candidates)[:, model.metric_index]
+        advantages = q - baseline_value
+        argmax_consistent &= bool(q[np.argmax(advantages)] == q.max())
+        return advantages
 
     config = CmaesConfig(
         dim=len(free),
@@ -157,12 +169,11 @@ def optimize_behavior(
         seed=seed,
         bounds=sub_bounds,
         restarts=restarts,
-        record_candidates=record_candidates,
     )
     result = maximize(objective, config)
     optimum = base.copy()
     optimum[free] = result.best_point
-    return optimum, float(result.best_fitness), result
+    return optimum, float(result.best_fitness), result, argmax_consistent
 
 
 def match_driver(
@@ -206,30 +217,9 @@ def place(
     invert_match: bool = False,
     **search_kwargs,
 ) -> PlacementResult:
-    """End-to-end placement: optimize behavior, then match the nearest driver.
-
-    Also records whether the behavior-model and advantage orderings agree
-    at their maximum over every candidate the optimizer evaluated (they
-    must, since the baseline term is constant in behavior).
-    """
+    """End-to-end placement: optimize behavior, then match the nearest driver."""
     s = np.asarray(s, dtype=float)
-    optimum, value, result = optimize_behavior(model, s, seed=seed, **search_kwargs)
-
-    consistent = True
-    if result.evaluated_points is not None and len(result.evaluated_points) > 0:
-        free = search_kwargs.get("free_indices")
-        if free is None:
-            candidates = result.evaluated_points
-        else:
-            free = np.asarray(sorted(free), dtype=int)
-            candidates = np.tile(optimum, (len(result.evaluated_points), 1))
-            candidates[:, free] = result.evaluated_points
-        stats = model.stats
-        s_norm = s if search_kwargs.get("s_normalized") else stats.normalize_env(s)
-        q_vals = model.behavior.predict_normalized_batch(s_norm, candidates)[:, model.metric_index]
-        base = float(model.baseline.predict_normalized(s_norm)[model.metric_index])
-        a_vals = q_vals - base
-        consistent = bool(q_vals[int(np.argmax(a_vals))] == q_vals.max())
+    optimum, value, result, consistent = optimize_behavior(model, s, seed=seed, **search_kwargs)
 
     driver_id, distance, ranked = match_driver(profiles, optimum, invert=invert_match)
     runner_ups = [r for r in ranked if r[0] != driver_id][:top_m]

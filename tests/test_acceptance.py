@@ -219,18 +219,18 @@ def test_criterion_2_normalization(tmp_path):
 def test_criterion_3_cmaes_benchmarks():
     started = time.time()
     sphere_res = minimize(
-        lambda v: float(v @ v),
+        lambda x: np.sum(x * x, axis=1),
         CmaesConfig(dim=10, initial_mean=np.ones(10), initial_sigma=0.5,
                     max_generations=2000, seed=3),
     )
     rosen_res = minimize(
-        lambda v: float(np.sum(100.0 * (v[1:] - v[:-1] ** 2) ** 2 + (1.0 - v[:-1]) ** 2)),
+        lambda x: np.sum(100.0 * (x[:, 1:] - x[:, :-1] ** 2) ** 2 + (1.0 - x[:, :-1]) ** 2, axis=1),
         CmaesConfig(dim=5, initial_mean=np.zeros(5), initial_sigma=0.5,
                     max_generations=5000, seed=7, restarts=1),
     )
     center = np.array([0.5, -1.0, 2.0, 0.0, -0.25])
     quad_res = maximize(
-        lambda v: -float(np.sum((v - center) ** 2)),
+        lambda x: -np.sum((x - center) ** 2, axis=1),
         CmaesConfig(dim=5, initial_mean=np.zeros(5), initial_sigma=0.5,
                     max_generations=2000, seed=5),
     )
@@ -295,7 +295,7 @@ def test_criterion_6_placement(placement_runs):
 
     # two-dimensional constrained optimum against a dense grid oracle
     template = np.zeros(6)
-    a_star, value, _ = optimize_behavior(
+    a_star, value, _, _ = optimize_behavior(
         model, env, seed=5, template_norm=template, free_indices=[0, 1],
         sigma0=0.8, population=32, restarts=1, tolerance=1e-12, max_generations=400,
     )

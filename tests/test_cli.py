@@ -1,5 +1,7 @@
 import csv
 import json
+import math
+import shutil
 
 import numpy as np
 import pytest
@@ -370,3 +372,112 @@ def test_place_rejects_repeated_free_dimension(pipeline, tmp_path, capsys):
                "--free", "beh_00,beh_00", "--out", str(tmp_path / "o"))
     assert code == 2
     assert "more than once" in capsys.readouterr().err
+
+
+def _set_first(nested, value):
+    """Replace the first number in a nested JSON list."""
+    while isinstance(nested[0], list):
+        nested = nested[0]
+    nested[0] = value
+
+
+def _edit_json(path, edit):
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda b: (b / "meta.json").write_text((b / "meta.json").read_text()[:200]),
+         "meta.json: Unterminated string"),
+        (lambda b: (b / "stats.json").write_bytes(b"\xff\xfe\x00\x01"), "stats.json: 'utf-8'"),
+        (lambda b: _edit_json(b / "meta.json", lambda m: m.pop("metric_index")),
+         "meta.json: missing entry 'metric_index'"),
+        (lambda b: _edit_json(b / "behavior.json", lambda n: n["config"].pop("seed")),
+         "behavior.json: missing entry 'seed'"),
+        (lambda b: _edit_json(b / "meta.json", lambda m: m.__setitem__("metric_index", 0.5)),
+         "meta.json: metric_index must be an integer, got 0.5"),
+        (lambda b: _edit_json(b / "meta.json", lambda m: m.__setitem__("metric_index", True)),
+         "meta.json: metric_index must be an integer, got True"),
+        (lambda b: _edit_json(b / "baseline.json", lambda n: _set_first(n["weights"], math.nan)),
+         "baseline.json: non-finite value"),
+        (lambda b: _edit_json(b / "behavior.json", lambda n: _set_first(n["biases"], math.inf)),
+         "behavior.json: non-finite value"),
+        (lambda b: _edit_json(b / "stats.json", lambda s: _set_first(s["std"], math.nan)),
+         "stats.json: non-finite value"),
+        (lambda b: _edit_json(b / "meta.json", lambda m: _set_first(m["behavior_box"], -math.inf)),
+         "meta.json: non-finite value"),
+        (lambda b: _edit_json(b / "stats.json", lambda s: s["mean"].__setitem__(0, s["mean"][0] + 1e-9)),
+         "meta.json: stats_fingerprint does not match stats.json"),
+    ],
+    ids=["truncated-meta", "undecodable-stats", "missing-meta-key", "missing-net-key",
+         "float-metric-index", "bool-metric-index", "nan-weight", "inf-bias", "nan-stats", "inf-box", "fingerprint-mismatch"],
+)
+def test_rank_rejects_corrupt_bundle(pipeline, tmp_path, capsys, damage, message):
+    data, bundle = pipeline
+    broken = tmp_path / "bundle"
+    shutil.copytree(bundle, broken)
+    damage(broken)
+    out = tmp_path / "rank"
+    code = run("rank", "--data", str(data / "data.csv"), "--bundle", str(broken),
+               "--out", str(out))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "corrupt bundle file" in err and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "env, template, message",
+    [
+        ("[0, 0, 0, NaN, 0, 0, 0, 0]", "[0, 0, 0, 0, 0, 0]", "every entry must be finite"),
+        ("[0, 0, 0, 0, 0, 0, 0, Infinity]", "[0, 0, 0, 0, 0, 0]", "every entry must be finite"),
+        ("[0, 0, 0, 0, 0, 0, 0, 0]", "[0, 0, -Infinity, 0, 0, 0]", "every entry must be finite"),
+        ("[0, 0, 0", "[0, 0, 0, 0, 0, 0]", "expected a JSON list of numbers"),
+        ('["a", 0, 0, 0, 0, 0, 0, 0]', "[0, 0, 0, 0, 0, 0]", "expected a JSON list of numbers"),
+        ("[[0, 0, 0, 0], [0, 0, 0, 0]]", "[0, 0, 0, 0, 0, 0]", "expected a flat list"),
+        ("[0, 0, 0, 0, 0, 0, 0]", "[0, 0, 0, 0, 0, 0]", "--env has 7 entries; the bundle expects 8"),
+        ("[0, 0, 0, 0, 0, 0, 0, 0]", "[0, 0, 0, 0, 0]",
+         "--fix-template has 5 entries; the bundle expects 6"),
+    ],
+    ids=["nan-env", "inf-env", "inf-template", "truncated-json", "non-numeric", "matrix",
+         "short-env", "short-template"],
+)
+def test_place_rejects_bad_vectors_before_reading_trips(pipeline, tmp_path, capsys,
+                                                        env, template, message):
+    # the trips file does not exist: each vector must be rejected before it is read
+    _, bundle = pipeline
+    (tmp_path / "env.json").write_text(env)
+    (tmp_path / "a0.json").write_text(template)
+    out = tmp_path / "o"
+    code = run("place", "--bundle", str(bundle), "--data", str(tmp_path / "missing.csv"),
+               "--env", str(tmp_path / "env.json"), "--fix-template", str(tmp_path / "a0.json"),
+               "--free", "beh_00", "--normalized", "--out", str(out))
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "env, template, message",
+    [
+        ("[0, 0, 0, NaN, 0, 0, 0, 0]", "[0, 0, 0, 0, 0, 0]", "every entry must be finite"),
+        ("[0, 0, 0, 0, 0, 0, 0, 0]", "[0, NaN, 0, 0, 0, 0]", "every entry must be finite"),
+        ("[0, 0, 0, 0, 0, 0, 0, 0, 0]", "[0, 0, 0, 0, 0, 0]", "--env has 9 entries"),
+        ("[0, 0, 0, 0, 0, 0, 0, 0]", "[0, 0, 0, 0, 0, 0, 0]", "--template has 7 entries"),
+    ],
+    ids=["nan-env", "nan-template", "long-env", "long-template"],
+)
+def test_surface_rejects_bad_vectors(pipeline, tmp_path, capsys, env, template, message):
+    _, bundle = pipeline
+    (tmp_path / "env.json").write_text(env)
+    (tmp_path / "a0.json").write_text(template)
+    out = tmp_path / "surf"
+    code = run("surface", "--bundle", str(bundle), "--env", str(tmp_path / "env.json"),
+               "--template", str(tmp_path / "a0.json"), "--free", "beh_00,beh_01",
+               "--resolution", "5", "--out", str(out))
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from fleetrank import placement
+from fleetrank.cmaes import default_population, maximize
 from fleetrank.errors import DimensionMismatch, EmptyProfiles, InvalidConfig
 from fleetrank.models import (
     AdvantageModel,
@@ -177,37 +179,40 @@ def test_match_driver_errors():
 def test_optimizer_finds_known_peak():
     target = np.array([0.4, -0.7, 0.2])
     model = cone_peak_model(target)
-    a_star, value, result = optimize_behavior(
+    a_star, value, result, consistent = optimize_behavior(
         model, np.zeros(2), seed=1, sigma0=0.5, max_generations=400, tolerance=1e-12
     )
     np.testing.assert_allclose(a_star, target, atol=1e-2)
     assert value == pytest.approx(0.0, abs=1e-2)
     assert result.best_fitness == value
+    assert consistent
 
 
 def test_optimizer_constant_surface_stagnates():
     model = cone_peak_model(np.array([0.0, 0.0]))
     # zero the output layer: the surface is constant zero everywhere
     model.behavior.net.weights[3][:] = 0.0
-    a_star, value, result = optimize_behavior(model, np.zeros(2), seed=2, max_generations=400)
+    a_star, value, result, consistent = optimize_behavior(model, np.zeros(2), seed=2, max_generations=400)
     assert value == 0.0
     assert result.termination == "stagnation"
+    assert consistent
 
 
 def test_optimizer_respects_behavior_box():
     target = np.array([2.5, 2.5])  # outside the [-1.5, 1.5] box
     model = cone_peak_model(target)
-    a_star, value, result = optimize_behavior(model, np.zeros(2), seed=3, sigma0=0.5,
+    a_star, value, result, consistent = optimize_behavior(model, np.zeros(2), seed=3, sigma0=0.5,
                                               max_generations=300)
     assert np.all(a_star <= 1.5 + 1e-12)
     np.testing.assert_allclose(a_star, [1.5, 1.5], atol=1e-3)
+    assert consistent
 
 
 def test_optimizer_fixed_template():
     target = np.array([0.4, -0.7, 0.2, 0.9])
     model = cone_peak_model(target)
     template = np.array([0.0, -0.1, 0.0, 0.3])
-    a_star, value, result = optimize_behavior(
+    a_star, value, result, consistent = optimize_behavior(
         model, np.zeros(2), seed=4, template_norm=template, free_indices=[0, 2],
         sigma0=0.5, max_generations=400, tolerance=1e-12,
     )
@@ -216,6 +221,7 @@ def test_optimizer_fixed_template():
     np.testing.assert_allclose(a_star[[0, 2]], target[[0, 2]], atol=1e-2)
     # fixed dims each sit 0.6 from their target, free dims contribute ~0
     assert value == pytest.approx(-1.2, abs=0.05)
+    assert consistent
 
 
 def test_optimizer_requires_box():
@@ -235,7 +241,7 @@ def test_two_dim_search_matches_grid_oracle():
                            behavior_box=behavior_box_from(ds, stats))
     env = np.zeros(8)
     template = np.zeros(6)
-    a_star, value, _ = optimize_behavior(
+    a_star, value, _, consistent = optimize_behavior(
         model, env, seed=8, template_norm=template, free_indices=[0, 1],
         sigma0=0.8, population=24, restarts=1, tolerance=1e-12, max_generations=300,
     )
@@ -254,17 +260,48 @@ def test_two_dim_search_matches_grid_oracle():
     assert abs(a_star[0] - g0[gi]) <= cell + 1e-12
     assert abs(a_star[1] - g1[gj]) <= cell + 1e-12
     assert abs(value - float(vals[k])) < 0.01
+    assert consistent
 
 
-def test_optimum_dominates_every_evaluated_candidate():
+def test_optimum_dominates_every_evaluated_candidate(monkeypatch):
+    # wrap the search's objective to see every generation it scores
+    batches, scores = [], []
+
+    def recording_maximize(objective, config):
+        def recorded(x):
+            values = objective(x)
+            batches.append(np.array(x))
+            scores.append(np.array(values))
+            return values
+
+        return maximize(recorded, config)
+
+    monkeypatch.setattr(placement, "maximize", recording_maximize)
     target = np.array([0.4, -0.7, 0.2])
     model = cone_peak_model(target)
-    a_star, value, result = optimize_behavior(
+    a_star, value, result, consistent = optimize_behavior(
         model, np.zeros(2), seed=6, sigma0=0.5, max_generations=200, tolerance=1e-12
     )
-    assert result.evaluated_points is not None
-    revalued = model.advantage_normalized(np.zeros(2), result.evaluated_points)
+    assert len(batches) == result.generations_used
+    evaluated = np.vstack(batches)
+    assert evaluated.shape == (result.generations_used * default_population(3), 3)
+    assert value == np.concatenate(scores).max()
+    revalued = model.advantage_normalized(np.zeros(2), evaluated)
     assert value >= revalued.max() - 1e-9
+    assert consistent
+
+
+def test_argmax_inconsistency_is_reported():
+    # a baseline of 1e17 swallows every behavior difference in q - baseline
+    # (its spacing there is 16), so the tied advantages' argmax is the first
+    # candidate, not the behavior model's best
+    model = cone_peak_model(np.array([0.4, -0.7]))
+    model.baseline.net.biases[3] = np.array([1e17])
+    *_, consistent = optimize_behavior(model, np.zeros(2), seed=1, max_generations=30)
+    assert not consistent
+    result = place(model, [DriverProfile("only", np.zeros(2), 1)], np.zeros(2), seed=1,
+                   max_generations=30)
+    assert result.argmax_consistent is False
 
 
 def test_place_single_driver_fleet():
