@@ -12,7 +12,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -20,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import assessment, placement, synth
+from .atomic import atomic_open
 from .errors import (
     BadValue,
     CorruptBundle,
@@ -67,7 +67,7 @@ RUNTIME_ERRORS = (NonFiniteLoss, NonFiniteObjective)
 
 def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
                     outputs: list[str], started: float) -> None:
-    """Atomic manifest write beside the command's artifacts."""
+    """Manifest write beside the command's artifacts."""
     manifest = {
         "command": command,
         "arguments": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
@@ -76,9 +76,8 @@ def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
         "version": TOOL_VERSION,
         "duration_s": round(time.time() - started, 3),
     }
-    tmp = out_dir / "manifest.json.tmp"
-    tmp.write_text(json.dumps(manifest, indent=2), encoding="utf-8")
-    os.replace(tmp, out_dir / "manifest.json")
+    with atomic_open(out_dir / "manifest.json") as handle:
+        handle.write(json.dumps(manifest, indent=2))
 
 
 def _load_vector(path: str) -> np.ndarray:
@@ -185,7 +184,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         behavior_seed=behav_params.seed,
     )
     for name, report in (("baseline", baseline_report), ("behavior", behavior_report)):
-        with (out / f"{name}_curve.csv").open("w", newline="", encoding="utf-8") as handle:
+        with atomic_open(out / f"{name}_curve.csv") as handle:
             writer = csv.writer(handle)
             writer.writerow(["epoch", "mse"])
             for epoch, loss in enumerate(report.epoch_losses, start=1):
@@ -219,8 +218,9 @@ def cmd_rank(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     text = assessment.render_ranking(ranking)
-    (out / "ranking.txt").write_text(text, encoding="utf-8")
-    with (out / "ranking.csv").open("w", newline="", encoding="utf-8") as handle:
+    with atomic_open(out / "ranking.txt") as handle:
+        handle.write(text)
+    with atomic_open(out / "ranking.csv") as handle:
         csv.writer(handle).writerows(assessment.ranking_rows(ranking))
     _write_manifest(out, "rank", args, ["ranking.txt", "ranking.csv"], started)
     print(text, end="")
@@ -263,8 +263,9 @@ def cmd_place(args: argparse.Namespace) -> int:
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "placement.json").write_text(json.dumps(result.to_dict(), indent=2), encoding="utf-8")
-    with (out / "search_history.csv").open("w", newline="", encoding="utf-8") as handle:
+    with atomic_open(out / "placement.json") as handle:
+        handle.write(json.dumps(result.to_dict(), indent=2))
+    with atomic_open(out / "search_history.csv") as handle:
         writer = csv.writer(handle)
         writer.writerow(["generation", "best_advantage"])
         for gen, best in enumerate(result.search_history, start=1):
@@ -307,7 +308,7 @@ def cmd_surface(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     name_i = schema.behavior_columns[i]
     name_j = schema.behavior_columns[j]
-    with (out / "surface.csv").open("w", newline="", encoding="utf-8") as handle:
+    with atomic_open(out / "surface.csv") as handle:
         writer = csv.writer(handle)
         writer.writerow([name_i, name_j, "advantage"])
         for row, value in zip(candidates, values):

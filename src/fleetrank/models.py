@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import CorruptBundle, DimensionMismatch, InvalidConfig
 from .neural import Mlp, MlpConfig, TrainReport, load_mlp, save_mlp, train
 from .normalization import NormalizationStats
@@ -177,24 +178,7 @@ def train_baseline(
 ) -> tuple[BaselineModel, TrainReport]:
     """Fit the environment -> performance regressor on every record."""
     inputs = stats.normalize_env(ds.env)
-    targets = stats.normalize_performance(ds.performance)
-    net = Mlp.init(
-        MlpConfig(
-            input_dim=stats.d_env,
-            hidden_widths=params.hidden_widths,
-            output_dim=stats.d_performance,
-            seed=params.seed,
-        )
-    )
-    report = train(
-        net,
-        inputs,
-        targets,
-        epochs=params.epochs,
-        batch_size=params.batch_size,
-        learning_rate=params.learning_rate,
-        seed=params.seed,
-    )
+    net, report = _fit(inputs, stats.normalize_performance(ds.performance), stats, params)
     return BaselineModel(net=net, stats=stats), report
 
 
@@ -205,10 +189,17 @@ def train_behavior(
     inputs = np.hstack(
         [stats.normalize_env(ds.env), stats.normalize_behavior(ds.behavior)]
     )
-    targets = stats.normalize_performance(ds.performance)
+    net, report = _fit(inputs, stats.normalize_performance(ds.performance), stats, params)
+    return BehaviorModel(net=net, stats=stats), report
+
+
+def _fit(
+    inputs: np.ndarray, targets: np.ndarray, stats: NormalizationStats, params: TrainingParams
+) -> tuple[Mlp, TrainReport]:
+    """A fresh net with ``inputs``' width, trained on normalized performance ``targets``."""
     net = Mlp.init(
         MlpConfig(
-            input_dim=stats.d_env + stats.d_behavior,
+            input_dim=inputs.shape[1],
             hidden_widths=params.hidden_widths,
             output_dim=stats.d_performance,
             seed=params.seed,
@@ -223,7 +214,7 @@ def train_behavior(
         learning_rate=params.learning_rate,
         seed=params.seed,
     )
-    return BehaviorModel(net=net, stats=stats), report
+    return net, report
 
 
 def behavior_box_from(ds: Dataset, stats: NormalizationStats, margin: float = BOX_MARGIN) -> np.ndarray:
@@ -276,21 +267,30 @@ def save_bundle(
         "baseline_final_loss": None if baseline_report is None else baseline_report.final_loss,
         "behavior_final_loss": None if behavior_report is None else behavior_report.final_loss,
     }
-    (directory / "meta.json").write_text(json.dumps(meta, indent=2), encoding="utf-8")
+    with atomic_open(directory / "meta.json") as handle:
+        handle.write(json.dumps(meta, indent=2))
 
 
 def load_bundle(directory: str | Path) -> tuple[AdvantageModel, DatasetSchema, dict]:
     """Read and verify a bundle written by :func:`save_bundle`.
 
-    Raises ``CorruptBundle`` for a file that is not valid JSON, a missing
-    or ill-typed entry, a non-finite weight, bias, statistic or box
-    bound, or statistics whose fingerprint differs from the one recorded
-    in ``meta.json``.
+    Raises ``CorruptBundle`` for a file that is not valid JSON, a
+    ``meta.json`` written by another tool version, a missing or ill-typed
+    entry, a non-finite weight, bias, statistic or box bound, or
+    statistics whose fingerprint differs from the one recorded in
+    ``meta.json``.
     """
     directory = Path(directory)
     meta_path = directory / "meta.json"
     with _bundle_file(meta_path):
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        if type(meta) is not dict:
+            raise TypeError(f"expected a JSON object, got {type(meta).__name__}")
+        if meta.get("version") != TOOL_VERSION:
+            raise ValueError(
+                f"written by tool version {meta.get('version')!r}, "
+                f"this is version {TOOL_VERSION!r}"
+            )
     with _bundle_file(directory / "stats.json"):
         stats = NormalizationStats.load(directory / "stats.json")
         _require_finite(stats.mean, stats.std)

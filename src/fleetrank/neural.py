@@ -2,7 +2,8 @@
 
 The architecture is fixed at three fully connected ReLU layers followed
 by a linear output layer. Training is mini-batch gradient descent with
-the Adam update rule on mean squared error. There is deliberately no
+the Adam update rule on mean squared error, applied to all parameters
+as one flat vector (see :func:`train`). There is deliberately no
 regularization or early stopping: these networks act as conditional
 averagers, and fitting the training set closely is the point.
 """
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import DimensionMismatch, NonFiniteLoss
 
 ADAM_BETA1 = 0.9
@@ -109,40 +111,117 @@ class Mlp:
             )
         h = x
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.maximum(0.0, h @ w.T + b)
+            h = h @ w.T
+            h += b
+            np.maximum(0.0, h, out=h)
         return h @ self.weights[-1].T + self.biases[-1]
 
-    def _forward_trace(self, x: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Forward pass keeping activations and pre-activations for backprop."""
-        activations = [x]
-        pre = []
-        h = x
-        for layer, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w.T + b
-            pre.append(z)
-            h = z if layer == 3 else np.maximum(0.0, z)
-            activations.append(h)
-        return activations, pre
+    def _backprop_batch(self, x: np.ndarray, targets: np.ndarray, work: _Workspace) -> float:
+        """MSE loss (mean over batch and output dims); its gradient goes into ``work.grad``.
 
-    def _backprop_batch(
-        self, x: np.ndarray, targets: np.ndarray
-    ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-        """MSE loss (mean over batch and output dims) and its parameter gradients."""
+        Every intermediate lives in ``work``'s buffers, so a step allocates
+        nothing of batch size. Writing into a buffer changes no arithmetic:
+        loss and gradient are bitwise those of the unbuffered expressions.
+        """
         n = x.shape[0]
-        activations, pre = self._forward_trace(x)
-        out = activations[-1]
-        diff = out - targets
-        loss = float(np.mean(diff * diff))
+        act = [x]
+        for layer, (w, b) in enumerate(zip(self.weights, self.biases)):
+            z = np.matmul(act[-1], w.T, out=work.z[layer][:n])
+            z += b
+            if layer < 3:
+                np.greater(z, 0.0, out=work.mask[layer][:n])
+                np.maximum(0.0, z, out=z)
+            act.append(z)
+        delta = np.subtract(act[-1], targets, out=work.delta[3][:n])
+        loss = float(np.mean(delta * delta))
         # d loss / d out for mean over all n * output_dim elements
-        delta = 2.0 * diff / diff.size
-        grads_w: list[np.ndarray] = [None] * 4  # type: ignore[list-item]
-        grads_b: list[np.ndarray] = [None] * 4  # type: ignore[list-item]
+        delta *= 2.0
+        delta /= delta.size
         for layer in range(3, -1, -1):
-            grads_w[layer] = delta.T @ activations[layer]
-            grads_b[layer] = delta.sum(axis=0)
+            np.matmul(delta.T, act[layer], out=work.grad_w[layer])
+            delta.sum(axis=0, out=work.grad_b[layer])
             if layer > 0:
-                delta = (delta @ self.weights[layer]) * (pre[layer - 1] > 0)
-        return loss, grads_w, grads_b
+                delta = np.matmul(delta, self.weights[layer], out=work.delta[layer - 1][:n])
+                delta *= work.mask[layer - 1][:n]
+        return loss
+
+
+def _layer_views(flat: np.ndarray, widths: tuple[int, ...]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer (fan_out, fan_in) weight and bias views of one flat vector.
+
+    The layout is W0, b0, W1, b1, ... in layer order, each block row-major.
+    """
+    weights, biases = [], []
+    at = 0
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+        weights.append(flat[at : at + fan_out * fan_in].reshape(fan_out, fan_in))
+        at += fan_out * fan_in
+        biases.append(flat[at : at + fan_out])
+        at += fan_out
+    return weights, biases
+
+
+class _Workspace:
+    """Flat gradient plus per-layer buffers for batches of up to ``rows`` rows.
+
+    ``z[l]`` holds layer ``l``'s output (hidden layers after the in-place
+    ReLU), ``mask[l]`` where a hidden pre-activation was positive, and
+    ``delta[l]`` the loss gradient with respect to layer ``l``'s output.
+    """
+
+    def __init__(self, net: Mlp, rows: int):
+        widths = net.config.layer_widths
+        self.grad = np.empty(net.n_parameters)
+        self.grad_w, self.grad_b = _layer_views(self.grad, widths)
+        self.z = [np.empty((rows, width)) for width in widths[1:]]
+        self.delta = [np.empty((rows, width)) for width in widths[1:]]
+        self.mask = [np.empty((rows, width), dtype=bool) for width in widths[1:-1]]
+
+
+def _pack(net: Mlp) -> np.ndarray:
+    """Copy every parameter into one vector and rebind the net's arrays to views of it."""
+    theta = np.empty(net.n_parameters)
+    weights, biases = _layer_views(theta, net.config.layer_widths)
+    for view, array in zip(weights + biases, net.weights + net.biases):
+        view[...] = array
+    net.weights, net.biases = weights, biases
+    return theta
+
+
+def _adam_step(
+    theta: np.ndarray,
+    grad: np.ndarray,
+    m: np.ndarray,
+    v: np.ndarray,
+    scratch: tuple[np.ndarray, np.ndarray],
+    learning_rate: float,
+    step: int,
+) -> None:
+    """One Adam update of ``theta`` in place, over the whole parameter vector.
+
+    The operations and their order are those of the textbook expressions
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g**2`` and
+    ``theta -= lr*(m/bc1) / (sqrt(v/bc2) + eps)``. Each is elementwise
+    and correctly rounded, so the result is bitwise that of a per-layer
+    update.
+    """
+    bc1 = 1.0 - ADAM_BETA1**step
+    bc2 = 1.0 - ADAM_BETA2**step
+    s1, s2 = scratch
+    m *= ADAM_BETA1
+    np.multiply(grad, 1 - ADAM_BETA1, out=s1)
+    m += s1
+    v *= ADAM_BETA2
+    np.multiply(grad, grad, out=s1)
+    s1 *= 1 - ADAM_BETA2
+    v += s1
+    np.divide(v, bc2, out=s2)
+    np.sqrt(s2, out=s2)
+    s2 += ADAM_EPS
+    np.divide(m, bc1, out=s1)
+    s1 *= learning_rate
+    s1 /= s2
+    theta -= s1
 
 
 def gradient(net: Mlp, x: np.ndarray, target: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -156,8 +235,9 @@ def gradient(net: Mlp, x: np.ndarray, target: np.ndarray) -> list[tuple[np.ndarr
         raise DimensionMismatch(f"input shape {x.shape} does not match net")
     if target.ndim != 1 or target.shape[0] != net.config.output_dim:
         raise DimensionMismatch(f"target shape {target.shape} does not match net")
-    _, grads_w, grads_b = net._backprop_batch(x[None, :], target[None, :])
-    return list(zip(grads_w, grads_b))
+    work = _Workspace(net, 1)
+    net._backprop_batch(x[None, :], target[None, :], work)
+    return list(zip(work.grad_w, work.grad_b))
 
 
 def train(
@@ -175,6 +255,10 @@ def train(
     so identical arguments reproduce identical weights and losses. The
     reported epoch loss is the sample-weighted mean over the epoch's
     batches, i.e. the mean MSE over the training set as visited.
+
+    On entry the net's weights and biases are copied into one contiguous
+    vector, and ``net.weights`` / ``net.biases`` are rebound to views of
+    it; arrays taken from the net before the call are not updated.
     """
     inputs = np.asarray(inputs, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -189,10 +273,11 @@ def train(
 
     n = inputs.shape[0]
     rng = np.random.default_rng(seed)
-    m_w = [np.zeros_like(w) for w in net.weights]
-    v_w = [np.zeros_like(w) for w in net.weights]
-    m_b = [np.zeros_like(b) for b in net.biases]
-    v_b = [np.zeros_like(b) for b in net.biases]
+    theta = _pack(net)
+    work = _Workspace(net, min(batch_size, n))
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
+    scratch = np.empty_like(theta), np.empty_like(theta)
     step = 0
     epoch_losses: list[float] = []
 
@@ -201,24 +286,12 @@ def train(
         sq_err_sum = 0.0
         for start in range(0, n, batch_size):
             batch = order[start : start + batch_size]
-            loss, grads_w, grads_b = net._backprop_batch(inputs[batch], targets[batch])
+            loss = net._backprop_batch(inputs[batch], targets[batch], work)
             if not np.isfinite(loss):
                 raise NonFiniteLoss(epoch)
             sq_err_sum += loss * len(batch)
             step += 1
-            bc1 = 1.0 - ADAM_BETA1**step
-            bc2 = 1.0 - ADAM_BETA2**step
-            for layer in range(4):
-                m_w[layer] = ADAM_BETA1 * m_w[layer] + (1 - ADAM_BETA1) * grads_w[layer]
-                v_w[layer] = ADAM_BETA2 * v_w[layer] + (1 - ADAM_BETA2) * grads_w[layer] ** 2
-                m_b[layer] = ADAM_BETA1 * m_b[layer] + (1 - ADAM_BETA1) * grads_b[layer]
-                v_b[layer] = ADAM_BETA2 * v_b[layer] + (1 - ADAM_BETA2) * grads_b[layer] ** 2
-                net.weights[layer] -= learning_rate * (m_w[layer] / bc1) / (
-                    np.sqrt(v_w[layer] / bc2) + ADAM_EPS
-                )
-                net.biases[layer] -= learning_rate * (m_b[layer] / bc1) / (
-                    np.sqrt(v_b[layer] / bc2) + ADAM_EPS
-                )
+            _adam_step(theta, work.grad, m, v, scratch, learning_rate, step)
         epoch_losses.append(sq_err_sum / n)
     return TrainReport(epoch_losses=epoch_losses)
 
@@ -234,7 +307,8 @@ def save_mlp(net: Mlp, path: str | Path) -> None:
         "weights": [w.tolist() for w in net.weights],
         "biases": [b.tolist() for b in net.biases],
     }
-    Path(path).write_text(json.dumps(data), encoding="utf-8")
+    with atomic_open(path) as handle:
+        handle.write(json.dumps(data))
 
 
 def load_mlp(path: str | Path) -> Mlp:

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import DimensionMismatch, TooFewSamples
 from .trip_data import Dataset
 
@@ -131,7 +132,8 @@ class NormalizationStats:
         )
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict()), encoding="utf-8")
+        with atomic_open(path) as handle:
+            handle.write(json.dumps(self.to_dict()))
 
     @classmethod
     def load(cls, path: str | Path) -> "NormalizationStats":

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import InvalidConfig
 from .trip_data import Dataset, DatasetSchema
 
@@ -147,7 +148,8 @@ class GroundTruth:
         )
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict()), encoding="utf-8")
+        with atomic_open(path) as handle:
+            handle.write(json.dumps(self.to_dict()))
 
     @classmethod
     def load(cls, path: str | Path) -> "GroundTruth":

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import BadValue, DimensionMismatch, EmptyDataset, MissingColumn, UnknownDriver
 
 log = logging.getLogger(__name__)
@@ -100,7 +101,8 @@ class DatasetSchema:
         )
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2), encoding="utf-8")
+        with atomic_open(path) as handle:
+            handle.write(json.dumps(self.to_dict(), indent=2))
 
     @classmethod
     def load(cls, path: str | Path) -> "DatasetSchema":
@@ -362,7 +364,7 @@ def save_dataset(ds: Dataset, path: str | Path) -> None:
     schema = ds.schema
     header = [schema.trip_id_column, schema.driver_id_column, *schema.numeric_columns]
     driver_ids = ds.driver_ids
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+    with atomic_open(path) as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows(

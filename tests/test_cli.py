@@ -6,8 +6,10 @@ import shutil
 import numpy as np
 import pytest
 
+from fleetrank import assessment
+from fleetrank.atomic import atomic_open
 from fleetrank.cli import build_parser, main
-from fleetrank.models import load_bundle
+from fleetrank.models import TOOL_VERSION, load_bundle
 from fleetrank.synth import SynthConfig, generate
 
 
@@ -106,6 +108,40 @@ def test_rank_raw_units_preserves_order(pipeline, tmp_path):
     factor = model.raw_unit_scale()
     for rn, rr in zip(norm, raw):
         assert float(rr[2]) == pytest.approx(float(rn[2]) * factor, rel=1e-9)
+
+
+def test_atomic_open_replaces_only_a_complete_file(tmp_path):
+    path = tmp_path / "artifact.csv"
+    path.write_text("previous\n")
+    with pytest.raises(RuntimeError):
+        with atomic_open(path) as handle:
+            handle.write("half of a new")
+            raise RuntimeError("writer died")
+    assert path.read_text() == "previous\n"
+    assert list(tmp_path.iterdir()) == [path]
+    with atomic_open(path) as handle:
+        handle.write("a,b\r\n")
+    assert path.read_bytes() == b"a,b\r\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_failed_rerun_leaves_previous_ranking_intact(pipeline, tmp_path, monkeypatch):
+    data, bundle = pipeline
+    out = tmp_path / "rank"
+    argv = ("rank", "--data", str(data / "data.csv"), "--bundle", str(bundle), "--out", str(out))
+    assert run(*argv) == 0
+    before = (out / "ranking.csv").read_bytes()
+    rows = assessment.ranking_rows
+
+    def dies_after_one_row(ranking):
+        yield next(iter(rows(ranking)))
+        raise RuntimeError("writer died")
+
+    monkeypatch.setattr(assessment, "ranking_rows", dies_after_one_row)
+    with pytest.raises(RuntimeError):
+        run(*argv)
+    assert (out / "ranking.csv").read_bytes() == before
+    assert not list(out.glob("*.tmp"))
 
 
 def test_place_missing_bundle(tmp_path, capsys):
@@ -411,9 +447,18 @@ def _edit_json(path, edit):
          "meta.json: non-finite value"),
         (lambda b: _edit_json(b / "stats.json", lambda s: s["mean"].__setitem__(0, s["mean"][0] + 1e-9)),
          "meta.json: stats_fingerprint does not match stats.json"),
+        (lambda b: _edit_json(b / "meta.json", lambda m: m.__setitem__("version", "0.0.9")),
+         f"meta.json: written by tool version '0.0.9', this is version {TOOL_VERSION!r}"),
+        (lambda b: _edit_json(b / "meta.json", lambda m: m.pop("version")),
+         f"meta.json: written by tool version None, this is version {TOOL_VERSION!r}"),
+        (lambda b: _edit_json(b / "meta.json", lambda m: m.__setitem__("version", 0.1)),
+         f"meta.json: written by tool version 0.1, this is version {TOOL_VERSION!r}"),
+        (lambda b: (b / "meta.json").write_text("[1, 2]"),
+         "meta.json: expected a JSON object, got list"),
     ],
     ids=["truncated-meta", "undecodable-stats", "missing-meta-key", "missing-net-key",
-         "float-metric-index", "bool-metric-index", "nan-weight", "inf-bias", "nan-stats", "inf-box", "fingerprint-mismatch"],
+         "float-metric-index", "bool-metric-index", "nan-weight", "inf-bias", "nan-stats", "inf-box", "fingerprint-mismatch",
+         "other-version", "missing-version", "non-string-version", "meta-not-an-object"],
 )
 def test_rank_rejects_corrupt_bundle(pipeline, tmp_path, capsys, damage, message):
     data, bundle = pipeline

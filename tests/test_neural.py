@@ -2,7 +2,17 @@ import numpy as np
 import pytest
 
 from fleetrank.errors import DimensionMismatch, NonFiniteLoss
-from fleetrank.neural import Mlp, MlpConfig, gradient, load_mlp, save_mlp, train
+from fleetrank.neural import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    Mlp,
+    MlpConfig,
+    gradient,
+    load_mlp,
+    save_mlp,
+    train,
+)
 
 
 def relu_pattern(net, x):
@@ -217,5 +227,88 @@ def test_serialization_roundtrip(tmp_path):
     path = tmp_path / "net.json"
     save_mlp(net, path)
     back = load_mlp(path)
+    for trained, loaded in zip(net.weights + net.biases, back.weights + back.biases):
+        assert trained.shape == loaded.shape
+        assert trained.tobytes() == loaded.tobytes()
     probe = rng.normal(size=(20, 3))
     np.testing.assert_array_equal(net.forward_batch(probe), back.forward_batch(probe))
+
+
+def reference_train(net, inputs, targets, epochs, batch_size, learning_rate, seed):
+    """Per-layer Adam on per-layer backprop, one fresh array per intermediate.
+
+    The plainest form of the same arithmetic; ``train`` must reproduce its
+    losses and parameters bit for bit.
+    """
+    n = inputs.shape[0]
+    rng = np.random.default_rng(seed)
+    m_w = [np.zeros_like(w) for w in net.weights]
+    v_w = [np.zeros_like(w) for w in net.weights]
+    m_b = [np.zeros_like(b) for b in net.biases]
+    v_b = [np.zeros_like(b) for b in net.biases]
+    step = 0
+    epoch_losses = []
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        sq_err_sum = 0.0
+        for start in range(0, n, batch_size):
+            batch = order[start : start + batch_size]
+            activations, pre = [inputs[batch]], []
+            for layer, (w, b) in enumerate(zip(net.weights, net.biases)):
+                z = activations[-1] @ w.T + b
+                pre.append(z)
+                activations.append(z if layer == 3 else np.maximum(0.0, z))
+            diff = activations[-1] - targets[batch]
+            loss = float(np.mean(diff * diff))
+            delta = 2.0 * diff / diff.size
+            grads_w, grads_b = [None] * 4, [None] * 4
+            for layer in range(3, -1, -1):
+                grads_w[layer] = delta.T @ activations[layer]
+                grads_b[layer] = delta.sum(axis=0)
+                if layer > 0:
+                    delta = (delta @ net.weights[layer]) * (pre[layer - 1] > 0)
+            sq_err_sum += loss * len(batch)
+            step += 1
+            bc1 = 1.0 - ADAM_BETA1**step
+            bc2 = 1.0 - ADAM_BETA2**step
+            for layer in range(4):
+                m_w[layer] = ADAM_BETA1 * m_w[layer] + (1 - ADAM_BETA1) * grads_w[layer]
+                v_w[layer] = ADAM_BETA2 * v_w[layer] + (1 - ADAM_BETA2) * grads_w[layer] ** 2
+                m_b[layer] = ADAM_BETA1 * m_b[layer] + (1 - ADAM_BETA1) * grads_b[layer]
+                v_b[layer] = ADAM_BETA2 * v_b[layer] + (1 - ADAM_BETA2) * grads_b[layer] ** 2
+                net.weights[layer] -= learning_rate * (m_w[layer] / bc1) / (
+                    np.sqrt(v_w[layer] / bc2) + ADAM_EPS
+                )
+                net.biases[layer] -= learning_rate * (m_b[layer] / bc1) / (
+                    np.sqrt(v_b[layer] / bc2) + ADAM_EPS
+                )
+        epoch_losses.append(sq_err_sum / n)
+    return epoch_losses
+
+
+@pytest.mark.parametrize(
+    "rows, widths, batch_size",
+    [(203, (5, 16, 9, 12, 2), 32), (37, (29, 8, 8, 8, 1), 64)],
+    ids=["tail-batch", "batch-over-rows"],
+)
+def test_train_matches_per_layer_reference_bitwise(rows, widths, batch_size):
+    rng = np.random.default_rng(rows)
+    x = rng.normal(size=(rows, widths[0]))
+    y = np.tanh(x[:, :1] * x[:, -1:]) + rng.normal(scale=0.1, size=(rows, widths[-1]))
+    config = MlpConfig(widths[0], widths[1:4], widths[-1], seed=3)
+    net, ref = Mlp.init(config), Mlp.init(config)
+    report = train(net, x, y, epochs=7, batch_size=batch_size, learning_rate=3e-3, seed=4)
+    ref_losses = reference_train(ref, x, y, 7, batch_size, 3e-3, seed=4)
+    assert report.epoch_losses == ref_losses
+    for trained, expected in zip(net.weights + net.biases, ref.weights + ref.biases):
+        assert trained.tobytes() == expected.tobytes()
+
+
+def test_copy_of_trained_net_shares_no_memory():
+    rng = np.random.default_rng(5)
+    net = Mlp.init(MlpConfig(3, (6, 6, 6), 2, seed=8))
+    train(net, rng.normal(size=(20, 3)), rng.normal(size=(20, 2)), epochs=2, batch_size=8)
+    twin = net.copy()
+    for a in net.weights + net.biases:
+        for b in twin.weights + twin.biases:
+            assert not np.shares_memory(a, b)
