@@ -24,6 +24,7 @@ from .errors import (
     BadValue,
     CorruptBundle,
     DimensionMismatch,
+    DuplicateTripId,
     EmptyDataset,
     EmptyProfiles,
     FleetrankError,
@@ -46,13 +47,14 @@ from .models import (
     train_behavior,
 )
 from .normalization import fit_stats
-from .trip_data import DatasetSchema, load_dataset, save_dataset
+from .trip_data import DatasetSchema, file_sha256, load_dataset, save_dataset
 
 USAGE_ERRORS = (
     InvalidConfig,
     CorruptBundle,
     MissingColumn,
     BadValue,
+    DuplicateTripId,
     EmptyDataset,
     EmptyProfiles,
     TooFewSamples,
@@ -66,14 +68,15 @@ RUNTIME_ERRORS = (NonFiniteLoss, NonFiniteObjective)
 
 
 def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
-                    outputs: list[str], started: float) -> None:
-    """Manifest write beside the command's artifacts."""
+                    outputs: list[str], started: float, **facts) -> None:
+    """Manifest write beside the command's artifacts; ``facts`` are command-specific entries."""
     manifest = {
         "command": command,
         "arguments": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
         "seed": getattr(args, "seed", None),
         "outputs": outputs,
         "version": TOOL_VERSION,
+        **facts,
         "duration_s": round(time.time() - started, 3),
     }
     with atomic_open(out_dir / "manifest.json") as handle:
@@ -162,6 +165,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     behav_params = dataclasses.replace(base_params, seed=args.seed + 1)
     schema = DatasetSchema.load(args.schema)
+    data_sha256 = file_sha256(args.data)
     ds = load_dataset(args.data, schema, lenient=args.lenient)
     stats = fit_stats(ds)
     baseline, baseline_report = train_baseline(ds, stats, base_params)
@@ -183,6 +187,13 @@ def cmd_train(args: argparse.Namespace) -> int:
         params=base_params,
         behavior_seed=behav_params.seed,
     )
+    placement.save_profiles(
+        out / placement.PROFILES_FILE,
+        placement.build_profiles(ds, stats),
+        data_sha256=data_sha256,
+        skipped_rows=ds.skipped_rows,
+        stats_fingerprint=stats.fingerprint(),
+    )
     for name, report in (("baseline", baseline_report), ("behavior", behavior_report)):
         with atomic_open(out / f"{name}_curve.csv") as handle:
             writer = csv.writer(handle)
@@ -190,10 +201,10 @@ def cmd_train(args: argparse.Namespace) -> int:
             for epoch, loss in enumerate(report.epoch_losses, start=1):
                 writer.writerow([epoch, repr(loss)])
     outputs = [
-        "baseline.json", "behavior.json", "stats.json", "meta.json",
+        "baseline.json", "behavior.json", "stats.json", "meta.json", placement.PROFILES_FILE,
         "baseline_curve.csv", "behavior_curve.csv",
     ]
-    _write_manifest(out, "train", args, outputs, started)
+    _write_manifest(out, "train", args, outputs, started, data_sha256=data_sha256)
     print(
         f"trained bundle in {out}: baseline mse {baseline_report.final_loss:.6f}, "
         f"behavior mse {behavior_report.final_loss:.6f}"
@@ -227,9 +238,36 @@ def cmd_rank(args: argparse.Namespace) -> int:
     return 0
 
 
+def _place_profiles(args: argparse.Namespace, model: AdvantageModel, schema: DatasetSchema,
+                    meta: dict) -> tuple[list[placement.DriverProfile], str]:
+    """The driver profiles ``place`` matches against, and where they came from.
+
+    The bundle's profiles stand in for ``--data`` only when ``train`` built
+    them from the same bytes, and, unless ``--lenient`` is set, from a load
+    that skipped no row: a strict parse of those bytes would raise instead.
+    Both sources give the same bits for the same trips.
+    """
+    path = Path(args.bundle) / placement.PROFILES_FILE
+    stored = None
+    if path.exists():
+        stored = placement.load_profiles(path, model.stats.d_behavior, meta["stats_fingerprint"])
+    if args.data is None:
+        if stored is None:
+            raise InvalidConfig(
+                f"bundle {args.bundle} has no {placement.PROFILES_FILE}: "
+                "retrain it with this version, or pass --data with the trips to match against"
+            )
+        return stored.profiles, "bundle"
+    if (stored is not None and (stored.skipped_rows == 0 or args.lenient)
+            and file_sha256(args.data) == stored.data_sha256):
+        return stored.profiles, "bundle"
+    ds = load_dataset(args.data, schema, lenient=args.lenient)
+    return placement.build_profiles(ds, model.stats), "data"
+
+
 def cmd_place(args: argparse.Namespace) -> int:
     started = time.time()
-    model, schema, _meta = load_bundle(args.bundle)
+    model, schema, meta = load_bundle(args.bundle)
     env = _load_vector(args.env)
     _require_length(env, model.stats.d_env, "--env")
     template_norm = None
@@ -243,8 +281,7 @@ def cmd_place(args: argparse.Namespace) -> int:
         free_indices = _free_indices(schema, args.free)
     elif args.free:
         raise InvalidConfig("--free requires --fix-template for the fixed dimensions")
-    ds = load_dataset(args.data, schema, lenient=args.lenient)
-    profiles = placement.build_profiles(ds, model.stats)
+    profiles, source = _place_profiles(args, model, schema, meta)
 
     result = placement.place(
         model,
@@ -270,7 +307,8 @@ def cmd_place(args: argparse.Namespace) -> int:
         writer.writerow(["generation", "best_advantage"])
         for gen, best in enumerate(result.search_history, start=1):
             writer.writerow([gen, repr(best)])
-    _write_manifest(out, "place", args, ["placement.json", "search_history.csv"], started)
+    _write_manifest(out, "place", args, ["placement.json", "search_history.csv"], started,
+                    profiles=source)
     print(
         f"matched driver {result.matched_driver} at distance {result.match_distance:.6f} "
         f"(advantage {result.optimal_advantage:.6f})"
@@ -363,7 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("place", help="find the best behavior for an environment and match a driver")
     p.add_argument("--bundle", required=True)
-    p.add_argument("--data", required=True, help="trips used to build driver profiles")
+    p.add_argument("--data", help="trips to build driver profiles from (default: the profiles "
+                   "train stored in the bundle; they stand in for a file with the bytes train "
+                   "read, unless a strict place would reject a row that a lenient train skipped)")
     p.add_argument("--env", required=True, help="JSON file with the environment vector")
     p.add_argument("--fix-template", help="JSON behavior vector for the fixed dimensions")
     p.add_argument("--free", help="comma-separated names of the searched dimensions")

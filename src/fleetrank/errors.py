@@ -25,6 +25,15 @@ class BadValue(FleetrankError):
         self.value = value
 
 
+class DuplicateTripId(FleetrankError):
+    """A trip id repeats one given on an earlier row."""
+
+    def __init__(self, row: int, trip_id: str):
+        super().__init__(f"row {row}: trip id {trip_id!r} repeats an earlier row")
+        self.row = row
+        self.trip_id = trip_id
+
+
 class EmptyDataset(FleetrankError):
     """No valid rows were found."""
 

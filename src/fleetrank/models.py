@@ -282,7 +282,7 @@ def load_bundle(directory: str | Path) -> tuple[AdvantageModel, DatasetSchema, d
     """
     directory = Path(directory)
     meta_path = directory / "meta.json"
-    with _bundle_file(meta_path):
+    with bundle_file(meta_path):
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
         if type(meta) is not dict:
             raise TypeError(f"expected a JSON object, got {type(meta).__name__}")
@@ -291,16 +291,16 @@ def load_bundle(directory: str | Path) -> tuple[AdvantageModel, DatasetSchema, d
                 f"written by tool version {meta.get('version')!r}, "
                 f"this is version {TOOL_VERSION!r}"
             )
-    with _bundle_file(directory / "stats.json"):
+    with bundle_file(directory / "stats.json"):
         stats = NormalizationStats.load(directory / "stats.json")
-        _require_finite(stats.mean, stats.std)
+        require_finite(stats.mean, stats.std)
     parts = {}
     for name, kind in (("baseline", BaselineModel), ("behavior", BehaviorModel)):
         path = directory / f"{name}.json"
-        with _bundle_file(path):
+        with bundle_file(path):
             parts[name] = kind(net=load_mlp(path), stats=stats)
-            _require_finite(*parts[name].net.weights, *parts[name].net.biases)
-    with _bundle_file(meta_path):
+            require_finite(*parts[name].net.weights, *parts[name].net.biases)
+    with bundle_file(meta_path):
         if meta["stats_fingerprint"] != stats.fingerprint():
             raise ValueError("stats_fingerprint does not match stats.json")
         if type(meta["metric_index"]) is not int:  # bool is an int subclass
@@ -308,7 +308,7 @@ def load_bundle(directory: str | Path) -> tuple[AdvantageModel, DatasetSchema, d
         box = meta["behavior_box"]
         if box is not None:
             box = np.array(box, dtype=float)
-            _require_finite(box)
+            require_finite(box)
         model = AdvantageModel(
             baseline=parts["baseline"],
             behavior=parts["behavior"],
@@ -320,7 +320,7 @@ def load_bundle(directory: str | Path) -> tuple[AdvantageModel, DatasetSchema, d
 
 
 @contextmanager
-def _bundle_file(path: Path):
+def bundle_file(path: Path):
     """Re-raise what a bundle file's content breaks as ``CorruptBundle`` naming the file."""
     try:
         yield
@@ -330,6 +330,6 @@ def _bundle_file(path: Path):
         raise CorruptBundle(f"corrupt bundle file {path}: {exc}") from None
 
 
-def _require_finite(*arrays: np.ndarray) -> None:
+def require_finite(*arrays: np.ndarray) -> None:
     if not all(np.all(np.isfinite(a)) for a in arrays):
         raise ValueError("non-finite value")

@@ -5,23 +5,31 @@ environment via CMA-ES over a data-derived box in normalized behavior
 space, then matches the real driver whose averaged behavior profile
 lies nearest (Euclidean) to that optimum. Matching happens in
 normalized space so no single raw unit dominates the distance.
+
+``train`` stores the profiles in the bundle as ``profiles.json``, with
+the SHA-256 of the trips file they were built from, so ``place`` can
+match against them without reading the trips again.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_open
 from .cmaes import CmaesConfig, CmaesResult, maximize
 from .errors import DimensionMismatch, EmptyProfiles, InvalidConfig
-from .models import AdvantageModel
+from .models import AdvantageModel, bundle_file, require_finite
 from .normalization import NormalizationStats
 from .trip_data import Dataset, group_offsets
 
 DEFAULT_SIGMA = 0.3
 DEFAULT_MAX_GENERATIONS = 300
 DEFAULT_RUNNER_UPS = 5
+PROFILES_FILE = "profiles.json"
 
 
 @dataclass(frozen=True)
@@ -79,6 +87,82 @@ def build_profiles(ds: Dataset, stats: NormalizationStats) -> list[DriverProfile
         )
         for k, driver_id in enumerate(ds.driver_ids)
     ]
+
+
+@dataclass(frozen=True)
+class StoredProfiles:
+    """Driver profiles as a bundle stores them, with the trips file they came from."""
+
+    profiles: list[DriverProfile]
+    data_sha256: str  # of the trips file's bytes
+    skipped_rows: int  # rows the load that built them skipped
+
+
+def save_profiles(
+    path: str | Path,
+    profiles: list[DriverProfile],
+    *,
+    data_sha256: str,
+    skipped_rows: int,
+    stats_fingerprint: str,
+) -> None:
+    """Write profiles as JSON; floats go out as ``repr``, so a load gives back the same bits."""
+    document = {
+        "data_sha256": data_sha256,
+        "skipped_rows": skipped_rows,
+        "stats_fingerprint": stats_fingerprint,
+        "drivers": [[p.driver_id, p.trip_count, p.mean_behavior.tolist()] for p in profiles],
+    }
+    with atomic_open(path) as handle:
+        handle.write(json.dumps(document, indent=2))
+
+
+def load_profiles(path: str | Path, d_behavior: int, stats_fingerprint: str) -> StoredProfiles:
+    """Read and verify profiles written by :func:`save_profiles`.
+
+    Raises ``CorruptBundle`` naming the file for invalid JSON, a missing or
+    ill-typed entry, an empty driver list, driver ids that are not unique
+    and sorted, a trip count that is not an integer >= 1, a mean behavior
+    that is not ``d_behavior`` finite numbers, or a ``stats_fingerprint``
+    other than the bundle's.
+    """
+    path = Path(path)
+    with bundle_file(path):
+        document = json.loads(path.read_text(encoding="utf-8"))
+        if type(document) is not dict:
+            raise TypeError(f"expected a JSON object, got {type(document).__name__}")
+        if document["stats_fingerprint"] != stats_fingerprint:
+            raise ValueError("stats_fingerprint does not match meta.json")
+        data_sha256, skipped_rows = document["data_sha256"], document["skipped_rows"]
+        if type(data_sha256) is not str:
+            raise TypeError(f"data_sha256 must be a string, got {data_sha256!r}")
+        if type(skipped_rows) is not int or skipped_rows < 0:  # bool is an int subclass
+            raise TypeError(f"skipped_rows must be an integer >= 0, got {skipped_rows!r}")
+        profiles = [_stored_profile(entry, d_behavior) for entry in document["drivers"]]
+        if not profiles:
+            raise ValueError("no drivers")
+        ids = [p.driver_id for p in profiles]
+        if any(a >= b for a, b in zip(ids, ids[1:])):
+            raise ValueError("driver ids must be unique and sorted")
+    return StoredProfiles(profiles, data_sha256, skipped_rows)
+
+
+def _stored_profile(entry, d_behavior: int) -> DriverProfile:
+    """One ``[driver_id, trip_count, mean_behavior]`` entry of ``profiles.json``."""
+    if type(entry) is not list or len(entry) != 3:
+        raise TypeError(f"expected [driver_id, trip_count, mean_behavior], got {entry!r}")
+    driver_id, trip_count, mean = entry
+    if type(driver_id) is not str or not driver_id:
+        raise TypeError(f"driver id must be a non-empty string, got {driver_id!r}")
+    if type(trip_count) is not int or trip_count < 1:
+        raise ValueError(f"trip count of {driver_id!r} must be an integer >= 1, got {trip_count!r}")
+    mean = np.array(mean, dtype=float)
+    if mean.shape != (d_behavior,):
+        raise DimensionMismatch(
+            f"mean behavior of {driver_id!r} has shape {mean.shape}, expected ({d_behavior},)"
+        )
+    require_finite(mean)
+    return DriverProfile(driver_id=driver_id, mean_behavior=mean, trip_count=trip_count)
 
 
 def optimize_behavior(

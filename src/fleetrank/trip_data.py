@@ -9,6 +9,7 @@ outcomes. A declarative schema maps file columns onto those blocks.
 from __future__ import annotations
 
 import csv
+import hashlib
 import itertools
 import json
 import logging
@@ -21,7 +22,14 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_open
-from .errors import BadValue, DimensionMismatch, EmptyDataset, MissingColumn, UnknownDriver
+from .errors import (
+    BadValue,
+    DimensionMismatch,
+    DuplicateTripId,
+    EmptyDataset,
+    MissingColumn,
+    UnknownDriver,
+)
 
 log = logging.getLogger(__name__)
 
@@ -281,7 +289,10 @@ def load_dataset(path: str | Path, schema: DatasetSchema, lenient: bool = False)
     non-finite value aborts the load with a ``BadValue`` naming the first
     offending row (1-based, blank lines not counted) and column. With
     ``lenient=True`` such rows are skipped and counted instead. A row
-    shorter than the header reads its missing cells as absent.
+    shorter than the header reads its missing cells as absent. Trip ids
+    are checked once every row is parsed: a repeat of an earlier row's id
+    raises ``DuplicateTripId`` naming its row, or in lenient mode is
+    skipped and counted, so each id keeps its first valid row.
 
     Numeric cells are converted a chunk of rows at a time; only a chunk
     that fails to convert, or holds a non-finite value or an empty driver
@@ -325,9 +336,31 @@ def load_dataset(path: str | Path, schema: DatasetSchema, lenient: bool = False)
             drivers += chunk_drivers
     if not trip_ids:
         raise EmptyDataset(f"no valid rows in {path}")
+    values = np.concatenate(blocks)
+    if len(set(trip_ids)) != len(trip_ids):
+        keep = _first_occurrences(trip_ids, lenient)
+        skipped += len(trip_ids) - len(keep)
+        values = values[keep]
+        trip_ids = [trip_ids[i] for i in keep]
+        drivers = [drivers[i] for i in keep]
     if skipped:
-        log.warning("skipped %d unparsable rows while loading %s", skipped, path)
-    return Dataset.from_rows(schema, trip_ids, drivers, np.concatenate(blocks), skipped)
+        log.warning("skipped %d unparsable or repeated rows while loading %s", skipped, path)
+    return Dataset.from_rows(schema, trip_ids, drivers, values, skipped)
+
+
+def _first_occurrences(trip_ids: list[str], lenient: bool) -> list[int]:
+    """Positions of each trip id's first row; a later repeat raises, or is left out if lenient."""
+    seen: set[str] = set()
+    keep = []
+    for i, trip_id in enumerate(trip_ids):
+        if trip_id in seen:
+            if not lenient:
+                # a strict load keeps every row it read, so position i is data row i + 1
+                raise DuplicateTripId(i + 1, trip_id)
+            continue
+        seen.add(trip_id)
+        keep.append(i)
+    return keep
 
 
 def _parse_rows(rows, first_row, width, fields, position, schema, lenient):
@@ -354,6 +387,15 @@ def _parse_rows(rows, first_row, width, fields, position, schema, lenient):
         trips.append(cells[trip_pos] or "")
         drivers.append(driver_id)
     return np.array(values, dtype=float), trips, drivers
+
+
+def file_sha256(path: str | Path) -> str:
+    """Hex SHA-256 of a file's bytes, read 1 MiB at a time."""
+    digest = hashlib.sha256()
+    with Path(path).open("rb") as handle:
+        for block in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def save_dataset(ds: Dataset, path: str | Path) -> None:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import shutil
@@ -10,7 +11,9 @@ from fleetrank import assessment
 from fleetrank.atomic import atomic_open
 from fleetrank.cli import build_parser, main
 from fleetrank.models import TOOL_VERSION, load_bundle
+from fleetrank.placement import PROFILES_FILE, build_profiles, load_profiles
 from fleetrank.synth import SynthConfig, generate
+from fleetrank.trip_data import load_dataset
 
 
 def run(*argv):
@@ -67,9 +70,12 @@ def test_train_defaults_to_100_epochs():
 
 def test_train_outputs(pipeline):
     data, bundle = pipeline
-    for name in ("baseline.json", "behavior.json", "stats.json", "meta.json",
+    for name in ("baseline.json", "behavior.json", "stats.json", "meta.json", "profiles.json",
                  "baseline_curve.csv", "behavior_curve.csv", "manifest.json"):
         assert (bundle / name).exists()
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    assert manifest["data_sha256"] == hashlib.sha256((data / "data.csv").read_bytes()).hexdigest()
+    assert "profiles.json" in manifest["outputs"]
     with (bundle / "baseline_curve.csv").open() as handle:
         rows = list(csv.reader(handle))
     assert rows[0] == ["epoch", "mse"]
@@ -526,3 +532,165 @@ def test_surface_rejects_bad_vectors(pipeline, tmp_path, capsys, env, template, 
     assert code == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def _write_rows(path, rows):
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerows(rows)
+    return path
+
+
+def _trip_rows(data):
+    with (data / "data.csv").open(newline="", encoding="utf-8") as handle:
+        return list(csv.reader(handle))
+
+
+def _stored_profiles(bundle):
+    """The bundle's model and schema, and the profiles ``train`` stored in it."""
+    model, schema, meta = load_bundle(bundle)
+    path = bundle / PROFILES_FILE
+    return model, schema, load_profiles(path, model.stats.d_behavior, meta["stats_fingerprint"])
+
+
+def _place(bundle, out, *flags):
+    """``place`` at a fixed env and seed: its exit code and the manifest's profile source."""
+    env = out.parent / "env.json"
+    env.write_text(json.dumps([0.2] * 8))
+    code = run("place", "--bundle", str(bundle), *flags, "--env", str(env), "--seed", "2",
+               "--max-generations", "40", "--out", str(out))
+    source = json.loads((out / "manifest.json").read_text())["profiles"] if code == 0 else None
+    return code, source
+
+
+def test_place_gives_the_same_bytes_from_every_profile_source(pipeline, tmp_path):
+    data, bundle = pipeline
+    padded = tmp_path / "padded.csv"  # a trailing blank line: other bytes, the same trips
+    padded.write_bytes((data / "data.csv").read_bytes() + b"\r\n")
+    sources, outputs = [], []
+    for name, flags in (("no-data", ()), ("train-csv", ("--data", str(data / "data.csv"))),
+                        ("padded", ("--data", str(padded)))):
+        code, source = _place(bundle, tmp_path / name, *flags)
+        assert code == 0
+        sources.append(source)
+        outputs.append([(tmp_path / name / f).read_bytes()
+                        for f in ("placement.json", "search_history.csv")])
+    assert sources == ["bundle", "bundle", "data"]
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_place_reads_trips_whose_bytes_changed_after_train(pipeline, tmp_path):
+    data, bundle = pipeline
+    rows = _trip_rows(data)
+    rows[1][rows[0].index("beh_00")] = "25.0"
+    edited = _write_rows(tmp_path / "edited.csv", rows)
+    code, source = _place(bundle, tmp_path / "out", "--data", str(edited))
+    assert (code, source) == (0, "data")
+
+    model, schema, stored = _stored_profiles(bundle)
+    result = json.loads((tmp_path / "out" / "placement.json").read_text())
+    optimum = np.array(result["optimal_behavior_normalized"])
+    reported = dict([(result["matched_driver"], result["match_distance"]),
+                     *map(tuple, result["runner_ups"])])
+
+    def distances(profiles):
+        return {p.driver_id: float(np.linalg.norm(p.mean_behavior - optimum)) for p in profiles}
+
+    assert reported == distances(build_profiles(load_dataset(edited, schema), model.stats))
+    assert reported != distances(stored.profiles)
+
+
+def test_lenient_training_does_not_hide_strict_errors_from_place(pipeline, tmp_path, capsys):
+    data, _ = pipeline
+    rows = _trip_rows(data)
+    rows[3][rows[0].index("beh_01")] = "oops"
+    bad = _write_rows(tmp_path / "bad.csv", rows)
+    bundle = tmp_path / "bundle"
+    assert run("train", "--data", str(bad), "--schema", str(data / "schema.json"), "--epochs", "2",
+               "--hidden", "8,8,8", "--lenient", "--out", str(bundle)) == 0
+    assert json.loads((bundle / PROFILES_FILE).read_text())["skipped_rows"] == 1
+    capsys.readouterr()
+
+    assert _place(bundle, tmp_path / "strict", "--data", str(bad)) == (2, None)
+    assert "row 3: bad value 'oops' in column 'beh_01'" in capsys.readouterr().err
+    assert not (tmp_path / "strict").exists()
+    assert _place(bundle, tmp_path / "lenient", "--data", str(bad), "--lenient") == (0, "bundle")
+
+
+def test_stored_profiles_equal_a_fresh_build_bitwise(pipeline):
+    data, bundle = pipeline
+    model, schema, stored = _stored_profiles(bundle)
+    fresh = build_profiles(load_dataset(data / "data.csv", schema), model.stats)
+    assert stored.data_sha256 == hashlib.sha256((data / "data.csv").read_bytes()).hexdigest()
+    assert stored.skipped_rows == 0
+    assert [(p.driver_id, p.trip_count) for p in stored.profiles] == \
+        [(p.driver_id, p.trip_count) for p in fresh]
+    for a, b in zip(stored.profiles, fresh):
+        assert a.mean_behavior.dtype == b.mean_behavior.dtype
+        assert a.mean_behavior.tobytes() == b.mean_behavior.tobytes()
+
+
+def test_place_without_data_needs_stored_profiles(pipeline, tmp_path, capsys):
+    data, bundle = pipeline
+    old = tmp_path / "bundle"
+    shutil.copytree(bundle, old)
+    (old / PROFILES_FILE).unlink()
+    assert _place(old, tmp_path / "o") == (2, None)
+    err = capsys.readouterr().err
+    assert "has no profiles.json" in err and "retrain" in err and "--data" in err
+    assert _place(old, tmp_path / "p", "--data", str(data / "data.csv")) == (0, "data")
+
+
+def _edit_profiles(edit):
+    return lambda path: _edit_json(path, edit)
+
+
+def _edit_driver(index, position, value):
+    return _edit_profiles(lambda doc: doc["drivers"][index].__setitem__(position, value))
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda path: path.write_text(path.read_text()[:40]), "Unterminated string"),
+        (_edit_profiles(lambda doc: doc.pop("drivers")), "missing entry 'drivers'"),
+        (_edit_profiles(lambda doc: doc.pop("data_sha256")), "missing entry 'data_sha256'"),
+        (_edit_profiles(lambda doc: doc["drivers"][0][2].__setitem__(1, math.nan)),
+         "non-finite value"),
+        (_edit_profiles(lambda doc: doc["drivers"][2][2].__setitem__(0, -math.inf)),
+         "non-finite value"),
+        (_edit_profiles(lambda doc: doc["drivers"][0][2].pop()),
+         "mean behavior of 'driver_00' has shape (5,), expected (6,)"),
+        (_edit_driver(1, 1, 0), "trip count of 'driver_01' must be an integer >= 1, got 0"),
+        (_edit_driver(1, 1, 2.5), "trip count of 'driver_01' must be an integer >= 1, got 2.5"),
+        (_edit_driver(1, 1, True), "trip count of 'driver_01' must be an integer >= 1, got True"),
+        (_edit_driver(1, 0, "driver_00"), "driver ids must be unique and sorted"),
+        (_edit_profiles(lambda doc: doc["drivers"].reverse()),
+         "driver ids must be unique and sorted"),
+        (_edit_profiles(lambda doc: doc.__setitem__("drivers", [])), "no drivers"),
+        (_edit_profiles(lambda doc: doc.__setitem__("stats_fingerprint", "0" * 16)),
+         "stats_fingerprint does not match meta.json"),
+    ],
+    ids=["truncated", "missing-drivers", "missing-digest", "nan-mean", "inf-mean", "short-mean",
+         "zero-trips", "float-trips", "bool-trips", "duplicate-id", "unsorted-ids", "no-drivers",
+         "fingerprint-mismatch"],
+)
+def test_place_rejects_corrupt_profiles(pipeline, tmp_path, capsys, damage, message):
+    data, bundle = pipeline
+    broken = tmp_path / "bundle"
+    shutil.copytree(bundle, broken)
+    damage(broken / PROFILES_FILE)
+    for name, flags in (("o1", ()), ("o2", ("--data", str(data / "data.csv")))):
+        assert _place(broken, tmp_path / name, *flags) == (2, None)
+        err = capsys.readouterr().err
+        assert f"corrupt bundle file {broken / PROFILES_FILE}: {message}" in err
+        assert not (tmp_path / name).exists()
+
+
+def test_repeated_trip_id_is_a_usage_error(pipeline, tmp_path, capsys):
+    data, bundle = pipeline
+    rows = _trip_rows(data)
+    rows[7][0] = rows[2][0]
+    dup = _write_rows(tmp_path / "dup.csv", rows)
+    code = run("rank", "--data", str(dup), "--bundle", str(bundle), "--out", str(tmp_path / "r"))
+    assert code == 2
+    assert f"row 7: trip id {rows[2][0]!r} repeats an earlier row" in capsys.readouterr().err

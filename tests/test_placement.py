@@ -18,9 +18,11 @@ from fleetrank.normalization import NormalizationStats, fit_stats
 from fleetrank.placement import (
     DriverProfile,
     build_profiles,
+    load_profiles,
     match_driver,
     optimize_behavior,
     place,
+    save_profiles,
 )
 from fleetrank.synth import SynthConfig, generate
 from tests.conftest import make_dataset
@@ -123,6 +125,20 @@ def test_build_profiles_match_per_driver_reference():
         expected = behaviors[rows].mean(axis=0)
         assert profile.mean_behavior.tobytes() == expected.tobytes()
         assert profile.trip_count == len(rows)
+
+
+def test_saved_profiles_load_bitwise(tmp_path):
+    means = [np.array([-0.0, 5e-324, 1.7976931348623157e308]),
+             np.array([0.1, -1 / 3, 2.0 ** -1074])]
+    profiles = [DriverProfile("a", means[0], 1), DriverProfile("b,\"c\"", means[1], 250)]
+    path = tmp_path / "profiles.json"
+    save_profiles(path, profiles, data_sha256="ab" * 32, skipped_rows=3, stats_fingerprint="f" * 16)
+    stored = load_profiles(path, 3, "f" * 16)
+    assert (stored.data_sha256, stored.skipped_rows) == ("ab" * 32, 3)
+    assert [(p.driver_id, p.trip_count) for p in stored.profiles] == [("a", 1), ("b,\"c\"", 250)]
+    for loaded, mean in zip(stored.profiles, means):
+        assert loaded.mean_behavior.dtype == mean.dtype
+        assert loaded.mean_behavior.tobytes() == mean.tobytes()  # -0.0 and subnormals included
 
 
 def test_match_driver_hand_case():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fleetrank.errors import BadValue, EmptyDataset, MissingColumn, UnknownDriver
+from fleetrank.errors import BadValue, DuplicateTripId, EmptyDataset, MissingColumn, UnknownDriver
 from fleetrank.synth import SynthConfig, generate
 from fleetrank.trip_data import (
     Dataset,
@@ -17,13 +17,15 @@ HEADER = "trip_id,driver_id,grade,load,overspeed,overrpm,total_mpg,fuel\n"
 CHUNK = chunk_rows(8)  # rows per chunk of the simple schema's 8 columns
 
 
-def write_trips(path, n_rows, bad=None):
-    """``n_rows`` valid simple-schema rows; ``bad`` maps a 1-based row to its grade cell."""
+def write_trips(path, n_rows, bad=None, ids=None):
+    """``n_rows`` valid simple-schema rows; ``bad`` maps a 1-based row to its grade cell,
+    ``ids`` to its trip id (``t<row>`` otherwise)."""
     bad = bad or {}
+    ids = ids or {}
     lines = [HEADER]
     for i in range(1, n_rows + 1):
         grade = bad.get(i, f"{i * 0.25}")
-        lines.append(f"t{i},d{i % 3},{grade},10.0,3.0,1.0,6.5,55.0\n")
+        lines.append(f"{ids.get(i, f't{i}')},d{i % 3},{grade},10.0,3.0,1.0,6.5,55.0\n")
     path.write_text("".join(lines), encoding="utf-8")
     return path
 
@@ -237,6 +239,29 @@ def test_blank_lines_and_short_rows(tmp_path, simple_schema):
     assert (err.value.row, err.value.column, err.value.value) == (2, "overspeed", None)
     ds = load_dataset(path, simple_schema, lenient=True)
     assert ds.trip_ids == ("t1", "t3") and ds.skipped_rows == 1
+
+
+def test_repeated_trip_id_strict(tmp_path, simple_schema):
+    # row CHUNK + 1 opens the second chunk and repeats the last id of the first
+    ids = {CHUNK + 1: f"t{CHUNK}", CHUNK + 9: "t2"}
+    path = write_trips(tmp_path / "dup.csv", 2 * CHUNK, ids=ids)
+    with pytest.raises(DuplicateTripId) as err:
+        load_dataset(path, simple_schema)
+    assert (err.value.row, err.value.trip_id) == (CHUNK + 1, f"t{CHUNK}")
+    assert str(err.value) == f"row {CHUNK + 1}: trip id 't{CHUNK}' repeats an earlier row"
+
+
+def test_repeated_trip_id_lenient_keeps_first_valid_row(tmp_path, simple_schema):
+    # row 2 ("t2") is unparsable, so the first valid "t2" is row CHUNK + 9 of the second chunk
+    n = 2 * CHUNK + 5
+    ids = {CHUNK + 1: f"t{CHUNK}", CHUNK + 9: "t2", 2 * CHUNK + 2: "t2", 2 * CHUNK + 3: "t1"}
+    path = write_trips(tmp_path / "dup.csv", n, bad={2: "nan"}, ids=ids)
+    ds = load_dataset(path, simple_schema, lenient=True)
+    kept = [i for i in range(1, n + 1) if i not in (2, CHUNK + 1, 2 * CHUNK + 2, 2 * CHUNK + 3)]
+    assert ds.skipped_rows == 4
+    assert ds.trip_ids == tuple(ids.get(i, f"t{i}") for i in kept)
+    np.testing.assert_array_equal(ds.env[:, 0], [i * 0.25 for i in kept])
+    np.testing.assert_array_equal(ds.driver_codes, [i % 3 for i in kept])
 
 
 # simple_schema is a frozen dataclass, so sharing it across examples is safe
