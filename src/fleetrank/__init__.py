@@ -2,7 +2,7 @@
 
 Pipeline: load or synthesize trip data, fit normalization statistics,
 train a baseline (environment -> performance) and a behavior
-(environment + behavior -> performance) regressor, subtract the
+(environment + behavior -> performance) ``Regressor``, subtract the
 baseline from observed performance to rank drivers fairly across
 conditions, and search the resulting advantage surface to place the
 best-suited driver on a new trip.
@@ -18,14 +18,12 @@ from .assessment import (
 from .cmaes import CmaesConfig, CmaesResult, maximize, minimize
 from .models import (
     AdvantageModel,
-    BaselineModel,
-    BehaviorModel,
+    Regressor,
     TrainingParams,
     behavior_box_from,
     load_bundle,
     save_bundle,
-    train_baseline,
-    train_behavior,
+    train_regressor,
 )
 from .neural import Mlp, MlpConfig, TrainReport, gradient, train
 from .normalization import NormalizationStats, fit_stats
@@ -44,8 +42,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdvantageModel",
-    "BaselineModel",
-    "BehaviorModel",
     "CmaesConfig",
     "CmaesResult",
     "Dataset",
@@ -58,6 +54,7 @@ __all__ = [
     "NormalizationStats",
     "PlacementResult",
     "Ranking",
+    "Regressor",
     "SynthConfig",
     "TrainReport",
     "TrainingParams",
@@ -78,7 +75,6 @@ __all__ = [
     "save_bundle",
     "save_dataset",
     "train",
-    "train_baseline",
-    "train_behavior",
+    "train_regressor",
     "trip_advantages",
 ]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyDataset
-from .models import BaselineModel
+from .models import Regressor
 from .trip_data import Dataset, group_offsets
 
 log = logging.getLogger(__name__)
@@ -41,7 +41,7 @@ class Ranking:
 
 def trip_advantages(
     ds: Dataset,
-    model: BaselineModel,
+    model: Regressor,
     metric_index: int | None = None,
     raw_units: bool = False,
 ) -> np.ndarray:
@@ -59,7 +59,7 @@ def trip_advantages(
         raise DimensionMismatch(f"metric_index {metric_index} out of range")
 
     observed = stats.normalize_performance(ds.performance)[:, metric_index]
-    predicted = model.net.forward_batch(stats.normalize_env(ds.env))[:, metric_index]
+    predicted = model.predict_normalized(stats.normalize_env(ds.env))[:, metric_index]
     values = observed - predicted
     if raw_units:
         values = values * stats.performance_std(metric_index)

@@ -43,8 +43,7 @@ from .models import (
     behavior_box_from,
     load_bundle,
     save_bundle,
-    train_baseline,
-    train_behavior,
+    train_regressor,
 )
 from .normalization import fit_stats
 from .trip_data import DatasetSchema, file_sha256, load_dataset, save_dataset
@@ -62,6 +61,7 @@ USAGE_ERRORS = (
     UnknownDriver,
     DimensionMismatch,
     FileNotFoundError,
+    IsADirectoryError,
     NotADirectoryError,
 )
 RUNTIME_ERRORS = (NonFiniteLoss, NonFiniteObjective)
@@ -168,8 +168,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     data_sha256 = file_sha256(args.data)
     ds = load_dataset(args.data, schema, lenient=args.lenient)
     stats = fit_stats(ds)
-    baseline, baseline_report = train_baseline(ds, stats, base_params)
-    behavior, behavior_report = train_behavior(ds, stats, behav_params)
+    baseline, baseline_report = train_regressor(ds, stats, base_params, with_behavior=False)
+    behavior, behavior_report = train_regressor(ds, stats, behav_params, with_behavior=True)
     model = AdvantageModel(
         baseline=baseline,
         behavior=behavior,
@@ -185,7 +185,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         baseline_report=baseline_report,
         behavior_report=behavior_report,
         params=base_params,
-        behavior_seed=behav_params.seed,
     )
     placement.save_profiles(
         out / placement.PROFILES_FILE,
@@ -288,7 +287,6 @@ def cmd_place(args: argparse.Namespace) -> int:
         profiles,
         env,
         seed=args.seed,
-        invert_match=args.invert_match,
         template_norm=template_norm,
         free_indices=free_indices,
         s_normalized=args.normalized,
@@ -349,8 +347,11 @@ def cmd_surface(args: argparse.Namespace) -> int:
     with atomic_open(out / "surface.csv") as handle:
         writer = csv.writer(handle)
         writer.writerow([name_i, name_j, "advantage"])
-        for row, value in zip(candidates, values):
-            writer.writerow([repr(float(row[i])), repr(float(row[j])), repr(float(value))])
+        writer.writerows(
+            [repr(x_i), repr(x_j), repr(value)]
+            for x_i, x_j, value in zip(candidates[:, i].tolist(), candidates[:, j].tolist(),
+                                       values.tolist())
+        )
     _write_manifest(out, "surface", args, ["surface.csv"], started)
     print(f"wrote {args.resolution * args.resolution} grid points to {out / 'surface.csv'}")
     return 0
@@ -409,8 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--free", help="comma-separated names of the searched dimensions")
     p.add_argument("--normalized", action="store_true",
                    help="env and template are already in normalized units")
-    p.add_argument("--invert-match", action="store_true",
-                   help="debug: match the farthest profile instead of the nearest")
     p.add_argument("--max-generations", type=int, default=placement.DEFAULT_MAX_GENERATIONS)
     p.add_argument("--sigma0", type=float, default=placement.DEFAULT_SIGMA,
                    help="initial search step size in normalized behavior units")

@@ -8,7 +8,8 @@ advantage: how much better or worse a given behavior profile performs
 than the fleet norm under identical conditions. The environment input
 feeds both networks while behavior feeds only the behavior network, so
 the baseline term cancels from any comparison between two behaviors at
-a fixed environment.
+a fixed environment. Both networks are a :class:`Regressor`; which
+blocks one reads follows from its input width.
 """
 
 from __future__ import annotations
@@ -57,52 +58,64 @@ class TrainingParams:
 
 
 @dataclass
-class BaselineModel:
-    """Environment -> performance regressor (normalized units)."""
+class Regressor:
+    """Performance regressor in normalized units.
+
+    The net reads env columns, then behavior columns when its input width
+    is ``d_env + d_behavior``: the behavior model. A net of width
+    ``d_env`` is the baseline, which reads env columns only.
+    """
 
     net: Mlp
     stats: NormalizationStats
 
     def __post_init__(self):
-        if self.net.config.input_dim != self.stats.d_env:
-            raise DimensionMismatch("baseline input width does not match env block")
+        d_env, d_behavior = self.stats.d_env, self.stats.d_behavior
+        if self.net.config.input_dim not in (d_env, d_env + d_behavior):
+            raise DimensionMismatch(
+                f"input width {self.net.config.input_dim} is neither the env block ({d_env}) "
+                f"nor the env+behavior blocks ({d_env + d_behavior})"
+            )
         if self.net.config.output_dim != self.stats.d_performance:
-            raise DimensionMismatch("baseline output width does not match performance block")
+            raise DimensionMismatch("output width does not match performance block")
 
-    def predict(self, s: np.ndarray) -> np.ndarray:
-        """Predicted normalized performance vector for a raw env vector."""
-        return self.net.forward(self.stats.normalize_env(np.asarray(s, dtype=float)))
+    @property
+    def reads_behavior(self) -> bool:
+        return self.net.config.input_dim != self.stats.d_env
 
-    def predict_normalized(self, s_norm: np.ndarray) -> np.ndarray:
-        return self.net.forward(np.asarray(s_norm, dtype=float))
+    def inputs(self, s_norm: np.ndarray, a_norm: np.ndarray | None = None) -> np.ndarray:
+        """The net's input rows: normalized env rows, then behavior rows if given.
+
+        One env vector is broadcast against every behavior row.
+        """
+        s_rows = np.atleast_2d(s_norm)
+        if a_norm is None:
+            return s_rows
+        a_rows = np.atleast_2d(a_norm)
+        return np.concatenate(
+            [np.broadcast_to(s_rows, (len(a_rows), s_rows.shape[1])), a_rows], axis=1
+        )
+
+    def predict(self, s: np.ndarray, a: np.ndarray | None = None) -> np.ndarray:
+        """Predicted normalized performance for a raw env and, if the net reads it, behavior."""
+        a_norm = None if a is None else self.stats.normalize_behavior(a)
+        return self.predict_normalized(self.stats.normalize_env(s), a_norm)
+
+    def predict_normalized(self, s_norm: np.ndarray, a_norm: np.ndarray | None = None):
+        """``(d_performance,)`` for one input vector, ``(n, d_performance)`` for rows."""
+        out = self.net.forward_batch(self.inputs(s_norm, a_norm))
+        single = np.ndim(s_norm) == 1 and (a_norm is None or np.ndim(a_norm) == 1)
+        return out[0] if single else out
 
 
-@dataclass
-class BehaviorModel:
-    """(Environment, behavior) -> performance regressor (normalized units)."""
-
-    net: Mlp
-    stats: NormalizationStats
-
-    def __post_init__(self):
-        if self.net.config.input_dim != self.stats.d_env + self.stats.d_behavior:
-            raise DimensionMismatch("behavior input width does not match env+behavior blocks")
-        if self.net.config.output_dim != self.stats.d_performance:
-            raise DimensionMismatch("behavior output width does not match performance block")
-
-    def predict(self, s: np.ndarray, a: np.ndarray) -> np.ndarray:
-        s_norm = self.stats.normalize_env(np.asarray(s, dtype=float))
-        a_norm = self.stats.normalize_behavior(np.asarray(a, dtype=float))
-        return self.predict_normalized(s_norm, a_norm)
-
-    def predict_normalized(self, s_norm: np.ndarray, a_norm: np.ndarray) -> np.ndarray:
-        return self.net.forward(np.concatenate([s_norm, a_norm]))
-
-    def predict_normalized_batch(self, s_norm: np.ndarray, a_norm: np.ndarray) -> np.ndarray:
-        """One fixed env row against many behavior rows; returns (m, d_q)."""
-        a_norm = np.atleast_2d(np.asarray(a_norm, dtype=float))
-        tiled = np.broadcast_to(s_norm, (a_norm.shape[0], s_norm.shape[0]))
-        return self.net.forward_batch(np.hstack([tiled, a_norm]))
+def _check_role(name: str, regressor: Regressor) -> None:
+    """The ``baseline`` must read env only, the ``behavior`` model env and behavior."""
+    if regressor.reads_behavior != (name == "behavior"):
+        reads = "env and behavior" if name == "behavior" else "env only"
+        raise DimensionMismatch(
+            f"{name} net has input width {regressor.net.config.input_dim}; "
+            f"a {name} net reads {reads}"
+        )
 
 
 @dataclass
@@ -114,14 +127,16 @@ class AdvantageModel:
     bounds derived from training data, used by the placement search.
     """
 
-    baseline: BaselineModel
-    behavior: BehaviorModel
+    baseline: Regressor
+    behavior: Regressor
     metric_index: int
     behavior_box: np.ndarray | None = None
 
     def __post_init__(self):
         if self.baseline.stats.fingerprint() != self.behavior.stats.fingerprint():
             raise DimensionMismatch("sub-models were fitted with different normalizations")
+        _check_role("baseline", self.baseline)
+        _check_role("behavior", self.behavior)
         if not 0 <= self.metric_index < self.stats.d_performance:
             raise DimensionMismatch(f"metric_index {self.metric_index} out of range")
         if self.behavior_box is not None:
@@ -135,9 +150,9 @@ class AdvantageModel:
 
     def advantage(self, s: np.ndarray, a: np.ndarray) -> float:
         """Advantage of behavior ``a`` in environment ``s`` (normalized units)."""
-        s_norm = self.stats.normalize_env(np.asarray(s, dtype=float))
-        a_norm = self.stats.normalize_behavior(np.asarray(a, dtype=float))
-        return self.advantage_normalized(s_norm, a_norm)
+        return self.advantage_normalized(
+            self.stats.normalize_env(s), self.stats.normalize_behavior(a)
+        )
 
     def advantage_normalized(self, s_norm: np.ndarray, a_norm: np.ndarray):
         """Advantage for pre-normalized inputs.
@@ -145,14 +160,9 @@ class AdvantageModel:
         ``a_norm`` may be a single vector or a matrix of candidate rows;
         the baseline is evaluated once either way.
         """
-        s_norm = np.asarray(s_norm, dtype=float)
-        a_norm = np.asarray(a_norm, dtype=float)
         base = float(self.baseline.predict_normalized(s_norm)[self.metric_index])
-        if a_norm.ndim == 1:
-            q = float(self.behavior.predict_normalized(s_norm, a_norm)[self.metric_index])
-            return q - base
-        q = self.behavior.predict_normalized_batch(s_norm, a_norm)[:, self.metric_index]
-        return q - base
+        advantages = self.behavior.predict_normalized(s_norm, a_norm)[..., self.metric_index] - base
+        return float(advantages) if advantages.ndim == 0 else advantages
 
     def advantage_delta(self, s: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> float:
         """Difference advantage(s, a1) - advantage(s, a2).
@@ -161,11 +171,8 @@ class AdvantageModel:
         identical on both sides and cancels algebraically, so the result
         is exact rather than the difference of two rounded subtractions.
         """
-        s_norm = self.stats.normalize_env(np.asarray(s, dtype=float))
-        a1_norm = self.stats.normalize_behavior(np.asarray(a1, dtype=float))
-        a2_norm = self.stats.normalize_behavior(np.asarray(a2, dtype=float))
-        q1 = float(self.behavior.predict_normalized(s_norm, a1_norm)[self.metric_index])
-        q2 = float(self.behavior.predict_normalized(s_norm, a2_norm)[self.metric_index])
+        q1 = float(self.behavior.predict(s, a1)[self.metric_index])
+        q2 = float(self.behavior.predict(s, a2)[self.metric_index])
         return q1 - q2
 
     def raw_unit_scale(self) -> float:
@@ -173,48 +180,28 @@ class AdvantageModel:
         return self.stats.performance_std(self.metric_index)
 
 
-def train_baseline(
-    ds: Dataset, stats: NormalizationStats, params: TrainingParams
-) -> tuple[BaselineModel, TrainReport]:
-    """Fit the environment -> performance regressor on every record."""
-    inputs = stats.normalize_env(ds.env)
-    net, report = _fit(inputs, stats.normalize_performance(ds.performance), stats, params)
-    return BaselineModel(net=net, stats=stats), report
-
-
-def train_behavior(
-    ds: Dataset, stats: NormalizationStats, params: TrainingParams
-) -> tuple[BehaviorModel, TrainReport]:
-    """Fit the (environment, behavior) -> performance regressor."""
-    inputs = np.hstack(
-        [stats.normalize_env(ds.env), stats.normalize_behavior(ds.behavior)]
+def train_regressor(
+    ds: Dataset, stats: NormalizationStats, params: TrainingParams, with_behavior: bool
+) -> tuple[Regressor, TrainReport]:
+    """Fit a fresh regressor on every record; ``with_behavior``, it reads behavior too."""
+    config = MlpConfig(
+        input_dim=stats.d_env + (stats.d_behavior if with_behavior else 0),
+        hidden_widths=params.hidden_widths,
+        output_dim=stats.d_performance,
+        seed=params.seed,
     )
-    net, report = _fit(inputs, stats.normalize_performance(ds.performance), stats, params)
-    return BehaviorModel(net=net, stats=stats), report
-
-
-def _fit(
-    inputs: np.ndarray, targets: np.ndarray, stats: NormalizationStats, params: TrainingParams
-) -> tuple[Mlp, TrainReport]:
-    """A fresh net with ``inputs``' width, trained on normalized performance ``targets``."""
-    net = Mlp.init(
-        MlpConfig(
-            input_dim=inputs.shape[1],
-            hidden_widths=params.hidden_widths,
-            output_dim=stats.d_performance,
-            seed=params.seed,
-        )
-    )
+    regressor = Regressor(net=Mlp.init(config), stats=stats)
+    a_norm = stats.normalize_behavior(ds.behavior) if with_behavior else None
     report = train(
-        net,
-        inputs,
-        targets,
+        regressor.net,
+        regressor.inputs(stats.normalize_env(ds.env), a_norm),
+        stats.normalize_performance(ds.performance),
         epochs=params.epochs,
         batch_size=params.batch_size,
         learning_rate=params.learning_rate,
         seed=params.seed,
     )
-    return net, report
+    return regressor, report
 
 
 def behavior_box_from(ds: Dataset, stats: NormalizationStats, margin: float = BOX_MARGIN) -> np.ndarray:
@@ -238,7 +225,6 @@ def save_bundle(
     baseline_report: TrainReport | None = None,
     behavior_report: TrainReport | None = None,
     params: TrainingParams | None = None,
-    behavior_seed: int | None = None,
 ) -> None:
     """Write an advantage model as a directory of JSON artifacts."""
     directory = Path(directory)
@@ -254,7 +240,7 @@ def save_bundle(
         "stats_fingerprint": model.stats.fingerprint(),
         "behavior_box": None if model.behavior_box is None else model.behavior_box.tolist(),
         "baseline_seed": model.baseline.net.config.seed,
-        "behavior_seed": model.behavior.net.config.seed if behavior_seed is None else behavior_seed,
+        "behavior_seed": model.behavior.net.config.seed,
         "training": None
         if params is None
         else {
@@ -276,9 +262,10 @@ def load_bundle(directory: str | Path) -> tuple[AdvantageModel, DatasetSchema, d
 
     Raises ``CorruptBundle`` for a file that is not valid JSON, a
     ``meta.json`` written by another tool version, a missing or ill-typed
-    entry, a non-finite weight, bias, statistic or box bound, or
-    statistics whose fingerprint differs from the one recorded in
-    ``meta.json``.
+    entry, a non-finite weight, bias, statistic or box bound, a net whose
+    input width does not fit its file's role (``baseline.json`` and
+    ``behavior.json`` swapped), or statistics whose fingerprint differs
+    from the one recorded in ``meta.json``.
     """
     directory = Path(directory)
     meta_path = directory / "meta.json"
@@ -295,10 +282,11 @@ def load_bundle(directory: str | Path) -> tuple[AdvantageModel, DatasetSchema, d
         stats = NormalizationStats.load(directory / "stats.json")
         require_finite(stats.mean, stats.std)
     parts = {}
-    for name, kind in (("baseline", BaselineModel), ("behavior", BehaviorModel)):
+    for name in ("baseline", "behavior"):
         path = directory / f"{name}.json"
         with bundle_file(path):
-            parts[name] = kind(net=load_mlp(path), stats=stats)
+            parts[name] = Regressor(net=load_mlp(path), stats=stats)
+            _check_role(name, parts[name])
             require_finite(*parts[name].net.weights, *parts[name].net.biases)
     with bundle_file(meta_path):
         if meta["stats_fingerprint"] != stats.fingerprint():

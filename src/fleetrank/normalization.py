@@ -89,14 +89,8 @@ class NormalizationStats:
     def normalize_performance(self, q: np.ndarray) -> np.ndarray:
         return self._apply(q, self.performance_slice)
 
-    def denormalize_env(self, s: np.ndarray) -> np.ndarray:
-        return self._invert(s, self.env_slice)
-
     def denormalize_behavior(self, a: np.ndarray) -> np.ndarray:
         return self._invert(a, self.behavior_slice)
-
-    def denormalize_performance(self, q: np.ndarray) -> np.ndarray:
-        return self._invert(q, self.performance_slice)
 
     def performance_std(self, metric_index: int) -> float:
         """Raw-unit std of one performance dimension (for raw-unit reports)."""

@@ -175,15 +175,14 @@ def optimize_behavior(
     max_generations: int = DEFAULT_MAX_GENERATIONS,
     tolerance: float = 1e-9,
     restarts: int = 0,
-    bounds: np.ndarray | None = None,
     template_norm: np.ndarray | None = None,
     free_indices: list[int] | None = None,
     s_normalized: bool = False,
 ) -> tuple[np.ndarray, float, CmaesResult, bool]:
     """Maximize the advantage surface over behavior at a fixed environment.
 
-    The search runs in normalized behavior space over ``bounds`` (default:
-    the model's data-derived box). With ``template_norm`` and
+    The search runs in normalized behavior space over the model's
+    data-derived box. With ``template_norm`` and
     ``free_indices`` only the listed dimensions are searched while the
     rest stay fixed at the template values. The initial mean is the
     dataset-wide mean behavior (the origin in normalized units), clipped
@@ -205,13 +204,8 @@ def optimize_behavior(
         raise DimensionMismatch(f"expected env vector of length {stats.d_env}")
 
     d_behavior = stats.d_behavior
-    if bounds is None:
-        bounds = model.behavior_box
-    if bounds is None:
-        raise InvalidConfig("no behavior search box: model has none and no bounds were given")
-    bounds = np.asarray(bounds, dtype=float)
-    if bounds.shape != (d_behavior, 2):
-        raise DimensionMismatch("bounds must have shape (d_behavior, 2)")
+    if model.behavior_box is None:
+        raise InvalidConfig("no behavior search box: the model has none")
 
     if free_indices is None:
         free = np.arange(d_behavior)
@@ -228,7 +222,7 @@ def optimize_behavior(
         if base.shape != (d_behavior,):
             raise DimensionMismatch(f"template must have length {d_behavior}")
 
-    sub_bounds = bounds[free]
+    sub_bounds = model.behavior_box[free]
     start = np.clip(np.zeros(len(free)), sub_bounds[:, 0], sub_bounds[:, 1])
 
     baseline_value = float(model.baseline.predict_normalized(s_norm)[model.metric_index])
@@ -238,7 +232,7 @@ def optimize_behavior(
         nonlocal argmax_consistent
         candidates = np.tile(base, (len(a_free), 1))
         candidates[:, free] = a_free
-        q = model.behavior.predict_normalized_batch(s_norm, candidates)[:, model.metric_index]
+        q = model.behavior.predict_normalized(s_norm, candidates)[:, model.metric_index]
         advantages = q - baseline_value
         argmax_consistent &= bool(q[np.argmax(advantages)] == q.max())
         return advantages
@@ -263,14 +257,11 @@ def optimize_behavior(
 def match_driver(
     profiles: list[DriverProfile],
     target: np.ndarray,
-    invert: bool = False,
 ) -> tuple[str, float, list[tuple[str, float]]]:
     """Driver whose mean profile is nearest the target behavior vector.
 
     Returns (driver_id, distance, full ascending-distance list). Ties
-    break on ascending driver id. ``invert`` flips the criterion to the
-    farthest profile, kept only as a debugging aid for comparing the two
-    readings of the matching rule; the returned list stays ascending.
+    break on ascending driver id.
     """
     if not profiles:
         raise EmptyProfiles("no profiles to match against")
@@ -284,11 +275,7 @@ def match_driver(
             raise DimensionMismatch("profiles have inconsistent dimensions")
         distances.append((p.driver_id, float(np.linalg.norm(p.mean_behavior - target))))
     ranked = sorted(distances, key=lambda t: (t[1], t[0]))
-    if invert:
-        winner = sorted(distances, key=lambda t: (-t[1], t[0]))[0]
-    else:
-        winner = ranked[0]
-    return winner[0], winner[1], ranked
+    return ranked[0][0], ranked[0][1], ranked
 
 
 def place(
@@ -298,14 +285,13 @@ def place(
     *,
     seed: int = 0,
     top_m: int = DEFAULT_RUNNER_UPS,
-    invert_match: bool = False,
     **search_kwargs,
 ) -> PlacementResult:
     """End-to-end placement: optimize behavior, then match the nearest driver."""
     s = np.asarray(s, dtype=float)
     optimum, value, result, consistent = optimize_behavior(model, s, seed=seed, **search_kwargs)
 
-    driver_id, distance, ranked = match_driver(profiles, optimum, invert=invert_match)
+    driver_id, distance, ranked = match_driver(profiles, optimum)
     runner_ups = [r for r in ranked if r[0] != driver_id][:top_m]
     return PlacementResult(
         env=s,

@@ -27,6 +27,7 @@ from .errors import (
     DimensionMismatch,
     DuplicateTripId,
     EmptyDataset,
+    InvalidConfig,
     MissingColumn,
     UnknownDriver,
 )
@@ -54,6 +55,8 @@ class DatasetSchema:
         object.__setattr__(self, "env_columns", tuple(self.env_columns))
         object.__setattr__(self, "behavior_columns", tuple(self.behavior_columns))
         object.__setattr__(self, "performance_columns", tuple(self.performance_columns))
+        if not self.env_columns or not self.behavior_columns:
+            raise ValueError("a schema needs at least one env and one behavior column")
         groups = [set(self.env_columns), set(self.behavior_columns), set(self.performance_columns)]
         for i in range(len(groups)):
             for j in range(i + 1, len(groups)):
@@ -114,7 +117,13 @@ class DatasetSchema:
 
     @classmethod
     def load(cls, path: str | Path) -> "DatasetSchema":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        """Read a schema file; ``InvalidConfig`` naming the file if it holds no valid schema."""
+        try:
+            return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        except KeyError as exc:
+            raise InvalidConfig(f"schema {path}: missing entry {exc}") from None
+        except (TypeError, ValueError) as exc:  # JSON errors are ValueErrors
+            raise InvalidConfig(f"schema {path}: {exc}") from None
 
 
 

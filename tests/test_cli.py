@@ -2,11 +2,16 @@ import csv
 import hashlib
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fleetrank
 from fleetrank import assessment
 from fleetrank.atomic import atomic_open
 from fleetrank.cli import build_parser, main
@@ -248,7 +253,15 @@ def test_surface_grid(pipeline, tmp_path):
     with (out / "surface.csv").open() as handle:
         rows = list(csv.reader(handle))
     assert rows[0] == ["beh_00", "beh_01", "advantage"]
-    assert len(rows) == 1 + 21 * 21
+    # every row is the grid point and the model's advantage there, bit for bit
+    model, _, _ = load_bundle(bundle)
+    box = model.behavior_box
+    candidates = np.zeros((21 * 21, 6))
+    candidates[:, 0] = np.repeat(np.linspace(box[0, 0], box[0, 1], 21), 21)
+    candidates[:, 1] = np.tile(np.linspace(box[1, 0], box[1, 1], 21), 21)
+    values = model.advantage_normalized(np.zeros(8), candidates)
+    assert rows[1:] == [[repr(float(x_i)), repr(float(x_j)), repr(float(value))]
+                        for x_i, x_j, value in zip(candidates[:, 0], candidates[:, 1], values)]
 
 
 def test_surface_matches_constrained_place(tmp_path):
@@ -303,7 +316,7 @@ def test_surface_matches_constrained_place(tmp_path):
 
 def test_surface_constant_when_behavior_ignored(tmp_path):
     # zero-weight nets make the advantage identically zero over the grid
-    from fleetrank.models import AdvantageModel, BaselineModel, BehaviorModel, save_bundle
+    from fleetrank.models import AdvantageModel, Regressor, save_bundle
     from fleetrank.neural import Mlp, MlpConfig
     from fleetrank.normalization import fit_stats
 
@@ -317,8 +330,8 @@ def test_surface_constant_when_behavior_ignored(tmp_path):
                    [np.zeros(4), np.zeros(4), np.zeros(4), np.zeros(2)])
 
     model = AdvantageModel(
-        baseline=BaselineModel(net=zero_net(8), stats=stats),
-        behavior=BehaviorModel(net=zero_net(14), stats=stats),
+        baseline=Regressor(net=zero_net(8), stats=stats),
+        behavior=Regressor(net=zero_net(14), stats=stats),
         metric_index=0,
         behavior_box=np.stack([np.full(6, -1.0), np.full(6, 1.0)], axis=1),
     )
@@ -375,6 +388,64 @@ def test_train_config_errors(tmp_path, capsys, flags, message):
     assert not out.exists()
 
 
+def _schema_edit(edit):
+    """A damage that writes the pipeline's schema, changed by ``edit``, to a new file."""
+    def damage(good, path):
+        schema = json.loads(good.read_text())
+        edit(schema)
+        path.write_text(json.dumps(schema))
+    return damage
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda good, path: path.write_text(good.read_text()[:40]), "Unterminated string"),
+        (_schema_edit(lambda s: s.pop("behavior_columns")), "missing entry 'behavior_columns'"),
+        (_schema_edit(lambda s: s["behavior_columns"].append("env_00")),
+         "column groups overlap: ['env_00']"),
+        (_schema_edit(lambda s: s.__setitem__("target_metric", "speed")),
+         "target_metric 'speed' is not a performance column"),
+        (_schema_edit(lambda s: s.__setitem__("env_columns", [])),
+         "a schema needs at least one env and one behavior column"),
+        (_schema_edit(lambda s: s.__setitem__("behavior_columns", [])),
+         "a schema needs at least one env and one behavior column"),
+    ],
+    ids=["truncated", "missing-behavior-columns", "overlapping-groups", "unknown-target",
+         "no-env-columns", "no-behavior-columns"],
+)
+def test_bad_schema_is_a_usage_error(pipeline, tmp_path, capsys, damage, message):
+    data, bundle = pipeline
+    bad = tmp_path / "schema.json"
+    damage(data / "schema.json", bad)
+    for command, out in (
+        (["train", "--data", str(data / "data.csv"), "--epochs", "1"], tmp_path / "b"),
+        (["rank", "--data", str(data / "data.csv"), "--bundle", str(bundle)], tmp_path / "r"),
+    ):
+        assert run(*command, "--schema", str(bad), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: schema {bad}: ") and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--data", "--schema", "--env"])
+def test_directory_for_an_input_file_is_a_usage_error(pipeline, tmp_path, capsys, flag):
+    data, bundle = pipeline
+    env = tmp_path / "env.json"
+    env.write_text(json.dumps([0.0] * 8))
+    paths = {"--data": str(data / "data.csv"), "--schema": str(data / "schema.json"),
+             "--env": str(env), flag: str(tmp_path)}
+    if flag == "--env":
+        command = ["place", "--bundle", str(bundle), "--env", paths["--env"]]
+    else:
+        command = ["train", "--data", paths["--data"], "--schema", paths["--schema"]]
+    assert run(*command, "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"Is a directory: {str(tmp_path)!r}" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_surface_rejects_degenerate_resolution(pipeline, tmp_path, capsys):
     data, bundle = pipeline
     env = tmp_path / "env.json"
@@ -429,6 +500,12 @@ def _edit_json(path, edit):
     path.write_text(json.dumps(data))
 
 
+def _swap(first, second):
+    first_bytes = first.read_bytes()
+    first.write_bytes(second.read_bytes())
+    second.write_bytes(first_bytes)
+
+
 @pytest.mark.parametrize(
     "damage, message",
     [
@@ -461,10 +538,13 @@ def _edit_json(path, edit):
          f"meta.json: written by tool version 0.1, this is version {TOOL_VERSION!r}"),
         (lambda b: (b / "meta.json").write_text("[1, 2]"),
          "meta.json: expected a JSON object, got list"),
+        (lambda b: _swap(b / "baseline.json", b / "behavior.json"),
+         "baseline.json: baseline net has input width 14; a baseline net reads env only"),
     ],
     ids=["truncated-meta", "undecodable-stats", "missing-meta-key", "missing-net-key",
          "float-metric-index", "bool-metric-index", "nan-weight", "inf-bias", "nan-stats", "inf-box", "fingerprint-mismatch",
-         "other-version", "missing-version", "non-string-version", "meta-not-an-object"],
+         "other-version", "missing-version", "non-string-version", "meta-not-an-object",
+         "swapped-nets"],
 )
 def test_rank_rejects_corrupt_bundle(pipeline, tmp_path, capsys, damage, message):
     data, bundle = pipeline
@@ -694,3 +774,45 @@ def test_repeated_trip_id_is_a_usage_error(pipeline, tmp_path, capsys):
     code = run("rank", "--data", str(dup), "--bundle", str(bundle), "--out", str(tmp_path / "r"))
     assert code == 2
     assert f"row 7: trip id {rows[2][0]!r} repeats an earlier row" in capsys.readouterr().err
+
+
+def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
+    # OpenBLAS splits a matrix product across threads once it is large enough; the
+    # 64-wide layers of train, rank and surface below are, so the split must not
+    # change a bit of any artifact
+    (tmp_path / "env.json").write_text(json.dumps([0.0] * 8))
+    (tmp_path / "a0.json").write_text(json.dumps([0.0] * 6))
+    script = ("import json, sys\nfrom fleetrank.cli import main\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    if main(argv) != 0:\n        sys.exit(f'failed: {argv}')\n")
+    src = str(Path(fleetrank.__file__).resolve().parents[1])
+    artifacts = {}
+    for threads in ("1", "2"):
+        root = tmp_path / f"threads-{threads}"
+        data, bundle = str(root / "data"), str(root / "bundle")
+        commands = [
+            ["synth", "--drivers", "4", "--trips", "80", "--seed", "5", "--out", data],
+            ["train", "--data", f"{data}/data.csv", "--schema", f"{data}/schema.json",
+             "--epochs", "4", "--seed", "6", "--out", bundle],
+            ["rank", "--data", f"{data}/data.csv", "--bundle", bundle, "--out", str(root / "rank")],
+            ["rank", "--data", f"{data}/data.csv", "--bundle", bundle, "--raw-units",
+             "--out", str(root / "rank-raw")],
+            ["place", "--bundle", bundle, "--env", str(tmp_path / "env.json"), "--seed", "7",
+             "--out", str(root / "place")],
+            ["surface", "--bundle", bundle, "--env", str(tmp_path / "env.json"),
+             "--template", str(tmp_path / "a0.json"), "--free", "beh_00,beh_01",
+             "--resolution", "30", "--out", str(root / "surface")],
+        ]
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-c", script, json.dumps(commands)], env=env,
+                       check=True, capture_output=True, timeout=120)
+        # manifests carry wall-clock duration by design and are excluded
+        artifacts[threads] = {
+            str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file() and p.name != "manifest.json"
+        }
+    assert len(artifacts["1"]) == 17
+    assert artifacts["1"].keys() == artifacts["2"].keys()
+    for name, content in artifacts["1"].items():
+        assert artifacts["2"][name] == content, name

@@ -4,14 +4,12 @@ import pytest
 from fleetrank.errors import DimensionMismatch
 from fleetrank.models import (
     AdvantageModel,
-    BaselineModel,
-    BehaviorModel,
+    Regressor,
     TrainingParams,
     behavior_box_from,
     load_bundle,
     save_bundle,
-    train_baseline,
-    train_behavior,
+    train_regressor,
 )
 from fleetrank.neural import Mlp, MlpConfig
 from fleetrank.normalization import fit_stats
@@ -37,7 +35,7 @@ def linear_dataset(n=300, d_env=3, d_behavior=2, seed=0, use_behavior=False, noi
     return make_dataset(env, behavior, q, drivers)
 
 
-def zero_behavior_pathway(baseline: BaselineModel) -> BehaviorModel:
+def zero_behavior_pathway(baseline: Regressor) -> Regressor:
     """Behavior net with the baseline's weights and a dead behavior input block."""
     stats = baseline.stats
     config = MlpConfig(
@@ -50,14 +48,15 @@ def zero_behavior_pathway(baseline: BaselineModel) -> BehaviorModel:
                        np.zeros((baseline.net.weights[0].shape[0], stats.d_behavior))])
     weights = [first] + [w.copy() for w in baseline.net.weights[1:]]
     biases = [b.copy() for b in baseline.net.biases]
-    return BehaviorModel(net=Mlp(config, weights, biases), stats=stats)
+    return Regressor(net=Mlp(config, weights, biases), stats=stats)
 
 
 def small_advantage_model(seed=0, trips=60, params=SMALL, **synth_kwargs):
     ds, truth = generate(SynthConfig(n_drivers=4, trips_per_driver=trips, seed=seed, **synth_kwargs))
     stats = fit_stats(ds)
-    baseline, _ = train_baseline(ds, stats, params)
-    behavior, _ = train_behavior(ds, stats, TrainingParams(**{**params.__dict__, "seed": params.seed + 1}))
+    baseline, _ = train_regressor(ds, stats, params, with_behavior=False)
+    behavior_params = TrainingParams(**{**params.__dict__, "seed": params.seed + 1})
+    behavior, _ = train_regressor(ds, stats, behavior_params, with_behavior=True)
     model = AdvantageModel(baseline=baseline, behavior=behavior, metric_index=0,
                            behavior_box=behavior_box_from(ds, stats))
     return ds, truth, stats, model
@@ -71,15 +70,16 @@ def test_baseline_constant_target():
         driver_ids=[f"d{i % 3}" for i in range(80)],
     )
     stats = fit_stats(ds)
-    model, report = train_baseline(ds, stats, SMALL)
+    model, report = train_regressor(ds, stats, SMALL, with_behavior=False)
     assert report.final_loss < 1e-4
 
 
 def test_baseline_learns_linear_map():
     ds = linear_dataset(seed=1)
     stats = fit_stats(ds)
-    model, report = train_baseline(ds, stats, TrainingParams(
-        epochs=100, batch_size=64, learning_rate=3e-3, hidden_widths=(32, 32, 32), seed=2))
+    model, report = train_regressor(ds, stats, TrainingParams(
+        epochs=100, batch_size=64, learning_rate=3e-3, hidden_widths=(32, 32, 32), seed=2),
+        with_behavior=False)
     assert report.final_loss < 0.01
     assert len(report.epoch_losses) == 100
 
@@ -87,8 +87,8 @@ def test_baseline_learns_linear_map():
 def test_behavior_beats_baseline_on_additive_data():
     ds, truth = generate(SynthConfig(n_drivers=4, trips_per_driver=100, noise_sigma=0.0, seed=3))
     stats = fit_stats(ds)
-    _, base_report = train_baseline(ds, stats, SMALL)
-    _, behav_report = train_behavior(ds, stats, SMALL)
+    _, base_report = train_regressor(ds, stats, SMALL, with_behavior=False)
+    _, behav_report = train_regressor(ds, stats, SMALL, with_behavior=True)
     # the behavior effect is irreducible noise for the environment-only model
     assert behav_report.final_loss < base_report.final_loss
 
@@ -97,15 +97,15 @@ def test_behavior_no_worse_when_behavior_is_irrelevant():
     # a noise floor keeps both losses comparable; behavior inputs add no signal
     ds = linear_dataset(seed=4, use_behavior=False, noise=0.3)
     stats = fit_stats(ds)
-    _, base_report = train_baseline(ds, stats, SMALL)
-    _, behav_report = train_behavior(ds, stats, SMALL)
+    _, base_report = train_regressor(ds, stats, SMALL, with_behavior=False)
+    _, behav_report = train_regressor(ds, stats, SMALL, with_behavior=True)
     assert behav_report.final_loss < 2 * base_report.final_loss
 
 
 def test_advantage_zero_when_behavior_pathway_dead():
     ds, _ = generate(SynthConfig(n_drivers=3, trips_per_driver=30, seed=5))
     stats = fit_stats(ds)
-    baseline, _ = train_baseline(ds, stats, SMALL)
+    baseline, _ = train_regressor(ds, stats, SMALL, with_behavior=False)
     behavior = zero_behavior_pathway(baseline)
     model = AdvantageModel(baseline=baseline, behavior=behavior, metric_index=0)
     rng = np.random.default_rng(6)
@@ -150,10 +150,27 @@ def test_fingerprint_mismatch_rejected():
     ds1, _ = generate(SynthConfig(n_drivers=3, trips_per_driver=25, seed=12))
     ds2, _ = generate(SynthConfig(n_drivers=3, trips_per_driver=25, seed=13))
     stats1, stats2 = fit_stats(ds1), fit_stats(ds2)
-    baseline, _ = train_baseline(ds1, stats1, SMALL)
-    behavior, _ = train_behavior(ds2, stats2, SMALL)
+    baseline, _ = train_regressor(ds1, stats1, SMALL, with_behavior=False)
+    behavior, _ = train_regressor(ds2, stats2, SMALL, with_behavior=True)
     with pytest.raises(DimensionMismatch):
         AdvantageModel(baseline=baseline, behavior=behavior, metric_index=0)
+
+
+def test_regressor_role_follows_input_width():
+    ds, _ = generate(SynthConfig(n_drivers=3, trips_per_driver=5, seed=14))
+    stats = fit_stats(ds)  # 8 env, 6 behavior and 2 performance dims
+
+    def regressor(width):
+        return Regressor(net=Mlp.init(MlpConfig(width, (4, 4, 4), 2)), stats=stats)
+
+    baseline, behavior = regressor(8), regressor(14)
+    assert not baseline.reads_behavior and behavior.reads_behavior
+    with pytest.raises(DimensionMismatch, match="input width 9 is neither"):
+        regressor(9)
+    AdvantageModel(baseline=baseline, behavior=behavior, metric_index=0)
+    for pair in ((behavior, baseline), (baseline, baseline), (behavior, behavior)):
+        with pytest.raises(DimensionMismatch, match="net has input width"):
+            AdvantageModel(baseline=pair[0], behavior=pair[1], metric_index=0)
 
 
 def test_baseline_value_zero_net_and_purity():
@@ -163,7 +180,7 @@ def test_baseline_value_zero_net_and_purity():
     zero_net = Mlp(config,
                    [np.zeros((4, 8)), np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((2, 4))],
                    [np.zeros(4), np.zeros(4), np.zeros(4), np.zeros(2)])
-    model = BaselineModel(net=zero_net, stats=stats)
+    model = Regressor(net=zero_net, stats=stats)
     s = np.ones(8)
     np.testing.assert_array_equal(model.predict(s), np.zeros(2))
     np.testing.assert_array_equal(model.predict(s), model.predict(s))

@@ -6,12 +6,10 @@ from fleetrank.cmaes import default_population, maximize
 from fleetrank.errors import DimensionMismatch, EmptyProfiles, InvalidConfig
 from fleetrank.models import (
     AdvantageModel,
-    BaselineModel,
-    BehaviorModel,
+    Regressor,
     TrainingParams,
     behavior_box_from,
-    train_baseline,
-    train_behavior,
+    train_regressor,
 )
 from fleetrank.neural import Mlp, MlpConfig
 from fleetrank.normalization import NormalizationStats, fit_stats
@@ -78,8 +76,8 @@ def cone_peak_model(target, d_env=2, d_performance=1):
     )
     box = np.stack([np.full(d_a, -1.5), np.full(d_a, 1.5)], axis=1)
     return AdvantageModel(
-        baseline=BaselineModel(net=baseline_net, stats=stats),
-        behavior=BehaviorModel(net=behavior_net, stats=stats),
+        baseline=Regressor(net=baseline_net, stats=stats),
+        behavior=Regressor(net=behavior_net, stats=stats),
         metric_index=0,
         behavior_box=box,
     )
@@ -176,15 +174,6 @@ def test_match_driver_permutation_invariant():
         assert shuffled[2] == base[2]
 
 
-def test_match_driver_invert_flag():
-    profiles = [
-        DriverProfile("near", np.array([0.0]), 1),
-        DriverProfile("far", np.array([5.0]), 1),
-    ]
-    assert match_driver(profiles, np.array([0.1]))[0] == "near"
-    assert match_driver(profiles, np.array([0.1]), invert=True)[0] == "far"
-
-
 def test_match_driver_errors():
     with pytest.raises(EmptyProfiles):
         match_driver([], np.zeros(2))
@@ -251,8 +240,9 @@ def test_two_dim_search_matches_grid_oracle():
     ds, truth = generate(SynthConfig(n_drivers=5, trips_per_driver=100, seed=5))
     stats = fit_stats(ds)
     params = TrainingParams(epochs=40, batch_size=64, hidden_widths=(16, 16, 16), seed=6)
-    baseline, _ = train_baseline(ds, stats, params)
-    behavior, _ = train_behavior(ds, stats, TrainingParams(**{**params.__dict__, "seed": 7}))
+    baseline, _ = train_regressor(ds, stats, params, with_behavior=False)
+    behavior, _ = train_regressor(ds, stats, TrainingParams(**{**params.__dict__, "seed": 7}),
+                                  with_behavior=True)
     model = AdvantageModel(baseline=baseline, behavior=behavior, metric_index=0,
                            behavior_box=behavior_box_from(ds, stats))
     env = np.zeros(8)
@@ -352,15 +342,16 @@ def test_place_baseline_shift_invariance():
     ds, truth = generate(SynthConfig(n_drivers=5, trips_per_driver=80, seed=11))
     stats = fit_stats(ds)
     params = TrainingParams(epochs=30, batch_size=64, hidden_widths=(16, 16, 16), seed=12)
-    baseline, _ = train_baseline(ds, stats, params)
-    behavior, _ = train_behavior(ds, stats, TrainingParams(**{**params.__dict__, "seed": 13}))
+    baseline, _ = train_regressor(ds, stats, params, with_behavior=False)
+    behavior, _ = train_regressor(ds, stats, TrainingParams(**{**params.__dict__, "seed": 13}),
+                                  with_behavior=True)
     box = behavior_box_from(ds, stats)
     model = AdvantageModel(baseline=baseline, behavior=behavior, metric_index=0, behavior_box=box)
     profiles = build_profiles(ds, stats)
     env = np.full(8, 0.25)
     first = place(model, profiles, env, seed=14)
 
-    shifted_baseline = BaselineModel(net=baseline.net.copy(), stats=stats)
+    shifted_baseline = Regressor(net=baseline.net.copy(), stats=stats)
     shifted_baseline.net.biases[3] = shifted_baseline.net.biases[3] + 2.5
     shifted = AdvantageModel(baseline=shifted_baseline, behavior=behavior, metric_index=0,
                              behavior_box=box)
