@@ -1,9 +1,11 @@
 """Command-line pipeline: synth, train, rank, place, surface.
 
-Every command is deterministic given its seed flags and writes a
-manifest next to its artifacts so any output can be reproduced from the
-manifest alone. Exit codes: 0 success, 1 runtime or numeric failure,
-2 usage or configuration error.
+Every command is deterministic given its seed flags. Each ``cmd_*``
+returns the files it wrote and its command-specific facts, and ``main``
+writes them to a manifest next to the artifacts, so any output can be
+reproduced from the manifest alone. Exit codes: 0 success, 1 runtime or
+numeric failure, 2 usage or configuration error, decided by the error's
+type (see ``errors``).
 """
 
 from __future__ import annotations
@@ -20,22 +22,7 @@ import numpy as np
 
 from . import assessment, placement, synth
 from .atomic import atomic_open
-from .errors import (
-    BadValue,
-    CorruptBundle,
-    DimensionMismatch,
-    DuplicateTripId,
-    EmptyDataset,
-    EmptyProfiles,
-    FleetrankError,
-    InvalidConfig,
-    MissingColumn,
-    NonFiniteLoss,
-    NonFiniteObjective,
-    TooFewSamples,
-    UnknownDimension,
-    UnknownDriver,
-)
+from .errors import DimensionMismatch, FleetrankError, InvalidConfig, UnknownDimension, UsageError
 from .models import (
     TOOL_VERSION,
     AdvantageModel,
@@ -48,30 +35,11 @@ from .models import (
 from .normalization import fit_stats
 from .trip_data import DatasetSchema, file_sha256, load_dataset, save_dataset
 
-USAGE_ERRORS = (
-    InvalidConfig,
-    CorruptBundle,
-    MissingColumn,
-    BadValue,
-    DuplicateTripId,
-    EmptyDataset,
-    EmptyProfiles,
-    TooFewSamples,
-    UnknownDimension,
-    UnknownDriver,
-    DimensionMismatch,
-    FileNotFoundError,
-    IsADirectoryError,
-    NotADirectoryError,
-)
-RUNTIME_ERRORS = (NonFiniteLoss, NonFiniteObjective)
-
-
-def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
-                    outputs: list[str], started: float, **facts) -> None:
+def _write_manifest(args: argparse.Namespace, outputs: list[str], facts: dict,
+                    started: float) -> None:
     """Manifest write beside the command's artifacts; ``facts`` are command-specific entries."""
     manifest = {
-        "command": command,
+        "command": args.command,
         "arguments": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
         "seed": getattr(args, "seed", None),
         "outputs": outputs,
@@ -79,7 +47,7 @@ def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
         **facts,
         "duration_s": round(time.time() - started, 3),
     }
-    with atomic_open(out_dir / "manifest.json") as handle:
+    with atomic_open(Path(args.out) / "manifest.json") as handle:
         handle.write(json.dumps(manifest, indent=2))
 
 
@@ -130,8 +98,7 @@ def _free_indices(schema: DatasetSchema, names_csv: str) -> list[int]:
     return indices
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    started = time.time()
+def cmd_synth(args: argparse.Namespace) -> tuple[list[str], dict]:
     config = synth.SynthConfig(
         n_drivers=args.drivers,
         trips_per_driver=args.trips,
@@ -149,13 +116,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
     save_dataset(ds, out / "data.csv")
     ds.schema.save(out / "schema.json")
     truth.save(out / "groundtruth.json")
-    _write_manifest(out, "synth", args, ["data.csv", "schema.json", "groundtruth.json"], started)
     print(f"wrote {len(ds)} trips for {ds.n_drivers} drivers to {out}")
-    return 0
+    return ["data.csv", "schema.json", "groundtruth.json"], {}
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    started = time.time()
+def cmd_train(args: argparse.Namespace) -> tuple[list[str], dict]:
     base_params = TrainingParams(
         epochs=args.epochs,
         batch_size=args.batch,
@@ -203,16 +168,14 @@ def cmd_train(args: argparse.Namespace) -> int:
         "baseline.json", "behavior.json", "stats.json", "meta.json", placement.PROFILES_FILE,
         "baseline_curve.csv", "behavior_curve.csv",
     ]
-    _write_manifest(out, "train", args, outputs, started, data_sha256=data_sha256)
     print(
         f"trained bundle in {out}: baseline mse {baseline_report.final_loss:.6f}, "
         f"behavior mse {behavior_report.final_loss:.6f}"
     )
-    return 0
+    return outputs, {"data_sha256": data_sha256}
 
 
-def cmd_rank(args: argparse.Namespace) -> int:
-    started = time.time()
+def cmd_rank(args: argparse.Namespace) -> tuple[list[str], dict]:
     model, schema, _meta = load_bundle(args.bundle)
     if args.schema:
         given = DatasetSchema.load(args.schema)
@@ -232,9 +195,8 @@ def cmd_rank(args: argparse.Namespace) -> int:
         handle.write(text)
     with atomic_open(out / "ranking.csv") as handle:
         csv.writer(handle).writerows(assessment.ranking_rows(ranking))
-    _write_manifest(out, "rank", args, ["ranking.txt", "ranking.csv"], started)
     print(text, end="")
-    return 0
+    return ["ranking.txt", "ranking.csv"], {}
 
 
 def _place_profiles(args: argparse.Namespace, model: AdvantageModel, schema: DatasetSchema,
@@ -264,8 +226,7 @@ def _place_profiles(args: argparse.Namespace, model: AdvantageModel, schema: Dat
     return placement.build_profiles(ds, model.stats), "data"
 
 
-def cmd_place(args: argparse.Namespace) -> int:
-    started = time.time()
+def cmd_place(args: argparse.Namespace) -> tuple[list[str], dict]:
     model, schema, meta = load_bundle(args.bundle)
     env = _load_vector(args.env)
     _require_length(env, model.stats.d_env, "--env")
@@ -305,17 +266,14 @@ def cmd_place(args: argparse.Namespace) -> int:
         writer.writerow(["generation", "best_advantage"])
         for gen, best in enumerate(result.search_history, start=1):
             writer.writerow([gen, repr(best)])
-    _write_manifest(out, "place", args, ["placement.json", "search_history.csv"], started,
-                    profiles=source)
     print(
         f"matched driver {result.matched_driver} at distance {result.match_distance:.6f} "
         f"(advantage {result.optimal_advantage:.6f})"
     )
-    return 0
+    return ["placement.json", "search_history.csv"], {"profiles": source}
 
 
-def cmd_surface(args: argparse.Namespace) -> int:
-    started = time.time()
+def cmd_surface(args: argparse.Namespace) -> tuple[list[str], dict]:
     if args.resolution < 2:
         raise InvalidConfig(f"--resolution must be >= 2 points per axis, got {args.resolution}")
     model, schema, _meta = load_bundle(args.bundle)
@@ -352,9 +310,8 @@ def cmd_surface(args: argparse.Namespace) -> int:
             for x_i, x_j, value in zip(candidates[:, i].tolist(), candidates[:, j].tolist(),
                                        values.tolist())
         )
-    _write_manifest(out, "surface", args, ["surface.csv"], started)
     print(f"wrote {args.resolution * args.resolution} grid points to {out / 'surface.csv'}")
-    return 0
+    return ["surface.csv"], {}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -440,17 +397,18 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    started = time.time()
     try:
-        return args.func(args)
-    except RUNTIME_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except USAGE_ERRORS as exc:
+        outputs, facts = args.func(args)
+    except (UsageError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            PermissionError) as exc:  # the OS errors: a path the user named is unusable
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FleetrankError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    _write_manifest(args, outputs, facts, started)
+    return 0
 
 
 def entry_point() -> None:

@@ -61,6 +61,8 @@ class CmaesConfig:
             raise InvalidConfig("max_generations must be >= 1")
         if self.restarts < 0:
             raise InvalidConfig("restarts must be >= 0")
+        if not (self.target_tolerance >= 0 and math.isfinite(self.target_tolerance)):
+            raise InvalidConfig("target_tolerance must be finite and >= 0")
         if self.bounds is not None:
             self.bounds = np.asarray(self.bounds, dtype=float)
             if self.bounds.shape != (self.dim, 2):

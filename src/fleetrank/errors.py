@@ -1,4 +1,9 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit.
+
+Each type carries the CLI's exit code: a ``UsageError`` means the
+caller's input or configuration is at fault and exits 2; any other
+``FleetrankError`` is a runtime or numeric failure and exits 1.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +12,11 @@ class FleetrankError(Exception):
     """Base class for all toolkit errors."""
 
 
-class MissingColumn(FleetrankError):
+class UsageError(FleetrankError):
+    """The caller's input or configuration is at fault."""
+
+
+class MissingColumn(UsageError):
     """A schema column is absent from the file header."""
 
     def __init__(self, name: str):
@@ -15,7 +24,7 @@ class MissingColumn(FleetrankError):
         self.name = name
 
 
-class BadValue(FleetrankError):
+class BadValue(UsageError):
     """A cell could not be parsed as a finite number."""
 
     def __init__(self, row: int, column: str, value: str):
@@ -25,7 +34,7 @@ class BadValue(FleetrankError):
         self.value = value
 
 
-class DuplicateTripId(FleetrankError):
+class DuplicateTripId(UsageError):
     """A trip id repeats one given on an earlier row."""
 
     def __init__(self, row: int, trip_id: str):
@@ -34,21 +43,21 @@ class DuplicateTripId(FleetrankError):
         self.trip_id = trip_id
 
 
-class EmptyDataset(FleetrankError):
+class EmptyDataset(UsageError):
     """No valid rows were found."""
 
 
-class UnknownDriver(FleetrankError):
+class UnknownDriver(UsageError):
     def __init__(self, driver_id: str):
         super().__init__(f"unknown driver {driver_id!r}")
         self.driver_id = driver_id
 
 
-class TooFewSamples(FleetrankError):
+class TooFewSamples(UsageError):
     """The operation needs more samples than the dataset provides."""
 
 
-class DimensionMismatch(FleetrankError):
+class DimensionMismatch(UsageError):
     """Vector or matrix dimensions do not agree with the expected layout."""
 
 
@@ -73,19 +82,23 @@ class NonFiniteObjective(FleetrankError):
         self.best = best
 
 
-class InvalidConfig(FleetrankError):
+class InvalidConfig(UsageError):
     """A configuration value violates its documented constraints."""
 
 
-class CorruptBundle(FleetrankError):
+class CorruptBundle(UsageError):
     """A model bundle file is unreadable, incomplete or inconsistent."""
 
 
-class EmptyProfiles(FleetrankError):
+class EmptyProfiles(UsageError):
     """No driver profiles were supplied to match against."""
 
 
-class UnknownDimension(FleetrankError):
+class UnknownDimension(UsageError):
     def __init__(self, name: str):
         super().__init__(f"unknown behavior dimension {name!r}")
         self.name = name
+
+
+class UnreadableFile(UsageError):
+    """An input file is not UTF-8 CSV text that the csv module can split."""

@@ -93,15 +93,6 @@ class Mlp:
     def copy(self) -> "Mlp":
         return Mlp(self.config, [w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate one input vector; returns the output vector."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1 or x.shape[0] != self.config.input_dim:
-            raise DimensionMismatch(
-                f"expected input of length {self.config.input_dim}, got shape {x.shape}"
-            )
-        return self.forward_batch(x[None, :])[0]
-
     def forward_batch(self, x: np.ndarray) -> np.ndarray:
         """Evaluate a batch of rows; returns (n, output_dim)."""
         x = np.asarray(x, dtype=float)

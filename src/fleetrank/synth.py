@@ -59,10 +59,10 @@ class SynthConfig:
             raise InvalidConfig("trips_per_driver must be >= 1")
         if self.d_env < 1 or self.d_behavior < 1:
             raise InvalidConfig("feature dimensions must be >= 1")
-        if not self.skill_spacing > 0:
-            raise InvalidConfig("skill_spacing must be > 0")
-        if self.noise_sigma < 0:
-            raise InvalidConfig("noise_sigma must be >= 0")
+        if not (self.skill_spacing > 0 and math.isfinite(self.skill_spacing)):
+            raise InvalidConfig("skill_spacing must be finite and > 0")
+        if not (self.noise_sigma >= 0 and math.isfinite(self.noise_sigma)):
+            raise InvalidConfig("noise_sigma must be finite and >= 0")
         if not math.isfinite(self.interaction_scale):
             raise InvalidConfig("interaction_scale must be finite")
 
@@ -100,9 +100,6 @@ class GroundTruth:
         if self.config.interaction_scale != 0.0:
             base = base + self.config.interaction_scale * self.env_effect(s) * self.behavior_effect(a)
         return np.array([base, FUEL_OFFSET + FUEL_SLOPE * base])
-
-    def skill_of(self, driver_id: str) -> float:
-        return float(self.driver_skills[self.driver_ids.index(driver_id)])
 
     def to_dict(self) -> dict:
         return {
@@ -230,6 +227,10 @@ def generate(config: SynthConfig) -> tuple[Dataset, GroundTruth]:
     performance = np.array(
         [truth.performance(s, a, i) for s, a, i in zip(env, behavior, codes)]
     ) + config.noise_sigma * draws[:, d_env + d_behavior :]
+    if not np.isfinite(performance).all():
+        raise InvalidConfig(
+            "generated performance overflows: lower the noise, skill spacing or interaction scale"
+        )
 
     ds = Dataset(
         schema=_default_schema(config),

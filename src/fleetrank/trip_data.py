@@ -30,6 +30,7 @@ from .errors import (
     InvalidConfig,
     MissingColumn,
     UnknownDriver,
+    UnreadableFile,
 )
 
 log = logging.getLogger(__name__)
@@ -102,10 +103,14 @@ class DatasetSchema:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DatasetSchema":
+        groups = {}
+        for key in ("env_columns", "behavior_columns", "performance_columns"):
+            names = data[key]
+            if not (isinstance(names, list) and all(isinstance(n, str) and n for n in names)):
+                raise ValueError(f"{key} must be a list of non-empty column names, got {names!r}")
+            groups[key] = tuple(names)
         return cls(
-            env_columns=tuple(data["env_columns"]),
-            behavior_columns=tuple(data["behavior_columns"]),
-            performance_columns=tuple(data["performance_columns"]),
+            **groups,
             trip_id_column=data.get("trip_id_column", "trip_id"),
             driver_id_column=data.get("driver_id_column", "driver_id"),
             target_metric=data.get("target_metric", "total_mpg"),
@@ -301,7 +306,9 @@ def load_dataset(path: str | Path, schema: DatasetSchema, lenient: bool = False)
     shorter than the header reads its missing cells as absent. Trip ids
     are checked once every row is parsed: a repeat of an earlier row's id
     raises ``DuplicateTripId`` naming its row, or in lenient mode is
-    skipped and counted, so each id keeps its first valid row.
+    skipped and counted, so each id keeps its first valid row. Bytes that
+    are not UTF-8, or a cell past the csv module's field limit, raise
+    ``UnreadableFile`` naming the last data row read, in either mode.
 
     Numeric cells are converted a chunk of rows at a time; only a chunk
     that fails to convert, or holds a non-finite value or an empty driver
@@ -314,35 +321,42 @@ def load_dataset(path: str | Path, schema: DatasetSchema, lenient: bool = False)
     drivers: list[str] = []
     skipped = 0
     rows_read = 0
-    with path.open("r", newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, [])
-        # a repeated header name reads its last column
-        position = {name: i for i, name in enumerate(header)}
-        for name in (*columns, schema.trip_id_column, schema.driver_id_column):
-            if name not in position:
-                raise MissingColumn(name)
-        fields = [(name, position[name]) for name in columns]
-        numeric = operator.itemgetter(*(pos for _, pos in fields))
-        trip_of = operator.itemgetter(position[schema.trip_id_column])
-        driver_of = operator.itemgetter(position[schema.driver_id_column])
-        for chunk in _row_chunks(reader, chunk_rows(len(header))):
-            first_row = rows_read + 1
-            rows_read += len(chunk)
-            try:
-                block = np.array(list(map(numeric, chunk)), dtype=float)
-                chunk_trips = list(map(trip_of, chunk))
-                chunk_drivers = list(map(driver_of, chunk))
-            except (IndexError, ValueError):
-                block = None
-            if block is None or not np.isfinite(block).all() or not all(chunk_drivers):
-                block, chunk_trips, chunk_drivers = _parse_rows(
-                    chunk, first_row, len(header), fields, position, schema, lenient
-                )
-                skipped += len(chunk) - len(chunk_trips)
-            blocks.append(block.reshape(len(chunk_trips), len(columns)))
-            trip_ids += chunk_trips
-            drivers += chunk_drivers
+    try:
+        with path.open("r", newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, [])
+            # a repeated header name reads its last column
+            position = {name: i for i, name in enumerate(header)}
+            for name in (*columns, schema.trip_id_column, schema.driver_id_column):
+                if name not in position:
+                    raise MissingColumn(name)
+            fields = [(name, position[name]) for name in columns]
+            numeric = operator.itemgetter(*(pos for _, pos in fields))
+            trip_of = operator.itemgetter(position[schema.trip_id_column])
+            driver_of = operator.itemgetter(position[schema.driver_id_column])
+            for chunk in _row_chunks(reader, chunk_rows(len(header))):
+                first_row = rows_read + 1
+                rows_read += len(chunk)
+                try:
+                    block = np.array(list(map(numeric, chunk)), dtype=float)
+                    chunk_trips = list(map(trip_of, chunk))
+                    chunk_drivers = list(map(driver_of, chunk))
+                except (IndexError, ValueError):
+                    block = None
+                if block is None or not np.isfinite(block).all() or not all(chunk_drivers):
+                    block, chunk_trips, chunk_drivers = _parse_rows(
+                        chunk, first_row, len(header), fields, position, schema, lenient
+                    )
+                    skipped += len(chunk) - len(chunk_trips)
+                blocks.append(block.reshape(len(chunk_trips), len(columns)))
+                trip_ids += chunk_trips
+                drivers += chunk_drivers
+    except UnicodeDecodeError as exc:
+        # the position in ``exc`` counts from a decoder buffer, not from the file
+        reason = f"not UTF-8 text ({exc.reason})"
+        raise UnreadableFile(f"{path}: after data row {rows_read}: {reason}") from None
+    except csv.Error as exc:
+        raise UnreadableFile(f"{path}: after data row {rows_read}: {exc}") from None
     if not trip_ids:
         raise EmptyDataset(f"no valid rows in {path}")
     values = np.concatenate(blocks)

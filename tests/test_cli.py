@@ -1,5 +1,7 @@
 import csv
+import errno
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 import fleetrank
-from fleetrank import assessment
+from fleetrank import assessment, cli, errors
 from fleetrank.atomic import atomic_open
 from fleetrank.cli import build_parser, main
 from fleetrank.models import TOOL_VERSION, load_bundle
@@ -354,6 +356,74 @@ def test_usage_error_exit_code():
     assert run("no-such-command") == 2
 
 
+# Every error type by the exit code it gets. Each type that cli.py once listed
+# by name keeps the code it had then, and a new type fails the test below
+# until it is put in one of these sets on purpose.
+USAGE_ERROR_TYPES = {
+    "UsageError", "MissingColumn", "BadValue", "DuplicateTripId", "EmptyDataset",
+    "UnknownDriver", "TooFewSamples", "DimensionMismatch", "InvalidConfig", "CorruptBundle",
+    "EmptyProfiles", "UnknownDimension", "UnreadableFile",
+}
+RUNTIME_ERROR_TYPES = {"FleetrankError", "NonFiniteLoss", "NonFiniteObjective"}
+PATH_ERROR_TYPES = [FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError]
+ERROR_TYPES = [
+    cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+    if issubclass(cls, errors.FleetrankError)
+]
+
+
+@pytest.mark.parametrize("error_type", ERROR_TYPES + PATH_ERROR_TYPES, ids=lambda t: t.__name__)
+def test_every_error_type_has_its_exit_code(tmp_path, capsys, monkeypatch, error_type):
+    name = error_type.__name__
+    if name in RUNTIME_ERROR_TYPES:
+        expected = 1
+    elif name in USAGE_ERROR_TYPES or error_type in PATH_ERROR_TYPES:
+        expected = 2
+    else:
+        pytest.fail(f"{name} is classified neither as a usage nor as a runtime error")
+    # a placeholder for each argument the constructor requires
+    params = list(inspect.signature(error_type.__init__).parameters.values())[1:]
+    error = error_type(*("x" for p in params
+                         if p.kind is p.POSITIONAL_OR_KEYWORD and p.default is p.empty))
+
+    def fails(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_synth", fails)
+    out = tmp_path / "s"
+    assert run("synth", "--out", str(out)) == expected
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not out.exists()
+
+
+def test_manifest_keys_per_command(pipeline, tmp_path):
+    data, bundle = pipeline
+    env = tmp_path / "env.json"
+    env.write_text(json.dumps([0.0] * 8))
+    template = tmp_path / "a0.json"
+    template.write_text(json.dumps([0.0] * 6))
+    outs = {"synth": data, "train": bundle}
+    for command, argv in (
+        ("rank", ["--data", str(data / "data.csv"), "--bundle", str(bundle)]),
+        ("place", ["--bundle", str(bundle), "--env", str(env), "--max-generations", "20"]),
+        ("surface", ["--bundle", str(bundle), "--env", str(env), "--template", str(template),
+                     "--free", "beh_00,beh_01", "--resolution", "3"]),
+    ):
+        outs[command] = tmp_path / command
+        assert run(command, *argv, "--out", str(outs[command])) == 0
+    facts = {"train": ["data_sha256"], "place": ["profiles"]}
+    for command, out in outs.items():
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert list(manifest) == [
+            "command", "arguments", "seed", "outputs", "version",
+            *facts.get(command, []), "duration_s",
+        ]
+        assert manifest["command"] == command
+        assert list(manifest["arguments"]) == sorted(manifest["arguments"])
+        assert "func" not in manifest["arguments"]
+        assert all((out / name).is_file() for name in manifest["outputs"])
+
+
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_numeric_failure_exit_code(pipeline, tmp_path, capsys):
     data, _ = pipeline
@@ -410,9 +480,11 @@ def _schema_edit(edit):
          "a schema needs at least one env and one behavior column"),
         (_schema_edit(lambda s: s.__setitem__("behavior_columns", [])),
          "a schema needs at least one env and one behavior column"),
+        (_schema_edit(lambda s: s.__setitem__("env_columns", "env_00")),
+         "env_columns must be a list of non-empty column names, got 'env_00'"),
     ],
     ids=["truncated", "missing-behavior-columns", "overlapping-groups", "unknown-target",
-         "no-env-columns", "no-behavior-columns"],
+         "no-env-columns", "no-behavior-columns", "string-column-list"],
 )
 def test_bad_schema_is_a_usage_error(pipeline, tmp_path, capsys, damage, message):
     data, bundle = pipeline
@@ -444,6 +516,55 @@ def test_directory_for_an_input_file_is_a_usage_error(pipeline, tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"Is a directory: {str(tmp_path)!r}" in err
     assert not (tmp_path / "o").exists()
+
+
+def _deny_open(good, path, monkeypatch):
+    """Valid trips in ``path`` whose open is refused, as for a file without read permission."""
+    path.write_bytes(good)
+    real_open = Path.open
+
+    def open_(self, *args, **kwargs):
+        if self == path:
+            raise PermissionError(errno.EACCES, "Permission denied", str(self))
+        return real_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", open_)
+
+
+def _insert_at_row_60(damage):
+    """Trips with ``damage`` written at the start of data row 60."""
+    def write(good, path, monkeypatch):
+        lines = good.splitlines(keepends=True)  # the header, then data row 1 at lines[1]
+        path.write_bytes(b"".join(lines[:60]) + damage + b"".join(lines[60:]))
+    return write
+
+
+@pytest.mark.parametrize("lenient", [[], ["--lenient"]], ids=["strict", "lenient"])
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        # the decoder reads ahead, so an invalid byte can stop the rows before its own
+        (_insert_at_row_60(b"\xff"), "not UTF-8 text (invalid start byte)"),
+        (_insert_at_row_60(b'"' + b"x" * 140_000 + b'"'),
+         "after data row 59: field larger than field limit"),
+        (_deny_open, "Permission denied"),
+    ],
+    ids=["invalid-utf8", "oversized-cell", "permission-denied"],
+)
+def test_unreadable_trips_file_is_a_usage_error(pipeline, tmp_path, capsys, monkeypatch,
+                                                damage, message, lenient):
+    data, bundle = pipeline
+    bad = tmp_path / "data.csv"
+    damage((data / "data.csv").read_bytes(), bad, monkeypatch)
+    for command, out in (
+        (["train", "--schema", str(data / "schema.json"), "--epochs", "1"], tmp_path / "b"),
+        (["rank", "--bundle", str(bundle)], tmp_path / "r"),
+    ):
+        assert run(*command, "--data", str(bad), *lenient, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and str(bad) in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 def test_surface_rejects_degenerate_resolution(pipeline, tmp_path, capsys):

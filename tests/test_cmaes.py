@@ -234,6 +234,9 @@ def test_default_population_rule():
              bounds=np.array([[0.0, 1.0], [1.0, 1.0]])),
         dict(dim=2, initial_mean=np.full(2, 5.0), initial_sigma=1.0,
              bounds=np.array([[0.0, 1.0], [0.0, 1.0]])),
+        dict(dim=2, initial_mean=np.zeros(2), initial_sigma=1.0, target_tolerance=float("nan")),
+        dict(dim=2, initial_mean=np.zeros(2), initial_sigma=1.0, target_tolerance=float("inf")),
+        dict(dim=2, initial_mean=np.zeros(2), initial_sigma=1.0, target_tolerance=-1.0),
     ],
 )
 def test_invalid_config(kwargs):

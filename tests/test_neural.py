@@ -34,7 +34,7 @@ def numeric_gradient_check(net, x, target, h=1e-5, tol=1e-4):
     coordinates checked.
     """
     def loss():
-        d = net.forward(x) - target
+        d = net.forward_batch(x[None, :])[0] - target
         return float(np.mean(d * d))
 
     base_pattern = relu_pattern(net, x)
@@ -99,21 +99,21 @@ def test_forward_zero_net():
     config = MlpConfig(3, (4, 4, 4), 2, seed=0)
     net = Mlp(config, [np.zeros((4, 3)), np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((2, 4))],
               [np.zeros(4), np.zeros(4), np.zeros(4), np.zeros(2)])
-    np.testing.assert_array_equal(net.forward(np.array([1.0, -2.0, 3.0])), np.zeros(2))
+    np.testing.assert_array_equal(net.forward_batch(np.array([[1.0, -2.0, 3.0]]))[0], np.zeros(2))
 
 
 def test_forward_hand_trace():
     net = all_ones_chain()
     # positive input passes every ReLU unchanged
-    np.testing.assert_array_equal(net.forward(np.array([2.0])), [2.0])
+    np.testing.assert_array_equal(net.forward_batch(np.array([[2.0]]))[0], [2.0])
     # negative input clamps at the first ReLU
-    np.testing.assert_array_equal(net.forward(np.array([-2.0])), [0.0])
+    np.testing.assert_array_equal(net.forward_batch(np.array([[-2.0]]))[0], [0.0])
 
 
 def test_forward_dimension_error():
     net = all_ones_chain()
     with pytest.raises(DimensionMismatch):
-        net.forward(np.zeros(2))
+        net.forward_batch(np.zeros((1, 2)))
     with pytest.raises(DimensionMismatch):
         net.forward_batch(np.zeros((3, 2)))
 
@@ -135,7 +135,7 @@ def test_gradient_all_zero_params():
 def test_gradient_at_minimum_is_zero():
     net = Mlp.init(MlpConfig(4, (6, 6, 6), 3, seed=1))
     x = np.array([0.2, -0.4, 1.1, 0.9])
-    target = net.forward(x)
+    target = net.forward_batch(x[None, :])[0]
     for dw, db in gradient(net, x, target):
         np.testing.assert_array_equal(dw, 0.0)
         np.testing.assert_array_equal(db, 0.0)

@@ -95,11 +95,15 @@ def test_interaction_term():
         dict(d_behavior=0),
         dict(skill_spacing=0.0),
         dict(noise_sigma=-0.1),
+        dict(noise_sigma=float("nan")),
+        dict(noise_sigma=float("inf")),
+        dict(skill_spacing=float("inf")),
+        dict(interaction_scale=1e308),  # finite, but the generated performance overflows
     ],
 )
 def test_invalid_config(kwargs):
     with pytest.raises(InvalidConfig):
-        SynthConfig(**kwargs)
+        generate(SynthConfig(**kwargs))
 
 
 def test_schema_is_complete():
