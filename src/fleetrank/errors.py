@@ -69,6 +69,14 @@ class NonFiniteLoss(FleetrankError):
         self.epoch = epoch
 
 
+class NonFiniteStats(FleetrankError):
+    """A column's mean or std overflowed while fitting normalization stats."""
+
+    def __init__(self, column: str):
+        super().__init__(f"non-finite mean or std in column {column!r}")
+        self.column = column
+
+
 class NonFiniteObjective(FleetrankError):
     """The objective returned NaN or infinity at some candidate point.
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_open
-from .errors import DimensionMismatch, TooFewSamples
+from .errors import DimensionMismatch, NonFiniteStats, TooFewSamples
 from .trip_data import Dataset
 
 # Columns with raw variance below this are treated as constant and get std 1,
@@ -139,14 +139,20 @@ def fit_stats(ds: Dataset) -> NormalizationStats:
 
     Dimensions whose variance falls below ``VARIANCE_TOLERANCE`` are
     recorded as degenerate and assigned std 1 so the transform stays
-    invertible and index-aligned.
+    invertible and index-aligned. Finite values near the float limit can
+    still overflow the mean or the variance; that raises ``NonFiniteStats``
+    naming the first such column.
     """
     x = ds.values
     n = x.shape[0]
     if n < 2:
         raise TooFewSamples(f"need at least 2 samples to fit stats, got {n}")
-    mean = x.mean(axis=0)
-    var = x.var(axis=0, ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean(axis=0)
+        var = x.var(axis=0, ddof=1)
+    finite = np.isfinite(var)  # an overflowed mean makes the variance overflow too
+    if not finite.all():
+        raise NonFiniteStats(ds.schema.numeric_columns[int(np.argmin(finite))])
     degenerate = frozenset(int(d) for d in np.flatnonzero(var < VARIANCE_TOLERANCE))
     std = np.sqrt(var)
     if degenerate:

@@ -15,6 +15,7 @@ import json
 import logging
 import math
 import operator
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -310,11 +311,110 @@ def load_dataset(path: str | Path, schema: DatasetSchema, lenient: bool = False)
     are not UTF-8, or a cell past the csv module's field limit, raise
     ``UnreadableFile`` naming the last data row read, in either mode.
 
+    A file is read by one of two tiers that give the same bits. The
+    whole-file tier reads it with numpy's C text reader. It serves a file
+    that holds no ``"``, NUL or 0x1C-0x1F byte and no line as long as the
+    csv module's field limit, whose header is UTF-8 and names every column,
+    and whose rows the C reader accepts, with at least one row, every value
+    finite and every driver id non-empty. Any other file goes to the
+    chunked csv tier, which parses every cell as Python's ``float()`` does
+    and reports the errors and skipped rows above. The trip id check runs
+    on either tier's rows.
+    """
+    path = Path(path)
+    values, trip_ids, drivers, skipped = (
+        _read_plain(path, schema) or _read_csv(path, schema, lenient)
+    )
+    if len(set(trip_ids)) != len(trip_ids):
+        keep = _first_occurrences(trip_ids, lenient)
+        skipped += len(trip_ids) - len(keep)
+        values = values[keep]
+        trip_ids = [trip_ids[i] for i in keep]
+        drivers = [drivers[i] for i in keep]
+    if skipped:
+        log.warning("skipped %d unparsable or repeated rows while loading %s", skipped, path)
+    return Dataset.from_rows(schema, trip_ids, drivers, values, skipped)
+
+
+# Bytes that send a file to the csv tier: a quote, which the csv module reads
+# as quoting and numpy as text; NUL, which Python 3.10's csv module rejects;
+# and the separators 0x1C-0x1F, which numpy strips around a number as
+# whitespace and ``float()`` does not.
+UNPLAIN_BYTES = (b'"', b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _read_plain(path: Path, schema: DatasetSchema):
+    """The whole-file tier: ``(values, trip_ids, drivers, 0)``, or None for the csv tier.
+
+    In a file free of ``UNPLAIN_BYTES``, numpy's float converter accepts a
+    subset of what ``float()`` accepts (no ``_`` separators, ASCII digits
+    only) and gives the same double for it, so a cell it reads has the bits
+    the csv tier would give.
+    """
+    if not _plain_bytes(path, csv.field_size_limit()):
+        return None
+    try:
+        with path.open("r", newline="", encoding="utf-8") as handle:
+            header = next(csv.reader(handle), [])
+    except (UnicodeDecodeError, csv.Error):
+        return None
+    position = {name: i for i, name in enumerate(header)}
+    needed = (*schema.numeric_columns, schema.trip_id_column, schema.driver_id_column)
+    if not all(name in position for name in needed):
+        return None
+
+    def read(dtype, names):
+        # an open handle, so that numpy does not decompress a path ending in .gz
+        with path.open("r", encoding="utf-8") as handle:
+            return np.loadtxt(
+                handle, dtype=dtype, delimiter=",", comments=None, skiprows=1, ndmin=2,
+                usecols=[position[name] for name in names],
+            )
+
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a file with no data rows
+            values = read(float, schema.numeric_columns)
+            if not len(values) or not np.isfinite(values).all():
+                return None
+            ids = read(object, (schema.trip_id_column, schema.driver_id_column))
+    except ValueError:  # a cell or row the C reader rejects, or bytes that are not UTF-8
+        return None
+    trip_ids, drivers = ids[:, 0].tolist(), ids[:, 1].tolist()
+    if not all(drivers):
+        return None
+    return values, trip_ids, drivers, 0
+
+
+def _plain_bytes(path: Path, limit: int) -> bool:
+    """Whether the file holds none of ``UNPLAIN_BYTES`` and no line of ``limit`` bytes or more.
+
+    A line ends at ``\\n`` or ``\\r``, as it does for the csv module; a field
+    never holds more characters than its line holds bytes.
+    """
+    line = 0  # bytes of the line that runs on into the next block
+    with path.open("rb") as handle:
+        for block in iter(lambda: handle.read(1 << 20), b""):
+            if any(byte in block for byte in UNPLAIN_BYTES):
+                return False
+            codes = np.frombuffer(block, dtype=np.uint8)
+            ends = np.flatnonzero((codes == ord("\n")) | (codes == ord("\r")))
+            if not len(ends):
+                line += len(block)
+                continue
+            if max(line + ends[0], int(np.diff(ends).max(initial=1)) - 1) >= limit:
+                return False
+            line = len(block) - 1 - int(ends[-1])
+    return line < limit
+
+
+def _read_csv(path: Path, schema: DatasetSchema, lenient: bool):
+    """The chunked csv tier: ``(values, trip_ids, drivers, skipped)``.
+
     Numeric cells are converted a chunk of rows at a time; only a chunk
     that fails to convert, or holds a non-finite value or an empty driver
     id, is parsed again cell by cell to find or skip the bad rows.
     """
-    path = Path(path)
     columns = schema.numeric_columns
     blocks: list[np.ndarray] = []
     trip_ids: list[str] = []
@@ -359,16 +459,7 @@ def load_dataset(path: str | Path, schema: DatasetSchema, lenient: bool = False)
         raise UnreadableFile(f"{path}: after data row {rows_read}: {exc}") from None
     if not trip_ids:
         raise EmptyDataset(f"no valid rows in {path}")
-    values = np.concatenate(blocks)
-    if len(set(trip_ids)) != len(trip_ids):
-        keep = _first_occurrences(trip_ids, lenient)
-        skipped += len(trip_ids) - len(keep)
-        values = values[keep]
-        trip_ids = [trip_ids[i] for i in keep]
-        drivers = [drivers[i] for i in keep]
-    if skipped:
-        log.warning("skipped %d unparsable or repeated rows while loading %s", skipped, path)
-    return Dataset.from_rows(schema, trip_ids, drivers, values, skipped)
+    return np.concatenate(blocks), trip_ids, drivers, skipped
 
 
 def _first_occurrences(trip_ids: list[str], lenient: bool) -> list[int]:

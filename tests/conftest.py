@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from fleetrank.trip_data import Dataset, DatasetSchema
+
+# More examples for the property tests CI runs apart: --hypothesis-profile ci.
+# A test's own max_examples still wins over the profile's.
+settings.register_profile("ci", max_examples=500)
 
 
 def spearman(x, y) -> float:

@@ -364,7 +364,7 @@ USAGE_ERROR_TYPES = {
     "UnknownDriver", "TooFewSamples", "DimensionMismatch", "InvalidConfig", "CorruptBundle",
     "EmptyProfiles", "UnknownDimension", "UnreadableFile",
 }
-RUNTIME_ERROR_TYPES = {"FleetrankError", "NonFiniteLoss", "NonFiniteObjective"}
+RUNTIME_ERROR_TYPES = {"FleetrankError", "NonFiniteLoss", "NonFiniteObjective", "NonFiniteStats"}
 PATH_ERROR_TYPES = [FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError]
 ERROR_TYPES = [
     cls for _, cls in inspect.getmembers(errors, inspect.isclass)
@@ -433,6 +433,21 @@ def test_numeric_failure_exit_code(pipeline, tmp_path, capsys):
                "--hidden", "8,8,8", "--out", str(tmp_path / "b"))
     assert code == 1
     assert "non-finite loss" in capsys.readouterr().err
+
+
+def test_overflowing_stats_fail_train(tmp_path, capsys):
+    # finite trips whose variance overflows: train used to write Infinity stds and exit 0
+    data, bundle = tmp_path / "d", tmp_path / "b"
+    assert run("synth", "--drivers", "3", "--trips", "50", "--noise", "1e300",
+               "--out", str(data)) == 0
+    capsys.readouterr()
+    with np.errstate(all="raise"):  # a numpy warning would reach stderr
+        code = run("train", "--data", str(data / "data.csv"), "--schema",
+                   str(data / "schema.json"), "--epochs", "2", "--hidden", "4,4,4",
+                   "--out", str(bundle))
+    assert code == 1
+    assert capsys.readouterr().err == "error: non-finite mean or std in column 'total_mpg'\n"
+    assert not bundle.exists()
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fleetrank.errors import DimensionMismatch, TooFewSamples
+from fleetrank.errors import DimensionMismatch, NonFiniteStats, TooFewSamples
 from fleetrank.normalization import NormalizationStats, fit_stats
 from fleetrank.synth import SynthConfig, generate
 from tests.conftest import make_dataset
@@ -68,6 +68,13 @@ def test_denormalize_inverse():
 def test_too_few_samples():
     with pytest.raises(TooFewSamples):
         fit_stats(one_dim_dataset([1.0]))
+
+
+@pytest.mark.parametrize("values", [[1e308, -1e308], [1e308, 1e308]], ids=["std", "mean"])
+def test_overflowing_stats_raise(values):
+    with np.errstate(all="raise"):  # any numpy warning fails the test
+        with pytest.raises(NonFiniteStats, match="non-finite mean or std in column 'e0'"):
+            fit_stats(one_dim_dataset(values))
 
 
 def test_dimension_mismatch():
