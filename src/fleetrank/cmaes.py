@@ -135,10 +135,8 @@ def minimize(objective, config: CmaesConfig) -> CmaesResult:
     restarts_left = config.restarts
     lam = config.population if config.population is not None else default_population(n)
     start_mean = config.initial_mean
-    termination = "max_generations"
 
-    running = True
-    while running:
+    while True:
         par = _StrategyParams(n, lam)
         mean = start_mean.copy()
         sigma = config.initial_sigma
@@ -147,24 +145,15 @@ def minimize(objective, config: CmaesConfig) -> CmaesResult:
         pc = np.zeros(n)
         run_gen = 0
 
-        while True:
-            if generations >= config.max_generations:
-                termination = "max_generations"
-                running = False
-                break
+        termination = "max_generations"
+        while generations < config.max_generations:
             run_gen += 1
 
             cov = (cov + cov.T) / 2
             eigvals, eigvecs = np.linalg.eigh(cov)
             eigvals = np.maximum(eigvals, 1e-30)
             if eigvals.max() / eigvals.min() > CONDITION_LIMIT:
-                if restarts_left > 0:
-                    restarts_left -= 1
-                    lam *= 2
-                    start_mean = best_x if best_x is not None else mean
-                    break
                 termination = "condition"
-                running = False
                 break
             scales = np.sqrt(eigvals)
 
@@ -226,16 +215,15 @@ def minimize(objective, config: CmaesConfig) -> CmaesResult:
             if run_gen > STAGNATION_WINDOW:
                 improvement = history[-1 - STAGNATION_WINDOW] - history[-1]
                 if improvement < config.target_tolerance:
-                    if restarts_left > 0:
-                        restarts_left -= 1
-                        lam *= 2
-                        start_mean = best_x if best_x is not None else mean
-                        break
                     termination = "stagnation"
-                    running = False
                     break
 
-    return _result(best_x, best_f, generations, history, termination, config)
+        # a degenerate covariance or a stagnant run restarts with a doubled population
+        if termination == "max_generations" or restarts_left == 0:
+            return _result(best_x, best_f, generations, history, termination, config)
+        restarts_left -= 1
+        lam *= 2
+        start_mean = best_x if best_x is not None else mean
 
 
 def _result(best_x, best_f, generations, history, termination, config) -> CmaesResult:

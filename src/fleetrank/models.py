@@ -264,8 +264,10 @@ def load_bundle(directory: str | Path) -> tuple[AdvantageModel, DatasetSchema, d
     ``meta.json`` written by another tool version, a missing or ill-typed
     entry, a non-finite weight, bias, statistic or box bound, a net whose
     input width does not fit its file's role (``baseline.json`` and
-    ``behavior.json`` swapped), or statistics whose fingerprint differs
-    from the one recorded in ``meta.json``.
+    ``behavior.json`` swapped), statistics whose fingerprint differs
+    from the one recorded in ``meta.json``, or a schema in ``meta.json``
+    whose block widths differ from the statistics' or whose target metric
+    is not at ``metric_index``.
     """
     directory = Path(directory)
     meta_path = directory / "meta.json"
@@ -293,6 +295,18 @@ def load_bundle(directory: str | Path) -> tuple[AdvantageModel, DatasetSchema, d
             raise ValueError("stats_fingerprint does not match stats.json")
         if type(meta["metric_index"]) is not int:  # bool is an int subclass
             raise TypeError(f"metric_index must be an integer, got {meta['metric_index']!r}")
+        schema = DatasetSchema.from_dict(meta["schema"])
+        widths = (schema.d_env, schema.d_behavior, schema.d_performance)
+        stats_widths = (stats.d_env, stats.d_behavior, stats.d_performance)
+        if widths != stats_widths:
+            raise ValueError(
+                f"schema block widths {widths} do not match stats.json's {stats_widths}"
+            )
+        if schema.metric_index != meta["metric_index"]:
+            raise ValueError(
+                f"metric_index {meta['metric_index']} does not match the schema's "
+                f"target metric {schema.target_metric!r} at index {schema.metric_index}"
+            )
         box = meta["behavior_box"]
         if box is not None:
             box = np.array(box, dtype=float)
@@ -303,7 +317,6 @@ def load_bundle(directory: str | Path) -> tuple[AdvantageModel, DatasetSchema, d
             metric_index=meta["metric_index"],
             behavior_box=box,
         )
-        schema = DatasetSchema.from_dict(meta["schema"])
     return model, schema, meta
 
 

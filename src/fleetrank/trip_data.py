@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import itertools
 import json
 import logging
 import math
-import operator
 import warnings
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -254,17 +253,6 @@ def group_offsets(codes: np.ndarray, n_groups: int) -> np.ndarray:
     return offsets
 
 
-# Cells converted per numpy call. Bounding cells rather than rows keeps the
-# parsed strings held at once small for wide files too. A chunk holding a bad
-# row is parsed again cell by cell, so each bad row costs at most one chunk.
-CHUNK_CELLS = 1 << 14
-
-
-def chunk_rows(width: int) -> int:
-    """Rows per chunk for a file whose header has ``width`` columns."""
-    return max(1, CHUNK_CELLS // max(width, 1))
-
-
 def _parse_cell(raw: str | None, row: int, column: str) -> float:
     try:
         value = float(raw)
@@ -273,27 +261,6 @@ def _parse_cell(raw: str | None, row: int, column: str) -> float:
     if not math.isfinite(value):
         raise BadValue(row, column, raw)
     return value
-
-
-def _row_chunks(reader, size: int):
-    """Data rows in chunks of up to ``size``, blank lines dropped.
-
-    Blank lines are neither returned nor numbered. A read error is raised
-    only after the rows read before it have been handed out, so a bad value
-    on an earlier row is still the error a strict load reports.
-    """
-    rows = filter(None, reader)
-    while True:
-        chunk: list[list[str]] = []
-        try:
-            chunk.extend(itertools.islice(rows, size))  # keeps the rows read before an error
-        except (csv.Error, ValueError, OSError):
-            if chunk:
-                yield chunk
-            raise
-        if not chunk:
-            return
-        yield chunk
 
 
 def load_dataset(path: str | Path, schema: DatasetSchema, lenient: bool = False) -> Dataset:
@@ -316,10 +283,10 @@ def load_dataset(path: str | Path, schema: DatasetSchema, lenient: bool = False)
     that holds no ``"``, NUL or 0x1C-0x1F byte and no line as long as the
     csv module's field limit, whose header is UTF-8 and names every column,
     and whose rows the C reader accepts, with at least one row, every value
-    finite and every driver id non-empty. Any other file goes to the
-    chunked csv tier, which parses every cell as Python's ``float()`` does
-    and reports the errors and skipped rows above. The trip id check runs
-    on either tier's rows.
+    finite and every driver id non-empty. Any other file goes to the csv
+    tier, which parses it row by row, every cell as Python's ``float()``
+    does, and reports the errors and skipped rows above. The trip id check
+    runs on either tier's rows.
     """
     path = Path(path)
     values, trip_ids, drivers, skipped = (
@@ -409,57 +376,57 @@ def _plain_bytes(path: Path, limit: int) -> bool:
 
 
 def _read_csv(path: Path, schema: DatasetSchema, lenient: bool):
-    """The chunked csv tier: ``(values, trip_ids, drivers, skipped)``.
+    """The csv tier: ``(values, trip_ids, drivers, skipped)``, parsed row by row.
 
-    Numeric cells are converted a chunk of rows at a time; only a chunk
-    that fails to convert, or holds a non-finite value or an empty driver
-    id, is parsed again cell by cell to find or skip the bad rows.
+    Each row's numeric cells are parsed in stored column order, then its
+    driver id is checked; the first bad one raises (strict) or skips the
+    row (lenient). Values collect in an ``array("d")``, 8 bytes a cell.
     """
     columns = schema.numeric_columns
-    blocks: list[np.ndarray] = []
+    values = array("d")
     trip_ids: list[str] = []
     drivers: list[str] = []
     skipped = 0
-    rows_read = 0
+    row_num = 0
     try:
         with path.open("r", newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
             header = next(reader, [])
+            width = len(header)
             # a repeated header name reads its last column
             position = {name: i for i, name in enumerate(header)}
             for name in (*columns, schema.trip_id_column, schema.driver_id_column):
                 if name not in position:
                     raise MissingColumn(name)
             fields = [(name, position[name]) for name in columns]
-            numeric = operator.itemgetter(*(pos for _, pos in fields))
-            trip_of = operator.itemgetter(position[schema.trip_id_column])
-            driver_of = operator.itemgetter(position[schema.driver_id_column])
-            for chunk in _row_chunks(reader, chunk_rows(len(header))):
-                first_row = rows_read + 1
-                rows_read += len(chunk)
+            trip_pos = position[schema.trip_id_column]
+            driver_pos = position[schema.driver_id_column]
+            for row in filter(None, reader):  # blank lines are neither kept nor numbered
+                row_num += 1
+                if len(row) < width:  # a short row's missing cells read as None
+                    row += [None] * (width - len(row))
                 try:
-                    block = np.array(list(map(numeric, chunk)), dtype=float)
-                    chunk_trips = list(map(trip_of, chunk))
-                    chunk_drivers = list(map(driver_of, chunk))
-                except (IndexError, ValueError):
-                    block = None
-                if block is None or not np.isfinite(block).all() or not all(chunk_drivers):
-                    block, chunk_trips, chunk_drivers = _parse_rows(
-                        chunk, first_row, len(header), fields, position, schema, lenient
-                    )
-                    skipped += len(chunk) - len(chunk_trips)
-                blocks.append(block.reshape(len(chunk_trips), len(columns)))
-                trip_ids += chunk_trips
-                drivers += chunk_drivers
+                    parsed = [_parse_cell(row[pos], row_num, name) for name, pos in fields]
+                    driver_id = row[driver_pos]
+                    if not driver_id:
+                        raise BadValue(row_num, schema.driver_id_column, driver_id)
+                except BadValue:
+                    if lenient:
+                        skipped += 1
+                        continue
+                    raise
+                values.extend(parsed)
+                trip_ids.append(row[trip_pos] or "")
+                drivers.append(driver_id)
     except UnicodeDecodeError as exc:
         # the position in ``exc`` counts from a decoder buffer, not from the file
         reason = f"not UTF-8 text ({exc.reason})"
-        raise UnreadableFile(f"{path}: after data row {rows_read}: {reason}") from None
+        raise UnreadableFile(f"{path}: after data row {row_num}: {reason}") from None
     except csv.Error as exc:
-        raise UnreadableFile(f"{path}: after data row {rows_read}: {exc}") from None
+        raise UnreadableFile(f"{path}: after data row {row_num}: {exc}") from None
     if not trip_ids:
         raise EmptyDataset(f"no valid rows in {path}")
-    return np.concatenate(blocks), trip_ids, drivers, skipped
+    return np.frombuffer(values).reshape(len(trip_ids), len(columns)), trip_ids, drivers, skipped
 
 
 def _first_occurrences(trip_ids: list[str], lenient: bool) -> list[int]:
@@ -475,32 +442,6 @@ def _first_occurrences(trip_ids: list[str], lenient: bool) -> list[int]:
         seen.add(trip_id)
         keep.append(i)
     return keep
-
-
-def _parse_rows(rows, first_row, width, fields, position, schema, lenient):
-    """Cell-by-cell parse of rows that failed the chunked conversion.
-
-    Checks cells in stored column order, then the driver id, and raises
-    (strict) or skips the row (lenient) at the first bad one.
-    """
-    trip_pos = position[schema.trip_id_column]
-    driver_pos = position[schema.driver_id_column]
-    values, trips, drivers = [], [], []
-    for row_num, row in enumerate(rows, start=first_row):
-        cells = row + [None] * (width - len(row))  # a short row's missing cells read as None
-        try:
-            parsed = [_parse_cell(cells[pos], row_num, name) for name, pos in fields]
-            driver_id = cells[driver_pos]
-            if not driver_id:
-                raise BadValue(row_num, schema.driver_id_column, driver_id)
-        except BadValue:
-            if lenient:
-                continue
-            raise
-        values.append(parsed)
-        trips.append(cells[trip_pos] or "")
-        drivers.append(driver_id)
-    return np.array(values, dtype=float), trips, drivers
 
 
 def file_sha256(path: str | Path) -> str:

@@ -642,6 +642,12 @@ def _swap(first, second):
     second.write_bytes(first_bytes)
 
 
+def _widen_schema(bundle):
+    """Two behavior columns in meta.json's schema that stats.json and the nets lack."""
+    _edit_json(bundle / "meta.json",
+               lambda m: m["schema"]["behavior_columns"].extend(["beh_06", "beh_07"]))
+
+
 @pytest.mark.parametrize(
     "damage, message",
     [
@@ -676,11 +682,15 @@ def _swap(first, second):
          "meta.json: expected a JSON object, got list"),
         (lambda b: _swap(b / "baseline.json", b / "behavior.json"),
          "baseline.json: baseline net has input width 14; a baseline net reads env only"),
+        (_widen_schema,
+         "meta.json: schema block widths (8, 8, 2) do not match stats.json's (8, 6, 2)"),
+        (lambda b: _edit_json(b / "meta.json", lambda m: m.__setitem__("metric_index", 1)),
+         "meta.json: metric_index 1 does not match the schema's target metric 'total_mpg' at index 0"),
     ],
     ids=["truncated-meta", "undecodable-stats", "missing-meta-key", "missing-net-key",
          "float-metric-index", "bool-metric-index", "nan-weight", "inf-bias", "nan-stats", "inf-box", "fingerprint-mismatch",
          "other-version", "missing-version", "non-string-version", "meta-not-an-object",
-         "swapped-nets"],
+         "swapped-nets", "widened-schema", "moved-metric-index"],
 )
 def test_rank_rejects_corrupt_bundle(pipeline, tmp_path, capsys, damage, message):
     data, bundle = pipeline
@@ -693,6 +703,24 @@ def test_rank_rejects_corrupt_bundle(pipeline, tmp_path, capsys, damage, message
     assert code == 2
     err = capsys.readouterr().err
     assert "corrupt bundle file" in err and message in err
+    assert not out.exists()
+
+
+def test_surface_rejects_widened_schema(pipeline, tmp_path, capsys):
+    _, bundle = pipeline
+    broken = tmp_path / "bundle"
+    shutil.copytree(bundle, broken)
+    _widen_schema(broken)
+    (tmp_path / "env.json").write_text(json.dumps([0.0] * 8))
+    (tmp_path / "a0.json").write_text(json.dumps([0.0] * 6))
+    out = tmp_path / "surf"
+    code = run("surface", "--bundle", str(broken), "--env", str(tmp_path / "env.json"),
+               "--template", str(tmp_path / "a0.json"), "--free", "beh_06,beh_07",
+               "--normalized", "--out", str(out))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "corrupt bundle file" in err and "schema block widths" in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 

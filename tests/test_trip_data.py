@@ -3,18 +3,24 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fleetrank.errors import BadValue, DuplicateTripId, EmptyDataset, MissingColumn, UnknownDriver
+from fleetrank.errors import (
+    BadValue,
+    DuplicateTripId,
+    EmptyDataset,
+    MissingColumn,
+    UnknownDriver,
+    UnreadableFile,
+)
 from fleetrank.synth import SynthConfig, generate
 from fleetrank.trip_data import (
     Dataset,
     DatasetSchema,
-    chunk_rows,
     load_dataset,
     save_dataset,
 )
 
 HEADER = "trip_id,driver_id,grade,load,overspeed,overrpm,total_mpg,fuel\n"
-CHUNK = chunk_rows(8)  # rows per chunk of the simple schema's 8 columns
+CHUNK = 2048  # the tests below put bad and repeated rows on both sides of this row
 
 
 def write_trips(path, n_rows, bad=None, ids=None):
@@ -223,6 +229,19 @@ def test_lenient_skips_bad_rows_in_two_chunks(tmp_path, simple_schema):
     assert ds.n_drivers == 3
 
 
+def test_bad_value_before_unreadable_row(tmp_path, simple_schema):
+    # a bad cell on row 10, then a quoted cell past the csv field limit opening row 60
+    path = write_trips(tmp_path / "late.csv", 100, bad={10: "x1"})
+    lines = path.read_bytes().splitlines(keepends=True)  # data row i is lines[i]
+    lines[60] = b'"' + b"x" * 140_000 + b'"' + lines[60]
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(BadValue) as err:  # a strict load stops at the earlier row
+        load_dataset(path, simple_schema)
+    assert (err.value.row, err.value.column, err.value.value) == (10, "grade", "x1")
+    with pytest.raises(UnreadableFile, match="after data row 59: field larger than field limit"):
+        load_dataset(path, simple_schema, lenient=True)
+
+
 def test_blank_lines_and_short_rows(tmp_path, simple_schema):
     path = tmp_path / "ragged.csv"
     path.write_text(
@@ -242,7 +261,7 @@ def test_blank_lines_and_short_rows(tmp_path, simple_schema):
 
 
 def test_repeated_trip_id_strict(tmp_path, simple_schema):
-    # row CHUNK + 1 opens the second chunk and repeats the last id of the first
+    # row CHUNK + 1 repeats the id of row CHUNK
     ids = {CHUNK + 1: f"t{CHUNK}", CHUNK + 9: "t2"}
     path = write_trips(tmp_path / "dup.csv", 2 * CHUNK, ids=ids)
     with pytest.raises(DuplicateTripId) as err:
@@ -252,7 +271,7 @@ def test_repeated_trip_id_strict(tmp_path, simple_schema):
 
 
 def test_repeated_trip_id_lenient_keeps_first_valid_row(tmp_path, simple_schema):
-    # row 2 ("t2") is unparsable, so the first valid "t2" is row CHUNK + 9 of the second chunk
+    # row 2 ("t2") is unparsable, so the first valid "t2" is row CHUNK + 9
     n = 2 * CHUNK + 5
     ids = {CHUNK + 1: f"t{CHUNK}", CHUNK + 9: "t2", 2 * CHUNK + 2: "t2", 2 * CHUNK + 3: "t1"}
     path = write_trips(tmp_path / "dup.csv", n, bad={2: "nan"}, ids=ids)
@@ -272,7 +291,7 @@ def test_repeated_trip_id_lenient_keeps_first_valid_row(tmp_path, simple_schema)
     extra_rows=st.integers(min_value=1, max_value=50),
 )
 def test_roundtrip_bitwise_property(tmp_path_factory, simple_schema, cells, extra_rows):
-    n = CHUNK + extra_rows  # crosses a chunk boundary
+    n = CHUNK + extra_rows
     values = np.resize(np.array(cells, dtype=float), n * 6).reshape(n, 6)
     drivers = [f"d{i % 5}" for i in range(n)]
     ds = Dataset.from_rows(simple_schema, [f"t{i}" for i in range(n)], drivers, values)
