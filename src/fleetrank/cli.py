@@ -5,7 +5,7 @@ returns the files it wrote and its command-specific facts, and ``main``
 writes them to a manifest next to the artifacts, so any output can be
 reproduced from the manifest alone. Exit codes: 0 success, 1 runtime or
 numeric failure, 2 usage or configuration error, decided by the error's
-type (see ``errors``).
+type (see ``errors``). Running out of memory is a runtime failure.
 """
 
 from __future__ import annotations
@@ -302,14 +302,17 @@ def cmd_surface(args: argparse.Namespace) -> tuple[list[str], dict]:
     out.mkdir(parents=True, exist_ok=True)
     name_i = schema.behavior_columns[i]
     name_j = schema.behavior_columns[j]
+    # A float's repr holds no comma, quote or line end, so the csv module would
+    # write these cells as they are. Each coordinate is formatted once, and the
+    # lines of one grid row go out in one write.
+    text_i = [repr(x) for x in grid_i.tolist()]
+    text_j = [repr(x) for x in grid_j.tolist()]
     with atomic_open(out / "surface.csv") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([name_i, name_j, "advantage"])
-        writer.writerows(
-            [repr(x_i), repr(x_j), repr(value)]
-            for x_i, x_j, value in zip(candidates[:, i].tolist(), candidates[:, j].tolist(),
-                                       values.tolist())
-        )
+        csv.writer(handle).writerow([name_i, name_j, "advantage"])
+        for x_i, line in zip(text_i, values.reshape(args.resolution, -1).tolist()):
+            handle.write("".join(
+                f"{x_i},{x_j},{value!r}\r\n" for x_j, value in zip(text_j, line)
+            ))
     print(f"wrote {args.resolution * args.resolution} grid points to {out / 'surface.csv'}")
     return ["surface.csv"], {}
 
@@ -406,6 +409,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except FleetrankError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     _write_manifest(args, outputs, facts, started)
     return 0

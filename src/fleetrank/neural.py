@@ -6,6 +6,11 @@ the Adam update rule on mean squared error, applied to all parameters
 as one flat vector (see :func:`train`). There is deliberately no
 regularization or early stopping: these networks act as conditional
 averagers, and fitting the training set closely is the point.
+
+Inference (:meth:`Mlp.forward_batch`) evaluates a batch of more than
+``BLOCK_ROWS`` rows in consecutive blocks of at least ``BLOCK_ROWS`` rows
+each, through buffers reused from block to block, so its memory does not
+grow with the batch beyond the input and the result.
 """
 
 from __future__ import annotations
@@ -22,6 +27,13 @@ from .errors import DimensionMismatch, NonFiniteLoss
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# Rows per block of a long forward pass. OpenBLAS picks its GEMM kernel by
+# the product's size, and a kernel change can change how a row rounds: with
+# 64-wide layers a block of 600 rows or fewer rounds the output layer
+# differently from one product over all rows, while blocks of 1,024 rows and
+# more gave the unblocked bits. 2,048 also covers a 1-column output layer.
+BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -94,18 +106,41 @@ class Mlp:
         return Mlp(self.config, [w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
     def forward_batch(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate a batch of rows; returns (n, output_dim)."""
+        """Evaluate a batch of rows; returns (n, output_dim).
+
+        A batch of more than ``BLOCK_ROWS`` rows runs in blocks of
+        ``BLOCK_ROWS`` rows, the last one taking the remainder, through three
+        hidden-layer buffers allocated once per call; each block's output
+        goes straight into the result. A shorter batch runs as one product
+        per layer.
+        """
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.config.input_dim:
             raise DimensionMismatch(
                 f"expected (n, {self.config.input_dim}) inputs, got shape {x.shape}"
             )
-        h = x
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = h @ w.T
-            h += b
-            np.maximum(0.0, h, out=h)
-        return h @ self.weights[-1].T + self.biases[-1]
+        n = len(x)
+        if n <= BLOCK_ROWS:
+            h = x
+            for w, b in zip(self.weights[:-1], self.biases[:-1]):
+                h = h @ w.T
+                h += b
+                np.maximum(0.0, h, out=h)
+            return h @ self.weights[-1].T + self.biases[-1]
+        # the last block takes the remainder, so that no block is shorter than BLOCK_ROWS
+        edges = [k * BLOCK_ROWS for k in range(n // BLOCK_ROWS)] + [n]
+        rows = BLOCK_ROWS + n % BLOCK_ROWS
+        hidden = [np.empty((rows, width)) for width in self.config.hidden_widths]
+        out = np.empty((n, self.config.output_dim))
+        for start, stop in zip(edges[:-1], edges[1:]):
+            h = x[start:stop]
+            for buffer, w, b in zip(hidden, self.weights, self.biases):
+                h = np.matmul(h, w.T, out=buffer[: stop - start])
+                h += b
+                np.maximum(0.0, h, out=h)
+            block = np.matmul(h, self.weights[-1].T, out=out[start:stop])
+            block += self.biases[-1]
+        return out
 
     def _backprop_batch(self, x: np.ndarray, targets: np.ndarray, work: _Workspace) -> float:
         """MSE loss (mean over batch and output dims); its gradient goes into ``work.grad``.

@@ -313,10 +313,12 @@ UNPLAIN_BYTES = (b'"', b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 def _read_plain(path: Path, schema: DatasetSchema):
     """The whole-file tier: ``(values, trip_ids, drivers, 0)``, or None for the csv tier.
 
-    In a file free of ``UNPLAIN_BYTES``, numpy's float converter accepts a
-    subset of what ``float()`` accepts (no ``_`` separators, ASCII digits
-    only) and gives the same double for it, so a cell it reads has the bits
-    the csv tier would give.
+    One ``np.loadtxt`` pass reads each row into a record of the trip id,
+    the driver id and the numeric columns in schema order. In a file free
+    of ``UNPLAIN_BYTES``, numpy's float converter accepts a subset of what
+    ``float()`` accepts (no ``_`` separators, ASCII digits only) and gives
+    the same double for it, so a cell it reads has the bits the csv tier
+    would give.
     """
     if not _plain_bytes(path, csv.field_size_limit()):
         return None
@@ -326,28 +328,28 @@ def _read_plain(path: Path, schema: DatasetSchema):
     except (UnicodeDecodeError, csv.Error):
         return None
     position = {name: i for i, name in enumerate(header)}
-    needed = (*schema.numeric_columns, schema.trip_id_column, schema.driver_id_column)
+    needed = (schema.trip_id_column, schema.driver_id_column, *schema.numeric_columns)
     if not all(name in position for name in needed):
         return None
 
-    def read(dtype, names):
-        # an open handle, so that numpy does not decompress a path ending in .gz
-        with path.open("r", encoding="utf-8") as handle:
-            return np.loadtxt(
-                handle, dtype=dtype, delimiter=",", comments=None, skiprows=1, ndmin=2,
-                usecols=[position[name] for name in names],
-            )
-
+    row = np.dtype([
+        ("trip", object), ("driver", object), ("values", float, (len(schema.numeric_columns),)),
+    ])
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # a file with no data rows
-            values = read(float, schema.numeric_columns)
-            if not len(values) or not np.isfinite(values).all():
-                return None
-            ids = read(object, (schema.trip_id_column, schema.driver_id_column))
+            # an open handle, so that numpy does not decompress a path ending in .gz
+            with path.open("r", encoding="utf-8") as handle:
+                rows = np.loadtxt(
+                    handle, dtype=row, delimiter=",", comments=None, skiprows=1, ndmin=1,
+                    usecols=[position[name] for name in needed],
+                )
     except ValueError:  # a cell or row the C reader rejects, or bytes that are not UTF-8
         return None
-    trip_ids, drivers = ids[:, 0].tolist(), ids[:, 1].tolist()
+    values = np.ascontiguousarray(rows["values"])
+    if not len(values) or not np.isfinite(values).all():
+        return None
+    trip_ids, drivers = rows["trip"].tolist(), rows["driver"].tolist()
     if not all(drivers):
         return None
     return values, trip_ids, drivers, 0

@@ -2,6 +2,7 @@ import csv
 import errno
 import hashlib
 import inspect
+import io
 import json
 import math
 import os
@@ -18,6 +19,7 @@ from fleetrank import assessment, cli, errors
 from fleetrank.atomic import atomic_open
 from fleetrank.cli import build_parser, main
 from fleetrank.models import TOOL_VERSION, load_bundle
+from fleetrank.neural import BLOCK_ROWS
 from fleetrank.placement import PROFILES_FILE, build_profiles, load_profiles
 from fleetrank.synth import SynthConfig, generate
 from fleetrank.trip_data import load_dataset
@@ -264,6 +266,32 @@ def test_surface_grid(pipeline, tmp_path):
     values = model.advantage_normalized(np.zeros(8), candidates)
     assert rows[1:] == [[repr(float(x_i)), repr(float(x_j)), repr(float(value))]
                         for x_i, x_j, value in zip(candidates[:, 0], candidates[:, 1], values)]
+
+
+def test_surface_bytes_are_the_csv_rendering(pipeline, tmp_path):
+    # 50 x 50 points is more than one block of the behavior net's forward pass
+    data, bundle = pipeline
+    env = tmp_path / "env.json"
+    env.write_text(json.dumps([0.3, -0.2, 0.0, 0.1, 0.5, -0.4, 0.2, 0.0]))
+    template = tmp_path / "a0.json"
+    template.write_text(json.dumps([0.1, 0.0, -0.3, 0.2, 0.0, 0.4]))
+    out = tmp_path / "surf"
+    assert run("surface", "--bundle", str(bundle), "--env", str(env),
+               "--template", str(template), "--free", "beh_03,beh_01",
+               "--resolution", "50", "--normalized", "--out", str(out)) == 0
+    model, _, _ = load_bundle(bundle)
+    box = model.behavior_box
+    grid_i = np.linspace(box[3, 0], box[3, 1], 50)
+    grid_j = np.linspace(box[1, 0], box[1, 1], 50)
+    candidates = np.tile([0.1, 0.0, -0.3, 0.2, 0.0, 0.4], (50 * 50, 1))
+    candidates[:, 3] = np.repeat(grid_i, 50)
+    candidates[:, 1] = np.tile(grid_j, 50)
+    values = model.advantage_normalized(np.array(json.loads(env.read_text())), candidates)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["beh_03", "beh_01", "advantage"])
+    writer.writerows(zip(candidates[:, 3].tolist(), candidates[:, 1].tolist(), values.tolist()))
+    assert (out / "surface.csv").read_bytes() == expected.getvalue().encode("utf-8")
 
 
 def test_surface_matches_constrained_place(tmp_path):
@@ -595,6 +623,23 @@ def test_surface_rejects_degenerate_resolution(pipeline, tmp_path, capsys):
     assert code == 2
     assert "--resolution" in capsys.readouterr().err
     assert not (out / "surface.csv").exists()
+
+
+def test_surface_out_of_memory_is_a_runtime_error(pipeline, tmp_path, capsys):
+    # numpy refuses a 10**12-row grid at once, so nothing large is allocated
+    data, bundle = pipeline
+    env = tmp_path / "env.json"
+    env.write_text(json.dumps([0.0] * 8))
+    template = tmp_path / "a0.json"
+    template.write_text(json.dumps([0.0] * 6))
+    out = tmp_path / "surf"
+    code = run("surface", "--bundle", str(bundle), "--env", str(env),
+               "--template", str(template), "--free", "beh_00,beh_01",
+               "--resolution", str(10**6), "--normalized", "--out", str(out))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+    assert not (out / "manifest.json").exists()
 
 
 def test_surface_rejects_repeated_free_dimension(pipeline, tmp_path, capsys):
@@ -943,7 +988,8 @@ def test_repeated_trip_id_is_a_usage_error(pipeline, tmp_path, capsys):
 def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
     # OpenBLAS splits a matrix product across threads once it is large enough; the
     # 64-wide layers of train, rank and surface below are, so the split must not
-    # change a bit of any artifact
+    # change a bit of any artifact, also where a forward pass runs in blocks
+    assert min(4 * 1100, 70 * 70) > 2 * BLOCK_ROWS  # rank's trips, surface's points
     (tmp_path / "env.json").write_text(json.dumps([0.0] * 8))
     (tmp_path / "a0.json").write_text(json.dumps([0.0] * 6))
     script = ("import json, sys\nfrom fleetrank.cli import main\n"
@@ -955,7 +1001,7 @@ def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
         root = tmp_path / f"threads-{threads}"
         data, bundle = str(root / "data"), str(root / "bundle")
         commands = [
-            ["synth", "--drivers", "4", "--trips", "80", "--seed", "5", "--out", data],
+            ["synth", "--drivers", "4", "--trips", "1100", "--seed", "5", "--out", data],
             ["train", "--data", f"{data}/data.csv", "--schema", f"{data}/schema.json",
              "--epochs", "4", "--seed", "6", "--out", bundle],
             ["rank", "--data", f"{data}/data.csv", "--bundle", bundle, "--out", str(root / "rank")],
@@ -965,7 +1011,7 @@ def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
              "--out", str(root / "place")],
             ["surface", "--bundle", bundle, "--env", str(tmp_path / "env.json"),
              "--template", str(tmp_path / "a0.json"), "--free", "beh_00,beh_01",
-             "--resolution", "30", "--out", str(root / "surface")],
+             "--resolution", "70", "--out", str(root / "surface")],
         ]
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from fleetrank import neural
 from fleetrank.errors import DimensionMismatch, NonFiniteLoss
 from fleetrank.neural import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    BLOCK_ROWS,
     Mlp,
     MlpConfig,
     gradient,
@@ -312,3 +314,67 @@ def test_copy_of_trained_net_shares_no_memory():
     for a in net.weights + net.biases:
         for b in twin.weights + twin.biases:
             assert not np.shares_memory(a, b)
+
+
+def unblocked_forward(net, x):
+    """``forward_batch`` as one product per layer over every row."""
+    h = x
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        h = h @ w.T
+        h += b
+        np.maximum(0.0, h, out=h)
+    return h @ net.weights[-1].T + net.biases[-1]
+
+
+def random_net(d_out, seed):
+    rng = np.random.default_rng(seed)
+    net = Mlp.init(MlpConfig(7, (16, 12, 16), d_out, seed=seed))
+    for b in net.biases:
+        b[...] = rng.normal(scale=0.5, size=b.shape)
+    net.biases[-1] += 4.0  # outputs well away from zero, where a relative tolerance is fair
+    return net, rng
+
+
+@pytest.mark.parametrize("d_out", [1, 2])
+@pytest.mark.parametrize("n", [1, 17, BLOCK_ROWS - 1, BLOCK_ROWS])
+def test_short_batch_is_the_unblocked_expression(n, d_out):
+    net, rng = random_net(d_out, n)
+    x = rng.normal(size=(n, 7))
+    assert net.forward_batch(x).tobytes() == unblocked_forward(net, x).tobytes()
+
+
+class MatmulRows:
+    """Stands in for ``numpy`` inside ``neural``, recording each ``np.matmul``'s row count."""
+
+    def __init__(self):
+        self.rows = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, a, b, **kwargs):
+        self.rows.append(len(a))
+        return np.matmul(a, b, **kwargs)
+
+
+@pytest.mark.parametrize("d_out", [1, 2])
+@pytest.mark.parametrize(
+    "n",
+    [BLOCK_ROWS + 1, 2 * BLOCK_ROWS - 1, 2 * BLOCK_ROWS, 2 * BLOCK_ROWS + 1, 5 * BLOCK_ROWS + 3],
+)
+def test_long_batch_runs_in_blocks_of_at_least_block_rows(monkeypatch, n, d_out):
+    # Bitwise agreement with the unblocked expression holds for the OpenBLAS
+    # kernels this block size was chosen on, not on every BLAS, so only a
+    # tolerance is asserted here.
+    net, rng = random_net(d_out, n)
+    x = rng.normal(size=(n, 7))
+    recorder = MatmulRows()
+    monkeypatch.setattr(neural, "np", recorder)
+    out = net.forward_batch(x)
+    monkeypatch.undo()
+    np.testing.assert_allclose(out, unblocked_forward(net, x), rtol=1e-12, atol=0)
+    # four layer products per block, in row order
+    blocks = recorder.rows[::4]
+    assert recorder.rows == [rows for rows in blocks for _ in range(4)]
+    assert sum(blocks) == n
+    assert min(blocks) >= BLOCK_ROWS
