@@ -988,10 +988,12 @@ def test_repeated_trip_id_is_a_usage_error(pipeline, tmp_path, capsys):
 def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
     # OpenBLAS splits a matrix product across threads once it is large enough; the
     # 64-wide layers of train, rank and surface below are, so the split must not
-    # change a bit of any artifact, also where a forward pass runs in blocks
+    # change a bit of any artifact, also where a forward pass runs in blocks or
+    # where the wide place factors and solves with a 62x62 covariance
     assert min(4 * 1100, 70 * 70) > 2 * BLOCK_ROWS  # rank's trips, surface's points
     (tmp_path / "env.json").write_text(json.dumps([0.0] * 8))
     (tmp_path / "a0.json").write_text(json.dumps([0.0] * 6))
+    (tmp_path / "env-wide.json").write_text(json.dumps([0.0] * 29))
     script = ("import json, sys\nfrom fleetrank.cli import main\n"
               "for argv in json.loads(sys.argv[1]):\n"
               "    if main(argv) != 0:\n        sys.exit(f'failed: {argv}')\n")
@@ -1012,6 +1014,12 @@ def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
             ["surface", "--bundle", bundle, "--env", str(tmp_path / "env.json"),
              "--template", str(tmp_path / "a0.json"), "--free", "beh_00,beh_01",
              "--resolution", "70", "--out", str(root / "surface")],
+            ["synth", "--drivers", "3", "--trips", "40", "--d-env", "29", "--d-behavior", "62",
+             "--seed", "8", "--out", f"{data}-wide"],
+            ["train", "--data", f"{data}-wide/data.csv", "--schema", f"{data}-wide/schema.json",
+             "--epochs", "2", "--seed", "9", "--out", f"{bundle}-wide"],
+            ["place", "--bundle", f"{bundle}-wide", "--env", str(tmp_path / "env-wide.json"),
+             "--seed", "10", "--out", str(root / "place-wide")],
         ]
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -1022,7 +1030,7 @@ def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
             str(p.relative_to(root)): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file() and p.name != "manifest.json"
         }
-    assert len(artifacts["1"]) == 17
+    assert len(artifacts["1"]) == 29
     assert artifacts["1"].keys() == artifacts["2"].keys()
     for name, content in artifacts["1"].items():
         assert artifacts["2"][name] == content, name

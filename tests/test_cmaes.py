@@ -252,3 +252,52 @@ def test_restart_doubles_population_and_continues():
     # with the generous tolerance the first run stagnates; the restart keeps going
     assert res.termination in ("stagnation", "max_generations")
     assert res.best_fitness < 1e-3
+
+
+def test_degenerate_covariance_stops_on_condition():
+    # the second coordinate does not matter, so the covariance stretches along
+    # it until the factor's diagonal spans more than sqrt(CONDITION_LIMIT)
+    config = CmaesConfig(dim=2, initial_mean=np.ones(2), initial_sigma=0.5,
+                         target_tolerance=0.0, seed=0)
+    res = minimize(lambda x: x[:, 0] ** 2, config)
+    assert res.termination == "condition"
+    assert res.generations_used < config.max_generations
+    assert res.best_fitness < 1e-20
+
+
+def test_failed_factorization_stops_on_condition(monkeypatch):
+    # a covariance that is not numerically positive definite ends the run
+    # (or starts a restart), never the process
+    calls = [0]
+    cholesky = np.linalg.cholesky
+
+    def failing_after_five(a):
+        calls[0] += 1
+        if calls[0] > 5:
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", failing_after_five)
+    config = CmaesConfig(dim=3, initial_mean=np.ones(3), initial_sigma=0.5, seed=4)
+    res = minimize(sphere, config)
+    assert res.termination == "condition"
+    assert res.generations_used == 5
+    assert len(res.history) == 5
+
+
+def test_rotated_ellipsoid_learns_the_covariance():
+    # a condition-1e4 ellipsoid on rotated axes is solved only by a search
+    # that samples from the learned covariance, not from sigma * I
+    n = 8
+    rotation, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((n, n)))
+    axis_scale = 1e4 ** (np.arange(n) / (n - 1))
+
+    def ellipsoid(x):
+        return np.sum(axis_scale * (x @ rotation.T) ** 2, axis=1)
+
+    solved = 0
+    for seed in range(10):
+        config = CmaesConfig(dim=n, initial_mean=np.ones(n), initial_sigma=0.5,
+                             restarts=2, seed=seed)
+        solved += minimize(ellipsoid, config).best_fitness < 1e-10
+    assert solved >= 9
