@@ -13,9 +13,8 @@ Each generation factors the covariance once, ``C = L L^T`` with
 standard normal rows ``z``, and the step-size path whitens the mean's
 displacement with ``L^(-1)`` (a linear solve) where the textbook algorithm
 uses ``C^(-1/2)``; both map ``N(0, C)`` to ``N(0, I)``. A Cholesky factor
-costs about n^3/3 flops, a fraction of an eigendecomposition, which is
-what a wide search would otherwise spend most of its generation on.
-Krause, Arbones & Igel ("CMA-ES with Optimal Covariance Update and Storage
+costs about n^3/3 flops, a fraction of an eigendecomposition. Krause,
+Arbones & Igel ("CMA-ES with Optimal Covariance Update and Storage
 Complexity", NeurIPS 2016) go further and update the factor itself in
 O(n^2); this module keeps the covariance update and refactors.
 
