@@ -33,7 +33,7 @@ from .models import (
     train_regressor,
 )
 from .normalization import fit_stats
-from .trip_data import DatasetSchema, file_sha256, load_dataset, save_dataset
+from .trip_data import Dataset, DatasetSchema, file_sha256, load_dataset, log_skipped, save_dataset
 
 def _write_manifest(args: argparse.Namespace, outputs: list[str], facts: dict,
                     started: float) -> None:
@@ -158,6 +158,7 @@ def cmd_train(args: argparse.Namespace) -> tuple[list[str], dict]:
         skipped_rows=ds.skipped_rows,
         stats_fingerprint=stats.fingerprint(),
     )
+    assessment.save_trips(out / assessment.TRIPS_FILE, ds)
     for name, report in (("baseline", baseline_report), ("behavior", behavior_report)):
         with atomic_open(out / f"{name}_curve.csv") as handle:
             writer = csv.writer(handle)
@@ -166,7 +167,7 @@ def cmd_train(args: argparse.Namespace) -> tuple[list[str], dict]:
                 writer.writerow([epoch, repr(loss)])
     outputs = [
         "baseline.json", "behavior.json", "stats.json", "meta.json", placement.PROFILES_FILE,
-        "baseline_curve.csv", "behavior_curve.csv",
+        assessment.TRIPS_FILE, "baseline_curve.csv", "behavior_curve.csv",
     ]
     print(
         f"trained bundle in {out}: baseline mse {baseline_report.final_loss:.6f}, "
@@ -175,18 +176,60 @@ def cmd_train(args: argparse.Namespace) -> tuple[list[str], dict]:
     return outputs, {"data_sha256": data_sha256}
 
 
+def _stored_profiles(args: argparse.Namespace, model: AdvantageModel,
+                     meta: dict) -> placement.StoredProfiles | None:
+    """The bundle's ``profiles.json``, or None for a bundle that has none."""
+    path = Path(args.bundle) / placement.PROFILES_FILE
+    if not path.exists():
+        return None
+    return placement.load_profiles(path, model.stats.d_behavior, meta["stats_fingerprint"])
+
+
+def _bundle_stands_in(args: argparse.Namespace, stored: placement.StoredProfiles | None) -> bool:
+    """Whether what the bundle stores of the trips stands in for ``--data``.
+
+    It does only when ``train`` read the same bytes and, unless ``--lenient``
+    is set, skipped no row of them: a strict parse of those bytes would
+    raise instead. ``--data`` is hashed only when the bundle stores a copy.
+    When it stands in, the skipped rows are reported as a parse reports them.
+    """
+    if not (stored is not None and (stored.skipped_rows == 0 or args.lenient)
+            and file_sha256(args.data) == stored.data_sha256):
+        return False
+    log_skipped(stored.skipped_rows, Path(args.data))
+    return True
+
+
+def _rank_trips(args: argparse.Namespace, model: AdvantageModel, schema: DatasetSchema,
+                meta: dict) -> tuple[Dataset | assessment.StoredTrips, str]:
+    """The trips ``rank`` scores, and where they came from.
+
+    The bundle's ``trips.npy`` holds the same rows in the same order as a
+    parse of ``--data`` when it stands in for it, so both give the same bits.
+    """
+    path = Path(args.bundle) / assessment.TRIPS_FILE
+    stored = _stored_profiles(args, model, meta) if path.exists() else None
+    if _bundle_stands_in(args, stored):
+        trips = assessment.load_trips(
+            path, schema,
+            [p.driver_id for p in stored.profiles], [p.trip_count for p in stored.profiles],
+        )
+        return trips, "bundle"
+    return load_dataset(args.data, schema, lenient=args.lenient), "data"
+
+
 def cmd_rank(args: argparse.Namespace) -> tuple[list[str], dict]:
-    model, schema, _meta = load_bundle(args.bundle)
+    model, schema, meta = load_bundle(args.bundle)
     if args.schema:
         given = DatasetSchema.load(args.schema)
         if given.to_dict() != schema.to_dict():
             raise InvalidConfig("--schema does not match the schema the bundle was trained on")
-    ds = load_dataset(args.data, schema, lenient=args.lenient)
+    trips, source = _rank_trips(args, model, schema, meta)
     advantages = assessment.trip_advantages(
-        ds, model.baseline, metric_index=model.metric_index, raw_units=args.raw_units
+        trips, model.baseline, metric_index=model.metric_index, raw_units=args.raw_units
     )
     ranking = assessment.assess_drivers(
-        ds.driver_ids, ds.driver_codes, advantages, min_trips_warn=args.min_trips
+        trips.driver_ids, trips.driver_codes, advantages, min_trips_warn=args.min_trips
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -196,22 +239,16 @@ def cmd_rank(args: argparse.Namespace) -> tuple[list[str], dict]:
     with atomic_open(out / "ranking.csv") as handle:
         csv.writer(handle).writerows(assessment.ranking_rows(ranking))
     print(text, end="")
-    return ["ranking.txt", "ranking.csv"], {}
+    return ["ranking.txt", "ranking.csv"], {"trips": source}
 
 
 def _place_profiles(args: argparse.Namespace, model: AdvantageModel, schema: DatasetSchema,
                     meta: dict) -> tuple[list[placement.DriverProfile], str]:
     """The driver profiles ``place`` matches against, and where they came from.
 
-    The bundle's profiles stand in for ``--data`` only when ``train`` built
-    them from the same bytes, and, unless ``--lenient`` is set, from a load
-    that skipped no row: a strict parse of those bytes would raise instead.
     Both sources give the same bits for the same trips.
     """
-    path = Path(args.bundle) / placement.PROFILES_FILE
-    stored = None
-    if path.exists():
-        stored = placement.load_profiles(path, model.stats.d_behavior, meta["stats_fingerprint"])
+    stored = _stored_profiles(args, model, meta)
     if args.data is None:
         if stored is None:
             raise InvalidConfig(
@@ -219,8 +256,7 @@ def _place_profiles(args: argparse.Namespace, model: AdvantageModel, schema: Dat
                 "retrain it with this version, or pass --data with the trips to match against"
             )
         return stored.profiles, "bundle"
-    if (stored is not None and (stored.skipped_rows == 0 or args.lenient)
-            and file_sha256(args.data) == stored.data_sha256):
+    if _bundle_stands_in(args, stored):
         return stored.profiles, "bundle"
     ds = load_dataset(args.data, schema, lenient=args.lenient)
     return placement.build_profiles(ds, model.stats), "data"
@@ -351,7 +387,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("rank", help="rank drivers by mean debiased advantage")
-    p.add_argument("--data", required=True)
+    p.add_argument("--data", required=True,
+                   help="trips to rank (the trips train stored in the bundle stand in for a "
+                   "file with the bytes train read, unless a strict rank would reject a row "
+                   "that a lenient train skipped)")
     p.add_argument("--bundle", required=True)
     p.add_argument("--schema", help="optional cross-check against the bundle schema")
     p.add_argument("--raw-units", action="store_true")

@@ -110,3 +110,11 @@ class UnknownDimension(UsageError):
 
 class UnreadableFile(UsageError):
     """An input file is not UTF-8 CSV text that the csv module can split."""
+
+
+class NotARegularFile(UsageError):
+    """A trips path names a pipe, socket or device; trips are read more than once."""
+
+    def __init__(self, path):
+        super().__init__(f"{path}: not a regular file; pass a saved trips file, not a pipe")
+        self.path = path

@@ -13,6 +13,8 @@ import hashlib
 import json
 import logging
 import math
+import os
+import stat
 import warnings
 from array import array
 from dataclasses import dataclass
@@ -29,6 +31,7 @@ from .errors import (
     EmptyDataset,
     InvalidConfig,
     MissingColumn,
+    NotARegularFile,
     UnknownDriver,
     UnreadableFile,
 )
@@ -276,7 +279,8 @@ def load_dataset(path: str | Path, schema: DatasetSchema, lenient: bool = False)
     raises ``DuplicateTripId`` naming its row, or in lenient mode is
     skipped and counted, so each id keeps its first valid row. Bytes that
     are not UTF-8, or a cell past the csv module's field limit, raise
-    ``UnreadableFile`` naming the last data row read, in either mode.
+    ``UnreadableFile`` naming the last data row read, in either mode. A
+    pipe, socket or device raises ``NotARegularFile`` before any read.
 
     A file is read by one of two tiers that give the same bits. The
     whole-file tier reads it with numpy's C text reader. It serves a file
@@ -288,7 +292,7 @@ def load_dataset(path: str | Path, schema: DatasetSchema, lenient: bool = False)
     does, and reports the errors and skipped rows above. The trip id check
     runs on either tier's rows.
     """
-    path = Path(path)
+    path = _require_regular_file(path)
     values, trip_ids, drivers, skipped = (
         _read_plain(path, schema) or _read_csv(path, schema, lenient)
     )
@@ -298,9 +302,30 @@ def load_dataset(path: str | Path, schema: DatasetSchema, lenient: bool = False)
         values = values[keep]
         trip_ids = [trip_ids[i] for i in keep]
         drivers = [drivers[i] for i in keep]
+    log_skipped(skipped, path)
+    return Dataset.from_rows(schema, trip_ids, drivers, values, skipped)
+
+
+def log_skipped(skipped: int, path: str | Path) -> None:
+    """The warning a lenient load of ``path`` gives when it skipped rows."""
     if skipped:
         log.warning("skipped %d unparsable or repeated rows while loading %s", skipped, path)
-    return Dataset.from_rows(schema, trip_ids, drivers, values, skipped)
+
+
+def _require_regular_file(path: str | Path) -> Path:
+    """``path``, or ``NotARegularFile`` if it names a pipe, socket or device.
+
+    Trips are read more than once (hashed, scanned, parsed), which a pipe
+    cannot serve: a read waits forever on a pipe that no one writes, or
+    finds it drained. A missing path raises ``FileNotFoundError``; a
+    directory is left to the open that follows, which raises
+    ``IsADirectoryError``.
+    """
+    path = Path(path)
+    mode = os.stat(path).st_mode
+    if not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
+        raise NotARegularFile(path)
+    return path
 
 
 # Bytes that send a file to the csv tier: a quote, which the csv module reads
@@ -447,9 +472,9 @@ def _first_occurrences(trip_ids: list[str], lenient: bool) -> list[int]:
 
 
 def file_sha256(path: str | Path) -> str:
-    """Hex SHA-256 of a file's bytes, read 1 MiB at a time."""
+    """Hex SHA-256 of a file's bytes, read 1 MiB at a time; ``NotARegularFile`` for a pipe."""
     digest = hashlib.sha256()
-    with Path(path).open("rb") as handle:
+    with _require_regular_file(path).open("rb") as handle:
         for block in iter(lambda: handle.read(1 << 20), b""):
             digest.update(block)
     return digest.hexdigest()

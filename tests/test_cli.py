@@ -80,11 +80,11 @@ def test_train_defaults_to_100_epochs():
 def test_train_outputs(pipeline):
     data, bundle = pipeline
     for name in ("baseline.json", "behavior.json", "stats.json", "meta.json", "profiles.json",
-                 "baseline_curve.csv", "behavior_curve.csv", "manifest.json"):
+                 "trips.npy", "baseline_curve.csv", "behavior_curve.csv", "manifest.json"):
         assert (bundle / name).exists()
     manifest = json.loads((bundle / "manifest.json").read_text())
     assert manifest["data_sha256"] == hashlib.sha256((data / "data.csv").read_bytes()).hexdigest()
-    assert "profiles.json" in manifest["outputs"]
+    assert "profiles.json" in manifest["outputs"] and "trips.npy" in manifest["outputs"]
     with (bundle / "baseline_curve.csv").open() as handle:
         rows = list(csv.reader(handle))
     assert rows[0] == ["epoch", "mse"]
@@ -137,6 +137,16 @@ def test_atomic_open_replaces_only_a_complete_file(tmp_path):
     with atomic_open(path) as handle:
         handle.write("a,b\r\n")
     assert path.read_bytes() == b"a,b\r\n"
+    assert list(tmp_path.iterdir()) == [path]
+    with pytest.raises(RuntimeError):
+        with atomic_open(path, binary=True) as handle:
+            handle.write(b"\x93NUMPY half")
+            raise RuntimeError("writer died")
+    assert path.read_bytes() == b"a,b\r\n"
+    assert list(tmp_path.iterdir()) == [path]
+    with atomic_open(path, binary=True) as handle:
+        handle.write(b"\x00\r\n\xff")
+    assert path.read_bytes() == b"\x00\r\n\xff"
     assert list(tmp_path.iterdir()) == [path]
 
 
@@ -390,7 +400,7 @@ def test_usage_error_exit_code():
 USAGE_ERROR_TYPES = {
     "UsageError", "MissingColumn", "BadValue", "DuplicateTripId", "EmptyDataset",
     "UnknownDriver", "TooFewSamples", "DimensionMismatch", "InvalidConfig", "CorruptBundle",
-    "EmptyProfiles", "UnknownDimension", "UnreadableFile",
+    "EmptyProfiles", "UnknownDimension", "UnreadableFile", "NotARegularFile",
 }
 RUNTIME_ERROR_TYPES = {"FleetrankError", "NonFiniteLoss", "NonFiniteObjective", "NonFiniteStats"}
 PATH_ERROR_TYPES = [FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError]
@@ -439,7 +449,7 @@ def test_manifest_keys_per_command(pipeline, tmp_path):
     ):
         outs[command] = tmp_path / command
         assert run(command, *argv, "--out", str(outs[command])) == 0
-    facts = {"train": ["data_sha256"], "place": ["profiles"]}
+    facts = {"train": ["data_sha256"], "rank": ["trips"], "place": ["profiles"]}
     for command, out in outs.items():
         manifest = json.loads((out / "manifest.json").read_text())
         assert list(manifest) == [
@@ -559,6 +569,42 @@ def test_directory_for_an_input_file_is_a_usage_error(pipeline, tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"Is a directory: {str(tmp_path)!r}" in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("pipe", ["fifo", "dev-fd"])
+def test_trips_from_a_pipe_are_a_usage_error(pipeline, tmp_path, pipe):
+    # a pipe's reads would block on a writer that never comes, or find it drained
+    data, bundle = pipeline
+    env = tmp_path / "env.json"
+    env.write_text(json.dumps([0.0] * 8))
+    opened = []
+    if pipe == "fifo":
+        path = tmp_path / "trips.csv"
+        os.mkfifo(path)
+    else:  # what a shell's <(...) passes
+        opened = list(os.pipe())
+        path = f"/dev/fd/{opened[0]}"
+    src = str(Path(fleetrank.__file__).resolve().parents[1])
+    env_vars = {**os.environ,
+                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    try:
+        for command in (["train", "--schema", str(data / "schema.json")],
+                        ["rank", "--bundle", str(bundle)],
+                        ["place", "--bundle", str(bundle), "--env", str(env)]):
+            out = tmp_path / command[0]
+            result = subprocess.run(
+                [sys.executable, "-m", "fleetrank.cli", *command, "--data", str(path),
+                 "--out", str(out)],
+                env=env_vars, pass_fds=opened[:1], capture_output=True, text=True, timeout=60,
+            )
+            assert result.returncode == 2, result.stderr
+            assert result.stderr.splitlines() == [
+                f"error: {path}: not a regular file; pass a saved trips file, not a pipe"
+            ]
+            assert not out.exists()
+    finally:
+        for fd in opened:
+            os.close(fd)
 
 
 def _deny_open(good, path, monkeypatch):
@@ -693,6 +739,24 @@ def _widen_schema(bundle):
                lambda m: m["schema"]["behavior_columns"].extend(["beh_06", "beh_07"]))
 
 
+def _edit_trips(edit):
+    """Damage that saves ``edit`` of the bundle's trips.npy records in its place."""
+    def damage(bundle):
+        path = bundle / assessment.TRIPS_FILE
+        np.save(path, edit(np.load(path)), allow_pickle=True)
+    return damage
+
+
+def _set_trip(field, index, value):
+    def edit(table):
+        table[field][index] = value
+        return table
+    return _edit_trips(edit)
+
+
+ENV, PERFORMANCE, CODE = ("env", "<f8", (8,)), ("performance", "<f8", (2,)), ("driver_code", "<i8")
+
+
 @pytest.mark.parametrize(
     "damage, message",
     [
@@ -731,11 +795,37 @@ def _widen_schema(bundle):
          "meta.json: schema block widths (8, 8, 2) do not match stats.json's (8, 6, 2)"),
         (lambda b: _edit_json(b / "meta.json", lambda m: m.__setitem__("metric_index", 1)),
          "meta.json: metric_index 1 does not match the schema's target metric 'total_mpg' at index 0"),
+        (lambda b: (b / "trips.npy").write_bytes((b / "trips.npy").read_bytes()[:1000]),
+         "trips.npy: Failed to read all data for array"),
+        (lambda b: (b / "trips.npy").write_text("trip_id,driver_id\n"),
+         "trips.npy: the magic string is not correct"),
+        (_edit_trips(lambda t: np.array([{"trips": len(t)}], dtype=object)),
+         "trips.npy: Object arrays cannot be loaded when allow_pickle=False"),
+        (_edit_trips(lambda t: t.astype([("env", "<f4", (8,)), PERFORMANCE, CODE])),
+         "trips.npy: expected records [('env', '<f8', (8,)), ('performance', '<f8', (2,)), "
+         "('driver_code', '<i8')], got [('env', '<f4', (8,))"),
+        (_edit_trips(lambda t: t.astype([ENV, PERFORMANCE, ("driver_code", "<f8")])),
+         "('driver_code', '<f8')]"),
+        (_edit_trips(lambda t: np.zeros(len(t), [("env", "<f8", (7,)), PERFORMANCE, CODE])),
+         "got [('env', '<f8', (7,))"),
+        (_edit_trips(lambda t: t.reshape(-1, 1)),
+         "trips.npy: expected one record per trip, got shape (160, 1)"),
+        (_set_trip("env", (3, 2), math.nan), "trips.npy: non-finite value"),
+        (_set_trip("performance", (150, 0), -math.inf), "trips.npy: non-finite value"),
+        (_set_trip("driver_code", 7, 4),
+         "trips.npy: driver code 4 is outside the bundle's 4 drivers"),
+        (_set_trip("driver_code", 7, -1),
+         "trips.npy: driver code -1 is outside the bundle's 4 drivers"),
+        (_edit_trips(lambda t: t[:-1]),
+         "trips.npy: driver 'driver_03' has 39 trips here and 40 in profiles.json"),
     ],
     ids=["truncated-meta", "undecodable-stats", "missing-meta-key", "missing-net-key",
          "float-metric-index", "bool-metric-index", "nan-weight", "inf-bias", "nan-stats", "inf-box", "fingerprint-mismatch",
          "other-version", "missing-version", "non-string-version", "meta-not-an-object",
-         "swapped-nets", "widened-schema", "moved-metric-index"],
+         "swapped-nets", "widened-schema", "moved-metric-index",
+         "truncated-trips", "trips-not-an-array", "pickled-trips", "float32-trips",
+         "float-driver-codes", "narrow-trips", "trips-of-two-dims", "nan-trip", "inf-trip",
+         "driver-code-too-large", "negative-driver-code", "trip-counts-disagree"],
 )
 def test_rank_rejects_corrupt_bundle(pipeline, tmp_path, capsys, damage, message):
     data, bundle = pipeline
@@ -748,6 +838,7 @@ def test_rank_rejects_corrupt_bundle(pipeline, tmp_path, capsys, damage, message
     assert code == 2
     err = capsys.readouterr().err
     assert "corrupt bundle file" in err and message in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 
@@ -905,6 +996,80 @@ def test_lenient_training_does_not_hide_strict_errors_from_place(pipeline, tmp_p
     assert _place(bundle, tmp_path / "lenient", "--data", str(bad), "--lenient") == (0, "bundle")
 
 
+@pytest.fixture(scope="module")
+def stored_copies(pipeline, tmp_path_factory):
+    """Bundles trained on clean trips and, leniently, on trips with one bad row.
+
+    Each comes with a copy that lacks the stored artifacts, and each trips
+    file with a padded copy: a trailing blank line gives other bytes and the
+    same trips.
+    """
+    data, bundle = pipeline
+    root = tmp_path_factory.mktemp("stored")
+    rows = _trip_rows(data)
+    rows[3][rows[0].index("beh_01")] = "oops"
+    bad = _write_rows(root / "bad.csv", rows)
+    bad_bundle = root / "bad-bundle"
+    assert run("train", "--data", str(bad), "--schema", str(data / "schema.json"), "--epochs", "2",
+               "--hidden", "8,8,8", "--lenient", "--out", str(bad_bundle)) == 0
+    copies = {}
+    for name, trips, trained in (("clean", data / "data.csv", bundle), ("bad", bad, bad_bundle)):
+        bare = root / f"{name}-bare"
+        shutil.copytree(trained, bare)
+        (bare / PROFILES_FILE).unlink()
+        (bare / assessment.TRIPS_FILE).unlink()
+        padded = root / f"{name}-padded.csv"
+        padded.write_bytes(trips.read_bytes() + b"\r\n")
+        copies[name] = {"bundle": trained, "bare": bare, "trips": trips, "padded": padded}
+    return copies
+
+
+def _run_with_source(command, bundle, trips, out, lenient):
+    """``rank`` or ``place`` on ``trips``: exit code, the manifest's source, and the artifacts."""
+    flags = ["--data", str(trips), *(["--lenient"] if lenient else [])]
+    if command == "rank":
+        code = run("rank", *flags, "--bundle", str(bundle), "--out", str(out))
+        names, fact = ("ranking.txt", "ranking.csv"), "trips"
+    else:
+        code, _ = _place(bundle, out, *flags)
+        names, fact = ("placement.json", "search_history.csv"), "profiles"
+    if code != 0:
+        return code, None, None
+    source = json.loads((out / "manifest.json").read_text())[fact]
+    return code, source, [(out / name).read_bytes() for name in names]
+
+
+@pytest.mark.parametrize("lenient", [False, True], ids=["strict", "lenient"])
+@pytest.mark.parametrize("stored", [True, False], ids=["stored", "not-stored"])
+@pytest.mark.parametrize("same_bytes", [True, False], ids=["same-bytes", "other-bytes"])
+@pytest.mark.parametrize("trips", ["clean", "bad"], ids=["none-skipped", "one-skipped"])
+@pytest.mark.parametrize("command", ["rank", "place"])
+def test_bundle_stands_in_for_data_by_one_rule(stored_copies, tmp_path, caplog, capsys, command,
+                                                trips, same_bytes, stored, lenient):
+    copy = stored_copies[trips]
+    path = copy["trips"] if same_bytes else copy["padded"]
+    bundle = copy["bundle"] if stored else copy["bare"]
+    caplog.set_level("WARNING", logger="fleetrank")
+    code, source, outputs = _run_with_source(command, bundle, path, tmp_path / "out", lenient)
+    warnings = [r.getMessage() for r in caplog.records if "skipped" in r.getMessage()]
+    if trips == "bad" and not lenient:
+        # a strict run parses the file and reports the row a lenient train skipped
+        assert (code, source) == (2, None)
+        assert "row 3: bad value 'oops' in column 'beh_01'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        return
+    assert code == 0
+    assert source == ("bundle" if stored and same_bytes else "data")
+    # every source gives the bytes of a parse of the file
+    caplog.clear()
+    _, parsed, expected = _run_with_source(command, copy["bare"], path, tmp_path / "ref", lenient)
+    assert parsed == "data" and outputs == expected
+    parse_warnings = [r.getMessage() for r in caplog.records if "skipped" in r.getMessage()]
+    assert warnings == parse_warnings
+    assert warnings == ([f"skipped 1 unparsable or repeated rows while loading {path}"]
+                        if trips == "bad" else [])
+
+
 def test_stored_profiles_equal_a_fresh_build_bitwise(pipeline):
     data, bundle = pipeline
     model, schema, stored = _stored_profiles(bundle)
@@ -989,14 +1154,18 @@ def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
     # OpenBLAS splits a matrix product across threads once it is large enough; the
     # 64-wide layers of train, rank and surface below are, so the split must not
     # change a bit of any artifact, also where a forward pass runs in blocks or
-    # where the wide place factors and solves with a 62x62 covariance
+    # where the wide place factors and solves with a 62x62 covariance. rank reads
+    # the training file's trips from the bundle, and a padded copy's from the CSV:
+    # the two must give the same bytes too
     assert min(4 * 1100, 70 * 70) > 2 * BLOCK_ROWS  # rank's trips, surface's points
     (tmp_path / "env.json").write_text(json.dumps([0.0] * 8))
     (tmp_path / "a0.json").write_text(json.dumps([0.0] * 6))
     (tmp_path / "env-wide.json").write_text(json.dumps([0.0] * 29))
-    script = ("import json, sys\nfrom fleetrank.cli import main\n"
+    script = ("import json, sys\nfrom pathlib import Path\nfrom fleetrank.cli import main\n"
               "for argv in json.loads(sys.argv[1]):\n"
-              "    if main(argv) != 0:\n        sys.exit(f'failed: {argv}')\n")
+              "    if argv[0] == 'pad':  # a trailing blank line: other bytes, the same trips\n"
+              "        Path(argv[2]).write_bytes(Path(argv[1]).read_bytes() + b'\\r\\n')\n"
+              "    elif main(argv) != 0:\n        sys.exit(f'failed: {argv}')\n")
     src = str(Path(fleetrank.__file__).resolve().parents[1])
     artifacts = {}
     for threads in ("1", "2"):
@@ -1009,6 +1178,9 @@ def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
             ["rank", "--data", f"{data}/data.csv", "--bundle", bundle, "--out", str(root / "rank")],
             ["rank", "--data", f"{data}/data.csv", "--bundle", bundle, "--raw-units",
              "--out", str(root / "rank-raw")],
+            ["pad", f"{data}/data.csv", f"{data}/padded.csv"],
+            ["rank", "--data", f"{data}/padded.csv", "--bundle", bundle,
+             "--out", str(root / "rank-parsed")],
             ["place", "--bundle", bundle, "--env", str(tmp_path / "env.json"), "--seed", "7",
              "--out", str(root / "place")],
             ["surface", "--bundle", bundle, "--env", str(tmp_path / "env.json"),
@@ -1030,7 +1202,12 @@ def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
             str(p.relative_to(root)): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file() and p.name != "manifest.json"
         }
-    assert len(artifacts["1"]) == 29
+        sources = [json.loads((root / name / "manifest.json").read_text())["trips"]
+                   for name in ("rank", "rank-parsed")]
+        assert sources == ["bundle", "data"]
+        for name in ("ranking.csv", "ranking.txt"):
+            assert artifacts[threads][f"rank-parsed/{name}"] == artifacts[threads][f"rank/{name}"]
+    assert len(artifacts["1"]) == 34
     assert artifacts["1"].keys() == artifacts["2"].keys()
     for name, content in artifacts["1"].items():
         assert artifacts["2"][name] == content, name
