@@ -18,6 +18,7 @@ from .assessment import (
 from .cmaes import CmaesConfig, CmaesResult, maximize, minimize
 from .models import (
     AdvantageModel,
+    DriverProfile,
     Regressor,
     TrainingParams,
     behavior_box_from,
@@ -28,7 +29,6 @@ from .models import (
 from .neural import Mlp, MlpConfig, TrainReport, gradient, train
 from .normalization import NormalizationStats, fit_stats
 from .placement import (
-    DriverProfile,
     PlacementResult,
     build_profiles,
     match_driver,

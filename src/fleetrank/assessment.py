@@ -6,9 +6,9 @@ conditions are accounted for. Averaging over each driver's trips gives
 an environment-debiased quality estimate, and sorting those means gives
 the ranking.
 
-``train`` stores the columns of the trips that ranking reads in the bundle
-as ``trips.npy``, so ``rank`` can score the trips ``train`` read without
-parsing them again.
+:func:`trip_advantages` scores a parsed ``Dataset`` or the trips ``train``
+stored in the bundle (``models.StoredTrips``), so ``rank`` can score the
+trips ``train`` read without parsing them again.
 """
 
 from __future__ import annotations
@@ -16,19 +16,16 @@ from __future__ import annotations
 import logging
 from collections.abc import Sequence
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_open
 from .errors import DimensionMismatch, EmptyDataset
-from .models import Regressor, bundle_file, require_finite
-from .trip_data import Dataset, DatasetSchema, group_offsets
+from .models import Regressor, StoredTrips
+from .trip_data import Dataset, group_offsets
 
 log = logging.getLogger(__name__)
 
 LOW_TRIP_WARN_THRESHOLD = 10
-TRIPS_FILE = "trips.npy"
 
 
 @dataclass(frozen=True)
@@ -44,82 +41,6 @@ class Ranking:
     """Assessments sorted by mean advantage, best first; ties by driver id."""
 
     entries: tuple[DriverAssessment, ...]
-
-
-@dataclass(frozen=True)
-class StoredTrips:
-    """The columns of a trips file that ranking reads, as a bundle stores them.
-
-    ``env`` and ``performance`` hold the raw blocks in file order, and
-    trip ``i`` belongs to driver ``driver_ids[driver_codes[i]]``, as in a
-    ``Dataset``.
-    """
-
-    schema: DatasetSchema
-    env: np.ndarray
-    performance: np.ndarray
-    driver_ids: tuple[str, ...]
-    driver_codes: np.ndarray
-
-
-def _trips_dtype(schema: DatasetSchema) -> np.dtype:
-    """One record per trip: the raw env block, the raw performance block, the driver code."""
-    return np.dtype([
-        ("env", "<f8", (schema.d_env,)),
-        ("performance", "<f8", (schema.d_performance,)),
-        ("driver_code", "<i8"),
-    ])
-
-
-def save_trips(path: str | Path, ds: Dataset) -> None:
-    """Write the trips' ranking columns as one ``.npy`` array of records, in dataset order.
-
-    The file is a fixed header and then the records' bytes, so the same
-    trips give the same bytes.
-    """
-    table = np.empty(len(ds), dtype=_trips_dtype(ds.schema))
-    table["env"] = ds.env
-    table["performance"] = ds.performance
-    table["driver_code"] = ds.driver_codes
-    with atomic_open(path, binary=True) as handle:
-        np.save(handle, table, allow_pickle=False)
-
-
-def load_trips(
-    path: str | Path, schema: DatasetSchema, driver_ids: Sequence[str], trip_counts: Sequence[int]
-) -> StoredTrips:
-    """Read and verify trips written by :func:`save_trips`.
-
-    ``driver_ids`` and ``trip_counts`` are the bundle's drivers and their
-    trip counts. Raises ``CorruptBundle`` naming the file for a file that
-    is not an array file, holds pickled data, holds records of another
-    layout, type or shape, holds a non-finite value or a driver code
-    outside ``driver_ids``, or gives a driver a trip count other than its
-    entry in ``trip_counts``.
-    """
-    path = Path(path)
-    expected = _trips_dtype(schema)
-    with bundle_file(path):
-        with path.open("rb") as handle:
-            table = np.lib.format.read_array(handle, allow_pickle=False)
-        if table.dtype != expected:
-            raise TypeError(f"expected records {expected}, got {table.dtype}")
-        if table.ndim != 1:
-            raise DimensionMismatch(f"expected one record per trip, got shape {table.shape}")
-        env, performance, codes = table["env"], table["performance"], table["driver_code"]
-        require_finite(env, performance)
-        if len(codes) and (codes.min() < 0 or codes.max() >= len(driver_ids)):
-            outside = codes[(codes < 0) | (codes >= len(driver_ids))][0]
-            raise ValueError(
-                f"driver code {outside} is outside the bundle's {len(driver_ids)} drivers"
-            )
-        counts = np.bincount(codes, minlength=len(driver_ids)).tolist()
-        for driver_id, count, stored in zip(driver_ids, counts, trip_counts):
-            if count != stored:
-                raise ValueError(
-                    f"driver {driver_id!r} has {count} trips here and {stored} in profiles.json"
-                )
-    return StoredTrips(schema, env, performance, tuple(driver_ids), codes)
 
 
 def trip_advantages(

@@ -29,11 +29,14 @@ from .models import (
     TrainingParams,
     behavior_box_from,
     load_bundle,
+    recorded_profiles,
+    recorded_trips,
     save_bundle,
+    save_trip_record,
     train_regressor,
 )
 from .normalization import fit_stats
-from .trip_data import Dataset, DatasetSchema, file_sha256, load_dataset, log_skipped, save_dataset
+from .trip_data import DatasetSchema, file_sha256, load_dataset, save_dataset
 
 def _write_manifest(args: argparse.Namespace, outputs: list[str], facts: dict,
                     started: float) -> None:
@@ -151,14 +154,10 @@ def cmd_train(args: argparse.Namespace) -> tuple[list[str], dict]:
         behavior_report=behavior_report,
         params=base_params,
     )
-    placement.save_profiles(
-        out / placement.PROFILES_FILE,
-        placement.build_profiles(ds, stats),
-        data_sha256=data_sha256,
-        skipped_rows=ds.skipped_rows,
-        stats_fingerprint=stats.fingerprint(),
+    record = save_trip_record(
+        out, ds, placement.build_profiles(ds, stats),
+        data_sha256=data_sha256, stats_fingerprint=stats.fingerprint(),
     )
-    assessment.save_trips(out / assessment.TRIPS_FILE, ds)
     for name, report in (("baseline", baseline_report), ("behavior", behavior_report)):
         with atomic_open(out / f"{name}_curve.csv") as handle:
             writer = csv.writer(handle)
@@ -166,8 +165,8 @@ def cmd_train(args: argparse.Namespace) -> tuple[list[str], dict]:
             for epoch, loss in enumerate(report.epoch_losses, start=1):
                 writer.writerow([epoch, repr(loss)])
     outputs = [
-        "baseline.json", "behavior.json", "stats.json", "meta.json", placement.PROFILES_FILE,
-        assessment.TRIPS_FILE, "baseline_curve.csv", "behavior_curve.csv",
+        "baseline.json", "behavior.json", "stats.json", "meta.json", *record,
+        "baseline_curve.csv", "behavior_curve.csv",
     ]
     print(
         f"trained bundle in {out}: baseline mse {baseline_report.final_loss:.6f}, "
@@ -176,61 +175,20 @@ def cmd_train(args: argparse.Namespace) -> tuple[list[str], dict]:
     return outputs, {"data_sha256": data_sha256}
 
 
-def _stored_profiles(args: argparse.Namespace, model: AdvantageModel,
-                     meta: dict) -> placement.StoredProfiles | None:
-    """The bundle's ``profiles.json``, or None for a bundle that has none."""
-    path = Path(args.bundle) / placement.PROFILES_FILE
-    if not path.exists():
-        return None
-    return placement.load_profiles(path, model.stats.d_behavior, meta["stats_fingerprint"])
-
-
-def _bundle_stands_in(args: argparse.Namespace, stored: placement.StoredProfiles | None) -> bool:
-    """Whether what the bundle stores of the trips stands in for ``--data``.
-
-    It does only when ``train`` read the same bytes and, unless ``--lenient``
-    is set, skipped no row of them: a strict parse of those bytes would
-    raise instead. ``--data`` is hashed only when the bundle stores a copy.
-    When it stands in, the skipped rows are reported as a parse reports them.
-    """
-    if not (stored is not None and (stored.skipped_rows == 0 or args.lenient)
-            and file_sha256(args.data) == stored.data_sha256):
-        return False
-    log_skipped(stored.skipped_rows, Path(args.data))
-    return True
-
-
-def _rank_trips(args: argparse.Namespace, model: AdvantageModel, schema: DatasetSchema,
-                meta: dict) -> tuple[Dataset | assessment.StoredTrips, str]:
-    """The trips ``rank`` scores, and where they came from.
-
-    The bundle's ``trips.npy`` holds the same rows in the same order as a
-    parse of ``--data`` when it stands in for it, so both give the same bits.
-    """
-    path = Path(args.bundle) / assessment.TRIPS_FILE
-    stored = _stored_profiles(args, model, meta) if path.exists() else None
-    if _bundle_stands_in(args, stored):
-        trips = assessment.load_trips(
-            path, schema,
-            [p.driver_id for p in stored.profiles], [p.trip_count for p in stored.profiles],
-        )
-        return trips, "bundle"
-    return load_dataset(args.data, schema, lenient=args.lenient), "data"
-
-
 def cmd_rank(args: argparse.Namespace) -> tuple[list[str], dict]:
-    model, schema, meta = load_bundle(args.bundle)
+    model, schema, _meta = load_bundle(args.bundle)
     if args.schema:
         given = DatasetSchema.load(args.schema)
         if given.to_dict() != schema.to_dict():
             raise InvalidConfig("--schema does not match the schema the bundle was trained on")
-    trips, source = _rank_trips(args, model, schema, meta)
+    trips = recorded_trips(args.bundle, schema, model.stats, args.data, lenient=args.lenient)
+    source = "data" if trips is None else "bundle"
+    if trips is None:
+        trips = load_dataset(args.data, schema, lenient=args.lenient)
     advantages = assessment.trip_advantages(
         trips, model.baseline, metric_index=model.metric_index, raw_units=args.raw_units
     )
-    ranking = assessment.assess_drivers(
-        trips.driver_ids, trips.driver_codes, advantages, min_trips_warn=args.min_trips
-    )
+    ranking = assessment.assess_drivers(trips.driver_ids, trips.driver_codes, advantages)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     text = assessment.render_ranking(ranking)
@@ -242,28 +200,8 @@ def cmd_rank(args: argparse.Namespace) -> tuple[list[str], dict]:
     return ["ranking.txt", "ranking.csv"], {"trips": source}
 
 
-def _place_profiles(args: argparse.Namespace, model: AdvantageModel, schema: DatasetSchema,
-                    meta: dict) -> tuple[list[placement.DriverProfile], str]:
-    """The driver profiles ``place`` matches against, and where they came from.
-
-    Both sources give the same bits for the same trips.
-    """
-    stored = _stored_profiles(args, model, meta)
-    if args.data is None:
-        if stored is None:
-            raise InvalidConfig(
-                f"bundle {args.bundle} has no {placement.PROFILES_FILE}: "
-                "retrain it with this version, or pass --data with the trips to match against"
-            )
-        return stored.profiles, "bundle"
-    if _bundle_stands_in(args, stored):
-        return stored.profiles, "bundle"
-    ds = load_dataset(args.data, schema, lenient=args.lenient)
-    return placement.build_profiles(ds, model.stats), "data"
-
-
 def cmd_place(args: argparse.Namespace) -> tuple[list[str], dict]:
-    model, schema, meta = load_bundle(args.bundle)
+    model, schema, _meta = load_bundle(args.bundle)
     env = _load_vector(args.env)
     _require_length(env, model.stats.d_env, "--env")
     template_norm = None
@@ -277,7 +215,11 @@ def cmd_place(args: argparse.Namespace) -> tuple[list[str], dict]:
         free_indices = _free_indices(schema, args.free)
     elif args.free:
         raise InvalidConfig("--free requires --fix-template for the fixed dimensions")
-    profiles, source = _place_profiles(args, model, schema, meta)
+    profiles = recorded_profiles(args.bundle, model.stats, args.data, lenient=args.lenient)
+    source = "data" if profiles is None else "bundle"
+    if profiles is None:
+        ds = load_dataset(args.data, schema, lenient=args.lenient)
+        profiles = placement.build_profiles(ds, model.stats)
 
     result = placement.place(
         model,
@@ -394,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bundle", required=True)
     p.add_argument("--schema", help="optional cross-check against the bundle schema")
     p.add_argument("--raw-units", action="store_true")
-    p.add_argument("--min-trips", type=int, default=assessment.LOW_TRIP_WARN_THRESHOLD)
     p.add_argument("--lenient", action="store_true")
     p.add_argument("--out", default="ranking-out")
     p.set_defaults(func=cmd_rank)

@@ -10,6 +10,13 @@ feeds both networks while behavior feeds only the behavior network, so
 the baseline term cancels from any comparison between two behaviors at
 a fixed environment. Both networks are a :class:`Regressor`; which
 blocks one reads follows from its input width.
+
+A bundle is a directory: :func:`save_bundle` writes the nets, the
+statistics and ``meta.json``, and :func:`save_trip_record` writes what
+``train`` recorded of the trips it read, ``profiles.json`` and
+``trips.npy``. That record stands in for a parse of the trips file, in
+``rank`` and ``place``, by one rule (:func:`recorded_trips`,
+:func:`recorded_profiles`).
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +33,7 @@ from .atomic import atomic_open
 from .errors import CorruptBundle, DimensionMismatch, InvalidConfig
 from .neural import Mlp, MlpConfig, TrainReport, load_mlp, save_mlp, train
 from .normalization import NormalizationStats
-from .trip_data import Dataset, DatasetSchema
+from .trip_data import Dataset, DatasetSchema, file_sha256, log_skipped
 
 TOOL_VERSION = "0.1.0"
 
@@ -241,15 +248,7 @@ def save_bundle(
         "behavior_box": None if model.behavior_box is None else model.behavior_box.tolist(),
         "baseline_seed": model.baseline.net.config.seed,
         "behavior_seed": model.behavior.net.config.seed,
-        "training": None
-        if params is None
-        else {
-            "epochs": params.epochs,
-            "batch_size": params.batch_size,
-            "learning_rate": params.learning_rate,
-            "hidden_widths": list(params.hidden_widths),
-            "seed": params.seed,
-        },
+        "training": None if params is None else asdict(params),
         "baseline_final_loss": None if baseline_report is None else baseline_report.final_loss,
         "behavior_final_loss": None if behavior_report is None else behavior_report.final_loss,
     }
@@ -334,3 +333,228 @@ def bundle_file(path: Path):
 def require_finite(*arrays: np.ndarray) -> None:
     if not all(np.all(np.isfinite(a)) for a in arrays):
         raise ValueError("non-finite value")
+
+
+PROFILES_FILE = "profiles.json"
+TRIPS_FILE = "trips.npy"
+
+
+@dataclass(frozen=True)
+class DriverProfile:
+    """A driver's mean normalized behavior vector over their trips."""
+
+    driver_id: str
+    mean_behavior: np.ndarray
+    trip_count: int
+
+
+@dataclass(frozen=True)
+class StoredProfiles:
+    """Driver profiles as a bundle stores them, with the trips file they came from."""
+
+    profiles: list[DriverProfile]
+    data_sha256: str  # of the trips file's bytes
+    skipped_rows: int  # rows the load that built them skipped
+
+
+@dataclass(frozen=True)
+class StoredTrips:
+    """The columns of a trips file that ranking reads, as a bundle stores them.
+
+    ``env`` and ``performance`` hold the raw blocks in file order, and
+    trip ``i`` belongs to driver ``driver_ids[driver_codes[i]]``, as in a
+    ``Dataset``.
+    """
+
+    schema: DatasetSchema
+    env: np.ndarray
+    performance: np.ndarray
+    driver_ids: tuple[str, ...]
+    driver_codes: np.ndarray
+
+
+def save_trip_record(directory: str | Path, ds: Dataset, profiles: list[DriverProfile], *,
+                     data_sha256: str, stats_fingerprint: str) -> list[str]:
+    """Write what ``train`` keeps of the trips it read; returns the files' names.
+
+    ``profiles.json`` holds ``profiles`` with the SHA-256 of the trips file
+    and the rows its load skipped. ``trips.npy`` holds the columns ranking
+    reads, one ``.npy`` array of records in dataset order: a fixed header
+    and then the records' bytes, so the same trips give the same bytes.
+    """
+    directory = Path(directory)
+    save_profiles(directory / PROFILES_FILE, profiles, data_sha256=data_sha256,
+                  skipped_rows=ds.skipped_rows, stats_fingerprint=stats_fingerprint)
+    table = np.empty(len(ds), dtype=_trips_dtype(ds.schema))
+    table["env"] = ds.env
+    table["performance"] = ds.performance
+    table["driver_code"] = ds.driver_codes
+    with atomic_open(directory / TRIPS_FILE, binary=True) as handle:
+        np.save(handle, table, allow_pickle=False)
+    return [PROFILES_FILE, TRIPS_FILE]
+
+
+def recorded_profiles(
+    bundle: str | Path, stats: NormalizationStats, data: str | None, *, lenient: bool
+) -> list[DriverProfile] | None:
+    """The profiles ``train`` stored, if they stand in for the trips file ``data``.
+
+    With no ``data`` they always do, and a bundle without ``profiles.json``
+    raises ``InvalidConfig``. ``None`` means ``data`` must be parsed.
+    """
+    stored = _stored_profiles(bundle, stats)
+    if data is None:
+        if stored is None:
+            raise InvalidConfig(
+                f"bundle {bundle} has no {PROFILES_FILE}: "
+                "retrain it with this version, or pass --data with the trips to match against"
+            )
+        return stored.profiles
+    return stored.profiles if _stands_in(stored, data, lenient) else None
+
+
+def recorded_trips(
+    bundle: str | Path, schema: DatasetSchema, stats: NormalizationStats, data: str, *,
+    lenient: bool,
+) -> StoredTrips | None:
+    """The trips ``train`` stored, if they stand in for the trips file ``data``.
+
+    They hold the same rows in the same order as a parse of ``data`` when
+    they do, so both give the same bits. ``None`` means ``data`` must be
+    parsed, as for a bundle without ``trips.npy``.
+    """
+    path = Path(bundle) / TRIPS_FILE
+    stored = _stored_profiles(bundle, stats) if path.exists() else None
+    return load_trips(path, schema, stored.profiles) if _stands_in(stored, data, lenient) else None
+
+
+def _stored_profiles(bundle: str | Path, stats: NormalizationStats) -> StoredProfiles | None:
+    """The bundle's ``profiles.json``, or None for a bundle that has none."""
+    path = Path(bundle) / PROFILES_FILE
+    return load_profiles(path, stats.d_behavior, stats.fingerprint()) if path.exists() else None
+
+
+def _stands_in(stored: StoredProfiles | None, data: str, lenient: bool) -> bool:
+    """Whether the record stands in for the trips file ``data``.
+
+    It does only when ``train`` read the same bytes and, unless ``lenient``,
+    skipped no row of them: a strict parse of those bytes would raise
+    instead. ``data`` is hashed only when the bundle stores a record. When
+    it stands in, the skipped rows are reported as a parse reports them.
+    """
+    if not (stored is not None and (stored.skipped_rows == 0 or lenient)
+            and file_sha256(data) == stored.data_sha256):
+        return False
+    log_skipped(stored.skipped_rows, Path(data))
+    return True
+
+
+def save_profiles(
+    path: str | Path,
+    profiles: list[DriverProfile],
+    *,
+    data_sha256: str,
+    skipped_rows: int,
+    stats_fingerprint: str,
+) -> None:
+    """Write profiles as JSON; floats go out as ``repr``, so a load gives back the same bits."""
+    document = {
+        "data_sha256": data_sha256,
+        "skipped_rows": skipped_rows,
+        "stats_fingerprint": stats_fingerprint,
+        "drivers": [[p.driver_id, p.trip_count, p.mean_behavior.tolist()] for p in profiles],
+    }
+    with atomic_open(path) as handle:
+        handle.write(json.dumps(document, indent=2))
+
+
+def load_profiles(path: str | Path, d_behavior: int, stats_fingerprint: str) -> StoredProfiles:
+    """Read and verify profiles written by :func:`save_profiles`.
+
+    Raises ``CorruptBundle`` naming the file for invalid JSON, a missing or
+    ill-typed entry, an empty driver list, driver ids that are not unique
+    and sorted, a trip count that is not an integer >= 1, a mean behavior
+    that is not ``d_behavior`` finite numbers, or a ``stats_fingerprint``
+    other than the bundle's.
+    """
+    path = Path(path)
+    with bundle_file(path):
+        document = json.loads(path.read_text(encoding="utf-8"))
+        if type(document) is not dict:
+            raise TypeError(f"expected a JSON object, got {type(document).__name__}")
+        if document["stats_fingerprint"] != stats_fingerprint:
+            raise ValueError("stats_fingerprint does not match meta.json")
+        data_sha256, skipped_rows = document["data_sha256"], document["skipped_rows"]
+        if type(data_sha256) is not str:
+            raise TypeError(f"data_sha256 must be a string, got {data_sha256!r}")
+        if type(skipped_rows) is not int or skipped_rows < 0:  # bool is an int subclass
+            raise TypeError(f"skipped_rows must be an integer >= 0, got {skipped_rows!r}")
+        profiles = [_stored_profile(entry, d_behavior) for entry in document["drivers"]]
+        if not profiles:
+            raise ValueError("no drivers")
+        ids = [p.driver_id for p in profiles]
+        if any(a >= b for a, b in zip(ids, ids[1:])):
+            raise ValueError("driver ids must be unique and sorted")
+    return StoredProfiles(profiles, data_sha256, skipped_rows)
+
+
+def _stored_profile(entry, d_behavior: int) -> DriverProfile:
+    """One ``[driver_id, trip_count, mean_behavior]`` entry of ``profiles.json``."""
+    if type(entry) is not list or len(entry) != 3:
+        raise TypeError(f"expected [driver_id, trip_count, mean_behavior], got {entry!r}")
+    driver_id, trip_count, mean = entry
+    if type(driver_id) is not str or not driver_id:
+        raise TypeError(f"driver id must be a non-empty string, got {driver_id!r}")
+    if type(trip_count) is not int or trip_count < 1:
+        raise ValueError(f"trip count of {driver_id!r} must be an integer >= 1, got {trip_count!r}")
+    mean = np.array(mean, dtype=float)
+    if mean.shape != (d_behavior,):
+        raise DimensionMismatch(
+            f"mean behavior of {driver_id!r} has shape {mean.shape}, expected ({d_behavior},)"
+        )
+    require_finite(mean)
+    return DriverProfile(driver_id=driver_id, mean_behavior=mean, trip_count=trip_count)
+
+
+def _trips_dtype(schema: DatasetSchema) -> np.dtype:
+    """One record per trip: the raw env block, the raw performance block, the driver code."""
+    return np.dtype([
+        ("env", "<f8", (schema.d_env,)),
+        ("performance", "<f8", (schema.d_performance,)),
+        ("driver_code", "<i8"),
+    ])
+
+
+def load_trips(path: str | Path, schema: DatasetSchema, profiles: list[DriverProfile]) -> StoredTrips:
+    """Read and verify ``trips.npy`` against the ``profiles.json`` stored beside it.
+
+    Raises ``CorruptBundle`` naming the file for a file that is not an
+    array file, holds pickled data, holds records of another layout, type
+    or shape, holds a non-finite value or a driver code outside
+    ``profiles``, or gives a driver a trip count other than its profile's.
+    """
+    path = Path(path)
+    expected = _trips_dtype(schema)
+    driver_ids = tuple(p.driver_id for p in profiles)
+    with bundle_file(path):
+        with path.open("rb") as handle:
+            table = np.lib.format.read_array(handle, allow_pickle=False)
+        if table.dtype != expected:
+            raise TypeError(f"expected records {expected}, got {table.dtype}")
+        if table.ndim != 1:
+            raise DimensionMismatch(f"expected one record per trip, got shape {table.shape}")
+        env, performance, codes = table["env"], table["performance"], table["driver_code"]
+        require_finite(env, performance)
+        if len(codes) and (codes.min() < 0 or codes.max() >= len(driver_ids)):
+            outside = codes[(codes < 0) | (codes >= len(driver_ids))][0]
+            raise ValueError(
+                f"driver code {outside} is outside the bundle's {len(driver_ids)} drivers"
+            )
+        counts = np.bincount(codes, minlength=len(driver_ids)).tolist()
+        for profile, count in zip(profiles, counts):
+            if count != profile.trip_count:
+                raise ValueError(
+                    f"driver {profile.driver_id!r} has {count} trips here and "
+                    f"{profile.trip_count} in {PROFILES_FILE}"
+                )
+    return StoredTrips(schema, env, performance, driver_ids, codes)

@@ -16,7 +16,7 @@ grow with the batch beyond the input and the result.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +120,8 @@ class Mlp:
                 f"expected (n, {self.config.input_dim}) inputs, got shape {x.shape}"
             )
         n = len(x)
+        # The block loop gives a short batch the same bits, but its buffers make a 16-row
+        # call (one generation of a 62-dim place) about 10% slower, up to 300 times a search
         if n <= BLOCK_ROWS:
             h = x
             for w, b in zip(self.weights[:-1], self.biases[:-1]):
@@ -324,12 +326,7 @@ def train(
 
 def save_mlp(net: Mlp, path: str | Path) -> None:
     data = {
-        "config": {
-            "input_dim": net.config.input_dim,
-            "hidden_widths": list(net.config.hidden_widths),
-            "output_dim": net.config.output_dim,
-            "seed": net.config.seed,
-        },
+        "config": asdict(net.config),
         "weights": [w.tolist() for w in net.weights],
         "biases": [b.tolist() for b in net.biases],
     }

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -103,17 +103,7 @@ class GroundTruth:
 
     def to_dict(self) -> dict:
         return {
-            "config": {
-                "n_drivers": self.config.n_drivers,
-                "trips_per_driver": self.config.trips_per_driver,
-                "d_env": self.config.d_env,
-                "d_behavior": self.config.d_behavior,
-                "skill_spacing": self.config.skill_spacing,
-                "noise_sigma": self.config.noise_sigma,
-                "env_shift_mode": self.config.env_shift_mode,
-                "interaction_scale": self.config.interaction_scale,
-                "seed": self.config.seed,
-            },
+            "config": asdict(self.config),
             "net_w1": self.net_w1.tolist(),
             "net_b1": self.net_b1.tolist(),
             "net_w2": self.net_w2.tolist(),

@@ -18,9 +18,9 @@ import fleetrank
 from fleetrank import assessment, cli, errors
 from fleetrank.atomic import atomic_open
 from fleetrank.cli import build_parser, main
-from fleetrank.models import TOOL_VERSION, load_bundle
+from fleetrank.models import PROFILES_FILE, TOOL_VERSION, TRIPS_FILE, load_bundle, load_profiles
 from fleetrank.neural import BLOCK_ROWS
-from fleetrank.placement import PROFILES_FILE, build_profiles, load_profiles
+from fleetrank.placement import build_profiles
 from fleetrank.synth import SynthConfig, generate
 from fleetrank.trip_data import load_dataset
 
@@ -742,7 +742,7 @@ def _widen_schema(bundle):
 def _edit_trips(edit):
     """Damage that saves ``edit`` of the bundle's trips.npy records in its place."""
     def damage(bundle):
-        path = bundle / assessment.TRIPS_FILE
+        path = bundle / TRIPS_FILE
         np.save(path, edit(np.load(path)), allow_pickle=True)
     return damage
 
@@ -1017,7 +1017,7 @@ def stored_copies(pipeline, tmp_path_factory):
         bare = root / f"{name}-bare"
         shutil.copytree(trained, bare)
         (bare / PROFILES_FILE).unlink()
-        (bare / assessment.TRIPS_FILE).unlink()
+        (bare / TRIPS_FILE).unlink()
         padded = root / f"{name}-padded.csv"
         padded.write_bytes(trips.read_bytes() + b"\r\n")
         copies[name] = {"bundle": trained, "bare": bare, "trips": trips, "padded": padded}
@@ -1068,6 +1068,19 @@ def test_bundle_stands_in_for_data_by_one_rule(stored_copies, tmp_path, caplog, 
     assert warnings == parse_warnings
     assert warnings == ([f"skipped 1 unparsable or repeated rows while loading {path}"]
                         if trips == "bad" else [])
+
+
+def test_rank_parses_data_for_a_bundle_with_profiles_but_no_stored_trips(pipeline, tmp_path):
+    # profiles.json without trips.npy, as an older version wrote the bundle
+    data, bundle = pipeline
+    old = tmp_path / "bundle"
+    shutil.copytree(bundle, old)
+    (old / TRIPS_FILE).unlink()
+    assert (old / PROFILES_FILE).exists()
+    full = _run_with_source("rank", bundle, data / "data.csv", tmp_path / "full", False)
+    parsed = _run_with_source("rank", old, data / "data.csv", tmp_path / "old", False)
+    assert full[:2] == (0, "bundle") and parsed[:2] == (0, "data")
+    assert parsed[2] == full[2]
 
 
 def test_stored_profiles_equal_a_fresh_build_bitwise(pipeline):

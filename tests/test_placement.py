@@ -6,21 +6,21 @@ from fleetrank.cmaes import default_population, maximize
 from fleetrank.errors import DimensionMismatch, EmptyProfiles, InvalidConfig
 from fleetrank.models import (
     AdvantageModel,
+    DriverProfile,
     Regressor,
     TrainingParams,
     behavior_box_from,
+    load_profiles,
+    save_profiles,
     train_regressor,
 )
 from fleetrank.neural import Mlp, MlpConfig
 from fleetrank.normalization import NormalizationStats, fit_stats
 from fleetrank.placement import (
-    DriverProfile,
     build_profiles,
-    load_profiles,
     match_driver,
     optimize_behavior,
     place,
-    save_profiles,
 )
 from fleetrank.synth import SynthConfig, generate
 from tests.conftest import make_dataset
