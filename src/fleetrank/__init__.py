@@ -19,12 +19,14 @@ from .cmaes import CmaesConfig, CmaesResult, maximize, minimize
 from .models import (
     AdvantageModel,
     DriverProfile,
+    FittedPair,
     Regressor,
     TrainingParams,
     behavior_box_from,
     load_bundle,
     save_bundle,
     train_regressor,
+    train_regressors,
 )
 from .neural import Mlp, MlpConfig, TrainReport, gradient, train
 from .normalization import NormalizationStats, fit_stats
@@ -48,6 +50,7 @@ __all__ = [
     "DatasetSchema",
     "DriverAssessment",
     "DriverProfile",
+    "FittedPair",
     "GroundTruth",
     "Mlp",
     "MlpConfig",
@@ -76,5 +79,6 @@ __all__ = [
     "save_dataset",
     "train",
     "train_regressor",
+    "train_regressors",
     "trip_advantages",
 ]

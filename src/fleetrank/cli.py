@@ -33,7 +33,7 @@ from .models import (
     recorded_trips,
     save_bundle,
     save_trip_record,
-    train_regressor,
+    train_regressors,
 )
 from .normalization import fit_stats
 from .trip_data import DatasetSchema, file_sha256, load_dataset, save_dataset
@@ -136,11 +136,10 @@ def cmd_train(args: argparse.Namespace) -> tuple[list[str], dict]:
     data_sha256 = file_sha256(args.data)
     ds = load_dataset(args.data, schema, lenient=args.lenient)
     stats = fit_stats(ds)
-    baseline, baseline_report = train_regressor(ds, stats, base_params, with_behavior=False)
-    behavior, behavior_report = train_regressor(ds, stats, behav_params, with_behavior=True)
+    fits = train_regressors(ds, stats, base_params, behav_params)
     model = AdvantageModel(
-        baseline=baseline,
-        behavior=behavior,
+        baseline=fits.baseline,
+        behavior=fits.behavior,
         metric_index=schema.metric_index,
         behavior_box=behavior_box_from(ds, stats),
     )
@@ -150,15 +149,15 @@ def cmd_train(args: argparse.Namespace) -> tuple[list[str], dict]:
         out,
         model,
         schema,
-        baseline_report=baseline_report,
-        behavior_report=behavior_report,
+        baseline_report=fits.baseline_report,
+        behavior_report=fits.behavior_report,
         params=base_params,
     )
     record = save_trip_record(
         out, ds, placement.build_profiles(ds, stats),
         data_sha256=data_sha256, stats_fingerprint=stats.fingerprint(),
     )
-    for name, report in (("baseline", baseline_report), ("behavior", behavior_report)):
+    for name, report in (("baseline", fits.baseline_report), ("behavior", fits.behavior_report)):
         with atomic_open(out / f"{name}_curve.csv") as handle:
             writer = csv.writer(handle)
             writer.writerow(["epoch", "mse"])
@@ -169,10 +168,14 @@ def cmd_train(args: argparse.Namespace) -> tuple[list[str], dict]:
         "baseline_curve.csv", "behavior_curve.csv",
     ]
     print(
-        f"trained bundle in {out}: baseline mse {baseline_report.final_loss:.6f}, "
-        f"behavior mse {behavior_report.final_loss:.6f}"
+        f"trained bundle in {out}: baseline mse {fits.baseline_report.final_loss:.6f}, "
+        f"behavior mse {fits.behavior_report.final_loss:.6f}"
     )
-    return outputs, {"data_sha256": data_sha256}
+    return outputs, {
+        "data_sha256": data_sha256,
+        "fit_processes": fits.processes,
+        "fit_in_one_process_because": fits.one_process_because,
+    }
 
 
 def cmd_rank(args: argparse.Namespace) -> tuple[list[str], dict]:

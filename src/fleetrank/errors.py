@@ -9,7 +9,24 @@ from __future__ import annotations
 
 
 class FleetrankError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors.
+
+    Every error survives a pickle round trip with its type, message and
+    attributes, so an error raised in a worker process can be raised again
+    in its parent.
+    """
+
+    def __reduce__(self):
+        # the default reduction calls the type with ``args``, the message, which
+        # a type whose constructor builds the message from its fields would garble
+        return _restore, (type(self), self.args), self.__dict__
+
+
+def _restore(error_type: type, args: tuple) -> FleetrankError:
+    """An error of ``error_type`` with ``args``, its constructor not run; pickle adds the fields."""
+    error = error_type.__new__(error_type)
+    error.args = args
+    return error
 
 
 class UsageError(FleetrankError):

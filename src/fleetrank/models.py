@@ -11,6 +11,12 @@ the baseline term cancels from any comparison between two behaviors at
 a fixed environment. Both networks are a :class:`Regressor`; which
 blocks one reads follows from its input width.
 
+The two fits share no state, so :func:`train_regressors` runs the
+baseline's in a forked child while this process runs the behavior net's,
+where the host has a second core and the process runs one OS thread
+(:func:`why_one_process`); elsewhere both run here, the baseline first.
+:func:`train_regressor` is one fit.
+
 A bundle is a directory: :func:`save_bundle` writes the nets, the
 statistics and ``meta.json``, and :func:`save_trip_record` writes what
 ``train`` recorded of the trips it read, ``profiles.json`` and
@@ -23,14 +29,18 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
+import signal
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
 from .atomic import atomic_open
-from .errors import CorruptBundle, DimensionMismatch, InvalidConfig
+from .errors import CorruptBundle, DimensionMismatch, FleetrankError, InvalidConfig
 from .neural import Mlp, MlpConfig, TrainReport, load_mlp, save_mlp, train
 from .normalization import NormalizationStats
 from .trip_data import Dataset, DatasetSchema, file_sha256, log_skipped
@@ -191,26 +201,182 @@ def train_regressor(
     ds: Dataset, stats: NormalizationStats, params: TrainingParams, with_behavior: bool
 ) -> tuple[Regressor, TrainReport]:
     """Fit a fresh regressor on every record; ``with_behavior``, it reads behavior too."""
-    config = MlpConfig(
-        input_dim=stats.d_env + (stats.d_behavior if with_behavior else 0),
-        hidden_widths=params.hidden_widths,
-        output_dim=stats.d_performance,
-        seed=params.seed,
-    )
-    regressor = Regressor(net=Mlp.init(config), stats=stats)
     a_norm = stats.normalize_behavior(ds.behavior) if with_behavior else None
-    report = train(
-        regressor.net,
-        regressor.inputs(stats.normalize_env(ds.env), a_norm),
-        stats.normalize_performance(ds.performance),
-        epochs=params.epochs,
-        batch_size=params.batch_size,
-        learning_rate=params.learning_rate,
-        seed=params.seed,
-    )
-    return regressor, report
+    fit = _Fit(stats, params, stats.normalize_env(ds.env), a_norm,
+               stats.normalize_performance(ds.performance))
+    return fit.regressor, fit.run()
 
 
+@dataclass
+class FittedPair:
+    """A model's two regressors, fitted, with their learning curves and how they were fitted."""
+
+    baseline: Regressor
+    baseline_report: TrainReport
+    behavior: Regressor
+    behavior_report: TrainReport
+    processes: int  # 2 when a forked child fitted the baseline
+    one_process_because: str | None  # the unmet condition, when ``processes`` is 1
+
+
+def train_regressors(
+    ds: Dataset,
+    stats: NormalizationStats,
+    baseline_params: TrainingParams,
+    behavior_params: TrainingParams,
+) -> FittedPair:
+    """Fit the baseline and the behavior regressor, at the same time where the host allows it.
+
+    When :func:`why_one_process` finds no obstacle, a child made with
+    ``os.fork`` fits the baseline while this process fits the behavior net,
+    the longer fit; the child sends back only the flat parameter vector and
+    the learning curve. Otherwise both fit here, the baseline first. Both
+    ways give the same bits, and when both fits fail, the baseline's error
+    is raised, as it is raised first in this process.
+    """
+    s_norm = stats.normalize_env(ds.env)
+    targets = stats.normalize_performance(ds.performance)
+    # both fits' rows are built before a fork, so that the child allocates nothing the
+    # size of the trips: a child's peak RSS counts the pages it inherited as well
+    baseline = _Fit(stats, baseline_params, s_norm, None, targets)
+    behavior = _Fit(stats, behavior_params, s_norm, stats.normalize_behavior(ds.behavior), targets)
+    reason, child = why_one_process(), None
+    if reason is None:
+        try:
+            child = _ForkedFit(baseline)
+        except OSError as exc:  # no process or pipe to be had
+            reason = f"fork failed: {exc}"
+    if child is None:
+        baseline_report, behavior_report = baseline.run(), behavior.run()
+    else:
+        try:
+            try:
+                behavior_report = behavior.run()
+            except Exception:
+                child.result()  # the baseline's error, if it failed too, comes first
+                raise
+            baseline_report = child.result()
+        finally:
+            child.close()
+    return FittedPair(baseline.regressor, baseline_report, behavior.regressor, behavior_report,
+                      processes=1 if reason else 2, one_process_because=reason)
+
+
+def why_one_process() -> str | None:
+    """The condition that keeps both fits in this process, or None when a child may fit one.
+
+    A child needs ``os.fork``, a second core to run on, and a process running
+    one OS thread. With BLAS threads as well, the two fits' threads outnumber
+    the cores and spin against each other, and a fork copies only the thread
+    that calls it.
+    """
+    if not hasattr(os, "fork"):
+        return "os.fork is unavailable"
+    if not hasattr(os, "sched_getaffinity"):
+        return "the usable cores are unknown"
+    if len(os.sched_getaffinity(0)) < 2:
+        return "one usable core"
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:
+        return "the OS threads are unknown"
+    return None if threads == 1 else f"{threads} OS threads"
+
+
+class _Fit:
+    """One regressor's fit, its input and target rows built; :meth:`run` trains the net in place."""
+
+    def __init__(self, stats: NormalizationStats, params: TrainingParams, s_norm: np.ndarray,
+                 a_norm: np.ndarray | None, targets: np.ndarray):
+        config = MlpConfig(
+            input_dim=stats.d_env + (0 if a_norm is None else stats.d_behavior),
+            hidden_widths=params.hidden_widths,
+            output_dim=stats.d_performance,
+            seed=params.seed,
+        )
+        self.regressor = Regressor(net=Mlp.init(config), stats=stats)
+        self.inputs = self.regressor.inputs(s_norm, a_norm)
+        self.targets = targets
+        self.params = params
+
+    def run(self) -> TrainReport:
+        return train(
+            self.regressor.net,
+            self.inputs,
+            self.targets,
+            epochs=self.params.epochs,
+            batch_size=self.params.batch_size,
+            learning_rate=self.params.learning_rate,
+            seed=self.params.seed,
+        )
+
+
+class _ForkedFit:
+    """A fit run by a forked child, which pickles its outcome into a pipe.
+
+    :meth:`result` waits for the outcome and reaps the child; :meth:`close`
+    kills and reaps a child whose result was not taken.
+    """
+
+    def __init__(self, fit: _Fit):
+        self.fit = fit
+        read_fd, write_fd = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if self.pid == 0:
+            os.close(read_fd)
+            _run_in_child(fit, write_fd)
+        os.close(write_fd)
+        self.pipe = os.fdopen(read_fd, "rb")
+
+    def result(self) -> TrainReport:
+        """The fit's learning curve, its net now holding the child's parameters; or its error."""
+        message = self.pipe.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0:
+            names = {number.value: number.name for number in signal.Signals}
+            how = f"was killed by {names.get(-code, -code)}" if code < 0 else f"exited {code}"
+            role = "behavior" if self.fit.regressor.reads_behavior else "baseline"
+            raise FleetrankError(f"the process fitting the {role} net {how}")
+        outcome = pickle.loads(message)  # bytes our own child wrote
+        if isinstance(outcome, Exception):
+            raise outcome
+        theta, epoch_losses = outcome
+        self.fit.regressor.net = Mlp.from_parameters(self.fit.regressor.net.config, theta)
+        return TrainReport(epoch_losses=epoch_losses)
+
+    def close(self) -> None:
+        self.pipe.close()
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
+def _run_in_child(fit: _Fit, write_fd: int) -> NoReturn:
+    """The forked child's whole life: run ``fit``, send its outcome, and leave.
+
+    It leaves through ``os._exit``, whatever happens, so that it never returns
+    into its parent's code, runs its exit handlers or flushes its buffers.
+    """
+    code = 1
+    try:
+        try:
+            report = fit.run()
+            outcome = (fit.regressor.net.parameters(), report.epoch_losses)
+        except Exception as exc:  # the parent raises it again
+            outcome = exc
+        with os.fdopen(write_fd, "wb") as pipe:
+            pickle.dump(outcome, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
 def behavior_box_from(ds: Dataset, stats: NormalizationStats, margin: float = BOX_MARGIN) -> np.ndarray:
     """Per-dimension [lo, hi] over normalized behaviors, padded by ``margin``.
 

@@ -105,6 +105,19 @@ class Mlp:
     def copy(self) -> "Mlp":
         return Mlp(self.config, [w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
+    def parameters(self) -> np.ndarray:
+        """Every weight and bias in one new vector, laid out as :func:`train` packs them."""
+        return np.concatenate([p.ravel() for w, b in zip(self.weights, self.biases) for p in (w, b)])
+
+    @classmethod
+    def from_parameters(cls, config: MlpConfig, theta: np.ndarray) -> "Mlp":
+        """The net whose weights and biases are views of ``theta``, a :meth:`parameters` vector."""
+        theta = np.asarray(theta, dtype=float)
+        size = sum(i * o + o for i, o in zip(config.layer_widths[:-1], config.layer_widths[1:]))
+        if theta.shape != (size,):
+            raise DimensionMismatch(f"expected {size} parameters, got shape {theta.shape}")
+        return cls(config, *_layer_views(theta, config.layer_widths))
+
     def forward_batch(self, x: np.ndarray) -> np.ndarray:
         """Evaluate a batch of rows; returns (n, output_dim).
 

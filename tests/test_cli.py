@@ -6,16 +6,19 @@ import io
 import json
 import math
 import os
+import pickle
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fleetrank
-from fleetrank import assessment, cli, errors
+from fleetrank import assessment, cli, errors, models
 from fleetrank.atomic import atomic_open
 from fleetrank.cli import build_parser, main
 from fleetrank.models import PROFILES_FILE, TOOL_VERSION, TRIPS_FILE, load_bundle, load_profiles
@@ -26,7 +29,11 @@ from fleetrank.trip_data import load_dataset
 
 
 def run(*argv):
-    return main(list(argv))
+    code = main(list(argv))
+    if argv[0] == "train":
+        with pytest.raises(ChildProcessError):  # no child process is left, not even a zombie
+            os.waitpid(-1, os.WNOHANG)
+    return code
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +92,9 @@ def test_train_outputs(pipeline):
     manifest = json.loads((bundle / "manifest.json").read_text())
     assert manifest["data_sha256"] == hashlib.sha256((data / "data.csv").read_bytes()).hexdigest()
     assert "profiles.json" in manifest["outputs"] and "trips.npy" in manifest["outputs"]
+    reason = models.why_one_process()
+    assert (manifest["fit_processes"], manifest["fit_in_one_process_because"]) == (
+        (2, None) if reason is None else (1, reason))
     with (bundle / "baseline_curve.csv").open() as handle:
         rows = list(csv.reader(handle))
     assert rows[0] == ["epoch", "mse"]
@@ -434,6 +444,32 @@ def test_every_error_type_has_its_exit_code(tmp_path, capsys, monkeypatch, error
     assert not out.exists()
 
 
+@pytest.mark.parametrize("error_type", ERROR_TYPES, ids=lambda t: t.__name__)
+def test_every_error_type_survives_pickling(tmp_path, capsys, monkeypatch, error_type):
+    # an error raised in the process that fits the baseline is raised again in its parent
+    if error_type is errors.NonFiniteObjective:
+        error = error_type(np.array([1.5, -2.0]), best=("best", 3))
+    else:
+        params = list(inspect.signature(error_type.__init__).parameters.values())[1:]
+        error = error_type(*(f"{p.name}-{i}" for i, p in enumerate(params)
+                             if p.kind is p.POSITIONAL_OR_KEYWORD and p.default is p.empty))
+    copy = pickle.loads(pickle.dumps(error, protocol=pickle.HIGHEST_PROTOCOL))
+    assert type(copy) is error_type
+    assert str(copy) == str(error) and copy.args == error.args
+    assert vars(copy).keys() == vars(error).keys()
+    for name, value in vars(error).items():
+        assert np.array_equal(getattr(copy, name), value) if name == "point" else (
+            getattr(copy, name) == value), name
+
+    def fails(args):
+        raise copy
+
+    monkeypatch.setattr(cli, "cmd_synth", fails)
+    code = run("synth", "--out", str(tmp_path / "s"))
+    assert (code, capsys.readouterr().err) == (
+        2 if isinstance(error, errors.UsageError) else 1, f"error: {error}\n")
+
+
 def test_manifest_keys_per_command(pipeline, tmp_path):
     data, bundle = pipeline
     env = tmp_path / "env.json"
@@ -449,7 +485,8 @@ def test_manifest_keys_per_command(pipeline, tmp_path):
     ):
         outs[command] = tmp_path / command
         assert run(command, *argv, "--out", str(outs[command])) == 0
-    facts = {"train": ["data_sha256"], "rank": ["trips"], "place": ["profiles"]}
+    facts = {"train": ["data_sha256", "fit_processes", "fit_in_one_process_because"],
+             "rank": ["trips"], "place": ["profiles"]}
     for command, out in outs.items():
         manifest = json.loads((out / "manifest.json").read_text())
         assert list(manifest) == [
@@ -486,6 +523,126 @@ def test_overflowing_stats_fail_train(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err == "error: non-finite mean or std in column 'total_mpg'\n"
     assert not bundle.exists()
+
+
+@pytest.fixture(params=["forked", "in-parent"])
+def fit_path(request, monkeypatch):
+    """Have train fit the baseline in a forked child, or both nets in this process.
+
+    The in-parent path is the parent commit's order: the baseline, then the
+    behavior net, in one process.
+    """
+    reason = None if request.param == "forked" else "forced by the test"
+    monkeypatch.setattr(models, "why_one_process", lambda: reason)
+    return request.param
+
+
+def _before_fit(monkeypatch, **actions):
+    """Run ``actions["baseline"]`` or ``actions["behavior"]`` on a fit's arguments as it starts.
+
+    The pipeline's trips have 8 env columns, so an 8-wide net is the baseline.
+    The patch is in place before a fork, so it holds in the child too.
+    """
+    real = models.train
+
+    def train(net, inputs, targets, **kwargs):
+        action = actions.get("baseline" if net.config.input_dim == 8 else "behavior")
+        if action:
+            action(kwargs)
+        return real(net, inputs, targets, **kwargs)
+
+    monkeypatch.setattr(models, "train", train)
+
+
+def _train_small(pipeline, out):
+    data, _ = pipeline
+    return run("train", "--data", str(data / "data.csv"), "--schema", str(data / "schema.json"),
+               "--epochs", "3", "--hidden", "8,8,8", "--out", str(out))
+
+
+def test_train_fits_give_the_same_bundle_on_both_paths(pipeline, tmp_path, monkeypatch):
+    artifacts = {}
+    for path, reason in (("forked", None), ("in-parent", "forced by the test")):
+        monkeypatch.setattr(models, "why_one_process", lambda reason=reason: reason)
+        out = tmp_path / path
+        assert _train_small(pipeline, out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["fit_processes"] == (2 if reason is None else 1)
+        assert manifest["fit_in_one_process_because"] == reason
+        artifacts[path] = {p.name: p.read_bytes() for p in sorted(out.iterdir())
+                           if p.name != "manifest.json"}
+    assert len(artifacts["forked"]) == 8
+    assert artifacts["forked"] == artifacts["in-parent"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.parametrize("role", ["baseline", "behavior"])
+def test_train_non_finite_loss_in_either_fit(pipeline, tmp_path, capsys, monkeypatch, fit_path,
+                                             role):
+    # an absurd learning rate for one net overflows its forward pass in the first epoch
+    _before_fit(monkeypatch, **{role: lambda kwargs: kwargs.update(learning_rate=1e40)})
+    assert _train_small(pipeline, tmp_path / "b") == 1
+    assert capsys.readouterr().err == "error: non-finite loss at epoch 0\n"
+    assert not (tmp_path / "b").exists()
+
+
+def test_train_baseline_error_wins_when_both_fits_fail(pipeline, tmp_path, capsys, monkeypatch,
+                                                       fit_path):
+    def fail_at(epoch):
+        def action(kwargs):
+            raise errors.NonFiniteLoss(epoch)
+        return action
+
+    _before_fit(monkeypatch, baseline=fail_at(7), behavior=fail_at(9))
+    assert _train_small(pipeline, tmp_path / "b") == 1
+    assert capsys.readouterr().err == "error: non-finite loss at epoch 7\n"
+    assert not (tmp_path / "b").exists()
+
+
+def test_train_child_killed_is_a_runtime_error(pipeline, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(models, "why_one_process", lambda: None)
+    _before_fit(monkeypatch, baseline=lambda kwargs: os.kill(os.getpid(), signal.SIGKILL))
+    assert _train_small(pipeline, tmp_path / "b") == 1
+    assert capsys.readouterr().err == (
+        "error: the process fitting the baseline net was killed by SIGKILL\n")
+    assert not (tmp_path / "b").exists()
+
+
+def test_train_interrupt_kills_and_reaps_the_child(pipeline, tmp_path, monkeypatch):
+    data, _ = pipeline
+    monkeypatch.setattr(models, "why_one_process", lambda: None)
+
+    def interrupt(kwargs):
+        raise KeyboardInterrupt
+
+    # the child would fit for a minute: the parent must not wait for it
+    _before_fit(monkeypatch, baseline=lambda kwargs: time.sleep(60), behavior=interrupt)
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        main(["train", "--data", str(data / "data.csv"), "--schema", str(data / "schema.json"),
+              "--epochs", "3", "--hidden", "8,8,8", "--out", str(tmp_path / "b")])
+    assert time.monotonic() - started < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_train_fits_in_two_processes_only_with_one_thread(pipeline, tmp_path):
+    # the real conditions, not a forced path: unpinned, OpenBLAS keeps a second thread
+    data, _ = pipeline
+    two_cores = len(os.sched_getaffinity(0)) > 1
+    script = "import sys\nfrom fleetrank.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    src = str(Path(fleetrank.__file__).resolve().parents[1])
+    for threads, expected in (("1", (2, None) if two_cores else (1, "one usable core")),
+                              ("2", (1, "2 OS threads" if two_cores else "one usable core"))):
+        out = tmp_path / f"threads-{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-c", script, "train", "--data", str(data / "data.csv"),
+                        "--schema", str(data / "schema.json"), "--epochs", "2", "--hidden",
+                        "8,8,8", "--out", str(out)], env=env, check=True, capture_output=True,
+                       timeout=120)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["fit_processes"], manifest["fit_in_one_process_because"]) == expected
 
 
 @pytest.mark.parametrize(

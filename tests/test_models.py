@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from fleetrank import models
 from fleetrank.errors import DimensionMismatch
 from fleetrank.models import (
     AdvantageModel,
@@ -10,6 +13,7 @@ from fleetrank.models import (
     load_bundle,
     save_bundle,
     train_regressor,
+    train_regressors,
 )
 from fleetrank.neural import Mlp, MlpConfig
 from fleetrank.normalization import fit_stats
@@ -236,3 +240,52 @@ def test_behavior_box_degenerate_dim():
     assert box[0, 0] < box[0, 1]  # hairline box around the constant value
     assert box[0, 1] - box[0, 0] == pytest.approx(2e-6)
 
+
+
+@pytest.mark.parametrize("reason", [None, "forced"], ids=["forked", "in-parent"])
+def test_train_regressors_gives_the_bits_of_two_single_fits(monkeypatch, reason):
+    ds, _ = generate(SynthConfig(n_drivers=3, trips_per_driver=40, seed=2))
+    stats = fit_stats(ds)
+    behavior_params = TrainingParams(**{**SMALL.__dict__, "epochs": 5, "seed": 1})
+    baseline_params = TrainingParams(**{**SMALL.__dict__, "epochs": 5})
+    monkeypatch.setattr(models, "why_one_process", lambda: reason)
+    fits = train_regressors(ds, stats, baseline_params, behavior_params)
+    assert (fits.processes, fits.one_process_because) == ((2, None) if reason is None else (1, reason))
+    with pytest.raises(ChildProcessError):  # the child was reaped
+        os.waitpid(-1, os.WNOHANG)
+    for fitted, report, params, with_behavior in (
+        (fits.baseline, fits.baseline_report, baseline_params, False),
+        (fits.behavior, fits.behavior_report, behavior_params, True),
+    ):
+        single, single_report = train_regressor(ds, stats, params, with_behavior=with_behavior)
+        assert report.epoch_losses == single_report.epoch_losses
+        assert fitted.net.config == single.net.config
+        for a, b in zip(fitted.net.weights + fitted.net.biases, single.net.weights + single.net.biases):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_why_one_process_names_the_unmet_condition(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "listdir", lambda path: ["1"] if path == "/proc/self/task" else [])
+    assert models.why_one_process() is None
+    monkeypatch.setattr(os, "listdir", lambda path: ["1", "2"])
+    assert models.why_one_process() == "2 OS threads"
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert models.why_one_process() == "one usable core"
+    monkeypatch.delattr(os, "fork")
+    assert models.why_one_process() == "os.fork is unavailable"
+
+
+def test_train_regressors_fits_in_this_process_when_fork_fails(monkeypatch):
+    ds, _ = generate(SynthConfig(n_drivers=3, trips_per_driver=20, seed=2))
+    monkeypatch.setattr(models, "why_one_process", lambda: None)
+
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    params = TrainingParams(epochs=2, hidden_widths=(4, 4, 4))
+    fits = train_regressors(ds, fit_stats(ds), params, params)
+    assert fits.processes == 1
+    assert fits.one_process_because == "fork failed: [Errno 11] Resource temporarily unavailable"
+    assert len(fits.baseline_report.epoch_losses) == len(fits.behavior_report.epoch_losses) == 2
