@@ -11,6 +11,7 @@ type (see ``errors``). Running out of memory is a runtime failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -22,11 +23,13 @@ import numpy as np
 
 from . import assessment, placement, synth
 from .atomic import atomic_open
+from .cores import Worker, why_one_process
 from .errors import DimensionMismatch, FleetrankError, InvalidConfig, UnknownDimension, UsageError
 from .models import (
     TOOL_VERSION,
     AdvantageModel,
     TrainingParams,
+    TripsFile,
     behavior_box_from,
     load_bundle,
     recorded_profiles,
@@ -35,8 +38,10 @@ from .models import (
     save_trip_record,
     train_regressors,
 )
+from .neural import BLOCK_ROWS
 from .normalization import fit_stats
 from .trip_data import DatasetSchema, file_sha256, load_dataset, save_dataset
+
 
 def _write_manifest(args: argparse.Namespace, outputs: list[str], facts: dict,
                     started: float) -> None:
@@ -52,6 +57,15 @@ def _write_manifest(args: argparse.Namespace, outputs: list[str], facts: dict,
     }
     with atomic_open(Path(args.out) / "manifest.json") as handle:
         handle.write(json.dumps(manifest, indent=2))
+
+
+def _core_facts(workers_before: int) -> dict:
+    """Whether a worker thread ran since ``Worker.started`` read ``workers_before``; if not, why."""
+    if Worker.started > workers_before:
+        return {"threads": 2, "in_one_thread_because": None}
+    reason = why_one_process() or (
+        f"no trips file to hash and no forward pass of {2 * BLOCK_ROWS} rows or more")
+    return {"threads": 1, "in_one_thread_because": reason}
 
 
 def _load_vector(path: str) -> np.ndarray:
@@ -179,15 +193,17 @@ def cmd_train(args: argparse.Namespace) -> tuple[list[str], dict]:
 
 
 def cmd_rank(args: argparse.Namespace) -> tuple[list[str], dict]:
-    model, schema, _meta = load_bundle(args.bundle)
-    if args.schema:
-        given = DatasetSchema.load(args.schema)
-        if given.to_dict() != schema.to_dict():
-            raise InvalidConfig("--schema does not match the schema the bundle was trained on")
-    trips = recorded_trips(args.bundle, schema, model.stats, args.data, lenient=args.lenient)
-    source = "data" if trips is None else "bundle"
-    if trips is None:
-        trips = load_dataset(args.data, schema, lenient=args.lenient)
+    workers = Worker.started
+    with TripsFile(args.data) as data:
+        model, schema, _meta = load_bundle(args.bundle)
+        if args.schema:
+            given = DatasetSchema.load(args.schema)
+            if given.to_dict() != schema.to_dict():
+                raise InvalidConfig("--schema does not match the schema the bundle was trained on")
+        trips = recorded_trips(args.bundle, schema, model.stats, data, lenient=args.lenient)
+        source = "data" if trips is None else "bundle"
+        if trips is None:
+            trips = load_dataset(args.data, schema, lenient=args.lenient)
     advantages = assessment.trip_advantages(
         trips, model.baseline, metric_index=model.metric_index, raw_units=args.raw_units
     )
@@ -200,29 +216,31 @@ def cmd_rank(args: argparse.Namespace) -> tuple[list[str], dict]:
     with atomic_open(out / "ranking.csv") as handle:
         csv.writer(handle).writerows(assessment.ranking_rows(ranking))
     print(text, end="")
-    return ["ranking.txt", "ranking.csv"], {"trips": source}
+    return ["ranking.txt", "ranking.csv"], {"trips": source, **_core_facts(workers)}
 
 
 def cmd_place(args: argparse.Namespace) -> tuple[list[str], dict]:
-    model, schema, _meta = load_bundle(args.bundle)
-    env = _load_vector(args.env)
-    _require_length(env, model.stats.d_env, "--env")
-    template_norm = None
-    free_indices = None
-    if args.fix_template:
-        template = _load_vector(args.fix_template)
-        _require_length(template, model.stats.d_behavior, "--fix-template")
-        template_norm = template if args.normalized else model.stats.normalize_behavior(template)
-        if not args.free:
-            raise InvalidConfig("--fix-template requires --free naming the searched dimensions")
-        free_indices = _free_indices(schema, args.free)
-    elif args.free:
-        raise InvalidConfig("--free requires --fix-template for the fixed dimensions")
-    profiles = recorded_profiles(args.bundle, model.stats, args.data, lenient=args.lenient)
-    source = "data" if profiles is None else "bundle"
-    if profiles is None:
-        ds = load_dataset(args.data, schema, lenient=args.lenient)
-        profiles = placement.build_profiles(ds, model.stats)
+    workers = Worker.started
+    with TripsFile(args.data) if args.data else contextlib.nullcontext() as data:
+        model, schema, _meta = load_bundle(args.bundle)
+        env = _load_vector(args.env)
+        _require_length(env, model.stats.d_env, "--env")
+        template_norm = None
+        free_indices = None
+        if args.fix_template:
+            template = _load_vector(args.fix_template)
+            _require_length(template, model.stats.d_behavior, "--fix-template")
+            template_norm = template if args.normalized else model.stats.normalize_behavior(template)
+            if not args.free:
+                raise InvalidConfig("--fix-template requires --free naming the searched dimensions")
+            free_indices = _free_indices(schema, args.free)
+        elif args.free:
+            raise InvalidConfig("--free requires --fix-template for the fixed dimensions")
+        profiles = recorded_profiles(args.bundle, model.stats, data, lenient=args.lenient)
+        source = "data" if profiles is None else "bundle"
+        if profiles is None:
+            ds = load_dataset(args.data, schema, lenient=args.lenient)
+            profiles = placement.build_profiles(ds, model.stats)
 
     result = placement.place(
         model,
@@ -251,10 +269,11 @@ def cmd_place(args: argparse.Namespace) -> tuple[list[str], dict]:
         f"matched driver {result.matched_driver} at distance {result.match_distance:.6f} "
         f"(advantage {result.optimal_advantage:.6f})"
     )
-    return ["placement.json", "search_history.csv"], {"profiles": source}
+    return ["placement.json", "search_history.csv"], {"profiles": source, **_core_facts(workers)}
 
 
 def cmd_surface(args: argparse.Namespace) -> tuple[list[str], dict]:
+    workers = Worker.started
     if args.resolution < 2:
         raise InvalidConfig(f"--resolution must be >= 2 points per axis, got {args.resolution}")
     model, schema, _meta = load_bundle(args.bundle)
@@ -295,7 +314,7 @@ def cmd_surface(args: argparse.Namespace) -> tuple[list[str], dict]:
                 f"{x_i},{x_j},{value!r}\r\n" for x_j, value in zip(text_j, line)
             ))
     print(f"wrote {args.resolution * args.resolution} grid points to {out / 'surface.csv'}")
-    return ["surface.csv"], {}
+    return ["surface.csv"], _core_facts(workers)
 
 
 def build_parser() -> argparse.ArgumentParser:

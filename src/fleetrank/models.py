@@ -14,7 +14,7 @@ blocks one reads follows from its input width.
 The two fits share no state, so :func:`train_regressors` runs the
 baseline's in a forked child while this process runs the behavior net's,
 where the host has a second core and the process runs one OS thread
-(:func:`why_one_process`); elsewhere both run here, the baseline first.
+(``cores.why_one_process``); elsewhere both run here, the baseline first.
 :func:`train_regressor` is one fit.
 
 A bundle is a directory: :func:`save_bundle` writes the nets, the
@@ -22,7 +22,9 @@ statistics and ``meta.json``, and :func:`save_trip_record` writes what
 ``train`` recorded of the trips it read, ``profiles.json`` and
 ``trips.npy``. That record stands in for a parse of the trips file, in
 ``rank`` and ``place``, by one rule (:func:`recorded_trips`,
-:func:`recorded_profiles`).
+:func:`recorded_profiles`). The rule compares the file's SHA-256, which a
+:class:`TripsFile` takes on a second thread, under the same condition,
+while the bundle loads.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from typing import NoReturn
 import numpy as np
 
 from .atomic import atomic_open
+from .cores import Worker, why_one_process
 from .errors import CorruptBundle, DimensionMismatch, FleetrankError, InvalidConfig
 from .neural import Mlp, MlpConfig, TrainReport, load_mlp, save_mlp, train
 from .normalization import NormalizationStats
@@ -262,27 +265,6 @@ def train_regressors(
                       processes=1 if reason else 2, one_process_because=reason)
 
 
-def why_one_process() -> str | None:
-    """The condition that keeps both fits in this process, or None when a child may fit one.
-
-    A child needs ``os.fork``, a second core to run on, and a process running
-    one OS thread. With BLAS threads as well, the two fits' threads outnumber
-    the cores and spin against each other, and a fork copies only the thread
-    that calls it.
-    """
-    if not hasattr(os, "fork"):
-        return "os.fork is unavailable"
-    if not hasattr(os, "sched_getaffinity"):
-        return "the usable cores are unknown"
-    if len(os.sched_getaffinity(0)) < 2:
-        return "one usable core"
-    try:
-        threads = len(os.listdir("/proc/self/task"))
-    except OSError:
-        return "the OS threads are unknown"
-    return None if threads == 1 else f"{threads} OS threads"
-
-
 class _Fit:
     """One regressor's fit, its input and target rows built; :meth:`run` trains the net in place."""
 
@@ -377,6 +359,8 @@ def _run_in_child(fit: _Fit, write_fd: int) -> NoReturn:
         code = 0
     finally:
         os._exit(code)
+
+
 def behavior_box_from(ds: Dataset, stats: NormalizationStats, margin: float = BOX_MARGIN) -> np.ndarray:
     """Per-dimension [lo, hi] over normalized behaviors, padded by ``margin``.
 
@@ -560,8 +544,33 @@ def save_trip_record(directory: str | Path, ds: Dataset, profiles: list[DriverPr
     return [PROFILES_FILE, TRIPS_FILE]
 
 
+class TripsFile:
+    """A trips file given as ``--data``, its SHA-256 taken on a second thread where it can be.
+
+    Where :func:`why_one_process` finds no obstacle, a :class:`Worker`
+    starts hashing the file as this object is made, so the hash runs beside
+    whatever the caller does next, such as loading the bundle. A hash error
+    is raised only by :meth:`sha256`, where the stand-in rule needs the
+    digest. Leaving the ``with`` block joins the thread, digest taken or not.
+    """
+
+    def __init__(self, path: str):
+        self.path = path
+        self._worker = Worker(file_sha256, path) if why_one_process() is None else None
+
+    def sha256(self) -> str:
+        return file_sha256(self.path) if self._worker is None else self._worker.result()
+
+    def __enter__(self) -> "TripsFile":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._worker is not None:
+            self._worker.join()
+
+
 def recorded_profiles(
-    bundle: str | Path, stats: NormalizationStats, data: str | None, *, lenient: bool
+    bundle: str | Path, stats: NormalizationStats, data: TripsFile | None, *, lenient: bool
 ) -> list[DriverProfile] | None:
     """The profiles ``train`` stored, if they stand in for the trips file ``data``.
 
@@ -580,7 +589,7 @@ def recorded_profiles(
 
 
 def recorded_trips(
-    bundle: str | Path, schema: DatasetSchema, stats: NormalizationStats, data: str, *,
+    bundle: str | Path, schema: DatasetSchema, stats: NormalizationStats, data: TripsFile, *,
     lenient: bool,
 ) -> StoredTrips | None:
     """The trips ``train`` stored, if they stand in for the trips file ``data``.
@@ -600,18 +609,19 @@ def _stored_profiles(bundle: str | Path, stats: NormalizationStats) -> StoredPro
     return load_profiles(path, stats.d_behavior, stats.fingerprint()) if path.exists() else None
 
 
-def _stands_in(stored: StoredProfiles | None, data: str, lenient: bool) -> bool:
+def _stands_in(stored: StoredProfiles | None, data: TripsFile, lenient: bool) -> bool:
     """Whether the record stands in for the trips file ``data``.
 
     It does only when ``train`` read the same bytes and, unless ``lenient``,
     skipped no row of them: a strict parse of those bytes would raise
-    instead. ``data`` is hashed only when the bundle stores a record. When
-    it stands in, the skipped rows are reported as a parse reports them.
+    instead. The digest of ``data`` is read only when the bundle stores a
+    record. When it stands in, the skipped rows are reported as a parse
+    reports them.
     """
     if not (stored is not None and (stored.skipped_rows == 0 or lenient)
-            and file_sha256(data) == stored.data_sha256):
+            and data.sha256() == stored.data_sha256):
         return False
-    log_skipped(stored.skipped_rows, Path(data))
+    log_skipped(stored.skipped_rows, Path(data.path))
     return True
 
 

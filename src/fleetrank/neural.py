@@ -10,7 +10,10 @@ averagers, and fitting the training set closely is the point.
 Inference (:meth:`Mlp.forward_batch`) evaluates a batch of more than
 ``BLOCK_ROWS`` rows in consecutive blocks of at least ``BLOCK_ROWS`` rows
 each, through buffers reused from block to block, so its memory does not
-grow with the batch beyond the input and the result.
+grow with the batch beyond the input and the result. Blocks are also the
+unit two threads share: a batch of two blocks or more runs its second half
+on a worker thread where ``cores.why_one_process`` finds no obstacle, with
+the same block edges and so the same bits.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_open
+from .cores import Worker, why_one_process
 from .errors import DimensionMismatch, NonFiniteLoss
 
 ADAM_BETA1 = 0.9
@@ -122,10 +126,13 @@ class Mlp:
         """Evaluate a batch of rows; returns (n, output_dim).
 
         A batch of more than ``BLOCK_ROWS`` rows runs in blocks of
-        ``BLOCK_ROWS`` rows, the last one taking the remainder, through three
+        ``BLOCK_ROWS`` rows, the last one taking the remainder, through two
         hidden-layer buffers allocated once per call; each block's output
         goes straight into the result. A shorter batch runs as one product
-        per layer.
+        per layer. A batch of two blocks or more, where
+        :func:`~fleetrank.cores.why_one_process` finds no obstacle, has this
+        thread run the first half of the blocks and a worker thread, with
+        buffers of its own, the second half.
         """
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.config.input_dim:
@@ -144,18 +151,44 @@ class Mlp:
             return h @ self.weights[-1].T + self.biases[-1]
         # the last block takes the remainder, so that no block is shorter than BLOCK_ROWS
         edges = [k * BLOCK_ROWS for k in range(n // BLOCK_ROWS)] + [n]
-        rows = BLOCK_ROWS + n % BLOCK_ROWS
-        hidden = [np.empty((rows, width)) for width in self.config.hidden_widths]
         out = np.empty((n, self.config.output_dim))
+        if len(edges) < 3 or why_one_process() is not None:
+            self._forward_blocks(x, out, edges, self._block_buffers(edges))
+            return out
+        half = len(edges) // 2
+        first, second = edges[: half + 1], edges[half:]
+        # every buffer exists before the worker starts, so a MemoryError is raised here
+        buffers = self._block_buffers(first), self._block_buffers(second)
+        worker = Worker(self._forward_blocks, x, out, second, buffers[1])
+        try:
+            self._forward_blocks(x, out, first, buffers[0])
+        finally:
+            worker.join()
+        worker.result()  # the worker's error, if it raised one
+        return out
+
+    def _block_buffers(self, edges: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Two flat buffers for the blocks between ``edges``, the last of them the longest.
+
+        The hidden layers alternate between them: the third layer's output
+        overwrites the first's, which the second has read.
+        """
+        rows = edges[-1] - edges[-2]
+        first, second, third = self.config.hidden_widths
+        return np.empty(rows * max(first, third)), np.empty(rows * second)
+
+    def _forward_blocks(self, x: np.ndarray, out: np.ndarray, edges: list[int],
+                        buffers: tuple[np.ndarray, np.ndarray]) -> None:
+        """Write the rows of ``out`` between ``edges[0]`` and ``edges[-1]``, block by block."""
         for start, stop in zip(edges[:-1], edges[1:]):
             h = x[start:stop]
-            for buffer, w, b in zip(hidden, self.weights, self.biases):
-                h = np.matmul(h, w.T, out=buffer[: stop - start])
+            for layer, (w, b) in enumerate(zip(self.weights[:-1], self.biases[:-1])):
+                shape = (stop - start, len(b))
+                h = np.matmul(h, w.T, out=buffers[layer % 2][: shape[0] * shape[1]].reshape(shape))
                 h += b
                 np.maximum(0.0, h, out=h)
             block = np.matmul(h, self.weights[-1].T, out=out[start:stop])
             block += self.biases[-1]
-        return out
 
     def _backprop_batch(self, x: np.ndarray, targets: np.ndarray, work: _Workspace) -> float:
         """MSE loss (mean over batch and output dims); its gradient goes into ``work.grad``.

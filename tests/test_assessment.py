@@ -16,6 +16,7 @@ from fleetrank.models import Regressor, TrainingParams, train_regressor
 from fleetrank.neural import Mlp, MlpConfig
 from fleetrank.normalization import fit_stats
 from fleetrank.synth import SynthConfig, generate
+from fleetrank.trip_data import group_offsets
 from tests.conftest import make_dataset, spearman
 
 
@@ -113,6 +114,35 @@ def test_assess_matches_per_driver_sort_reference():
         assert entry.mean_advantage == float(arr.mean())
         assert entry.std_advantage == float(arr.std(ddof=1))
         assert entry.trip_count == len(arr)
+
+
+def lexsort_reference(driver_ids, codes, values):
+    """(driver_id, mean, std, count) per driver with trips, grouped by ``np.lexsort``."""
+    ordered = values[np.lexsort((values, codes))]
+    offsets = group_offsets(codes, len(driver_ids))
+    groups = [(driver_id, ordered[offsets[k] : offsets[k + 1]])
+              for k, driver_id in enumerate(driver_ids) if offsets[k + 1] > offsets[k]]
+    return {driver_id: (np.float64(arr.mean()).tobytes(),
+                        np.float64(arr.std(ddof=1) if len(arr) > 1 else 0.0).tobytes(), len(arr))
+            for driver_id, arr in groups}
+
+
+@pytest.mark.parametrize("n_drivers", [12, 40_000], ids=["int16-codes", "wide-codes"])
+def test_assess_groups_as_lexsort_does(n_drivers):
+    # repeated values, both zeros, and drivers without trips
+    rng = np.random.default_rng(n_drivers)
+    n = 6000
+    codes = rng.choice(np.arange(0, n_drivers, 3), size=n)  # two drivers in three have no trips
+    values = rng.choice(np.array([-1.5, -0.0, 0.0, 2.0, 1e-300, -1e-300]), size=n)
+    values[: n // 2] += rng.normal(size=n // 2) * 10.0 ** rng.integers(-8, 8, size=n // 2)
+    codes[:20] = 0
+    values[:20] = [0.0, -0.0] * 10
+    driver_ids = [f"d{k:05d}" for k in range(n_drivers)]
+    ranking = assess_drivers(driver_ids, codes, values, min_trips_warn=0)
+    got = {e.driver_id: (np.float64(e.mean_advantage).tobytes(),
+                         np.float64(e.std_advantage).tobytes(), e.trip_count)
+           for e in ranking.entries}
+    assert got == lexsort_reference(driver_ids, codes, values)
 
 
 def test_render_format():

@@ -1,7 +1,11 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
 from fleetrank import neural
+from fleetrank.cores import Worker
 from fleetrank.errors import DimensionMismatch, NonFiniteLoss
 from fleetrank.neural import (
     ADAM_BETA1,
@@ -363,13 +367,17 @@ class MatmulRows:
     """Stands in for ``numpy`` inside ``neural``, recording each ``np.matmul``'s row count."""
 
     def __init__(self):
-        self.rows = []
+        self.calls = []  # (thread ident, rows), in call order
+
+    @property
+    def rows(self):
+        return [rows for _, rows in self.calls]
 
     def __getattr__(self, name):
         return getattr(np, name)
 
     def matmul(self, a, b, **kwargs):
-        self.rows.append(len(a))
+        self.calls.append((threading.get_ident(), len(a)))
         return np.matmul(a, b, **kwargs)
 
 
@@ -382,9 +390,11 @@ def test_long_batch_runs_in_blocks_of_at_least_block_rows(monkeypatch, n, d_out)
     # Bitwise agreement with the unblocked expression holds for the OpenBLAS
     # kernels this block size was chosen on, not on every BLAS, so only a
     # tolerance is asserted here.
+    # The one-thread path; test_split_batch_runs_each_half_in_blocks covers the other.
     net, rng = random_net(d_out, n)
     x = rng.normal(size=(n, 7))
     recorder = MatmulRows()
+    monkeypatch.setattr(neural, "why_one_process", lambda: "forced by the test")
     monkeypatch.setattr(neural, "np", recorder)
     out = net.forward_batch(x)
     monkeypatch.undo()
@@ -394,3 +404,115 @@ def test_long_batch_runs_in_blocks_of_at_least_block_rows(monkeypatch, n, d_out)
     assert recorder.rows == [rows for rows in blocks for _ in range(4)]
     assert sum(blocks) == n
     assert min(blocks) >= BLOCK_ROWS
+
+
+def forced_forward(monkeypatch, net, x, reason):
+    """``net.forward_batch(x)`` with ``why_one_process`` returning ``reason``; and whether it split."""
+    monkeypatch.setattr(neural, "why_one_process", lambda: reason)
+    started, tasks = Worker.started, len(os.listdir("/proc/self/task"))
+    try:
+        out = net.forward_batch(x)
+    finally:
+        # the worker was joined on every path, down to the OS thread that why_one_process counts
+        assert threading.active_count() == 1
+        assert len(os.listdir("/proc/self/task")) == tasks
+        monkeypatch.undo()
+    return out, Worker.started > started
+
+
+@pytest.mark.parametrize("n", [2049, 4096, 4097, 10_000, 22_500, 90_000])
+@pytest.mark.parametrize("width", [8, 14, 29, 91])
+def test_split_batch_gives_the_bits_of_one_thread(monkeypatch, width, n):
+    rng = np.random.default_rng([width, n])
+    net = Mlp.init(MlpConfig(width, (64, 64, 64), 2, seed=width))
+    for b in net.biases:
+        b[...] = rng.normal(scale=0.5, size=b.shape)
+    x = rng.normal(size=(n, width))
+    one, one_split = forced_forward(monkeypatch, net, x, "forced by the test")
+    two, two_split = forced_forward(monkeypatch, net, x, None)
+    assert (one_split, two_split) == (False, n >= 2 * BLOCK_ROWS)
+    assert two.tobytes() == one.tobytes()
+
+
+@pytest.mark.parametrize("n", [2 * BLOCK_ROWS, 3 * BLOCK_ROWS + 5, 5 * BLOCK_ROWS + 3])
+def test_split_batch_runs_each_half_in_blocks(monkeypatch, n):
+    net, rng = random_net(1, n)
+    x = rng.normal(size=(n, 7))
+    recorder = MatmulRows()
+    monkeypatch.setattr(neural, "np", recorder)
+    _, split = forced_forward(monkeypatch, net, x, None)
+    assert split
+    # this thread takes the first half of the blocks, the worker the rest,
+    # each thread four layer products per block, in row order
+    caller = [rows for thread, rows in recorder.calls if thread == threading.get_ident()]
+    worker = [rows for thread, rows in recorder.calls if thread != threading.get_ident()]
+    blocks = n // BLOCK_ROWS
+    assert caller == [BLOCK_ROWS] * 4 * ((blocks + 1) // 2)
+    assert worker[::4] == [BLOCK_ROWS] * (blocks // 2 - 1) + [BLOCK_ROWS + n % BLOCK_ROWS]
+    assert worker == [rows for rows in worker[::4] for _ in range(4)]
+
+
+class Failing:
+    """Stands in for ``numpy`` inside ``neural``; ``matmul`` raises on the threads ``fails`` picks."""
+
+    def __init__(self, fails):
+        self.fails = fails
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, a, b, **kwargs):
+        if self.fails(threading.current_thread() is threading.main_thread()):
+            raise ValueError("main" if threading.current_thread() is threading.main_thread()
+                             else "worker")
+        return np.matmul(a, b, **kwargs)
+
+
+@pytest.mark.parametrize("failing, raised", [
+    ("worker", "worker"), ("caller", "caller"), ("both", "caller"),
+], ids=["worker", "caller", "both"])
+def test_split_batch_raises_an_error_of_either_thread(monkeypatch, failing, raised):
+    net, rng = random_net(1, 0)
+    fails = {"worker": lambda main: not main, "caller": lambda main: main,
+             "both": lambda main: True}[failing]
+    monkeypatch.setattr(neural, "np", Failing(fails))
+    with pytest.raises(ValueError) as error:
+        forced_forward(monkeypatch, net, rng.normal(size=(3 * BLOCK_ROWS, 7)), None)
+    assert str(error.value) == ("main" if raised == "caller" else "worker")
+
+
+def test_split_batch_allocates_every_buffer_before_the_worker_starts(monkeypatch):
+    net, rng = random_net(1, 0)
+    x = rng.normal(size=(3 * BLOCK_ROWS, 7))
+    allocations = []
+
+    class LastEmptyFails:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def empty(self, shape):
+            allocations.append(shape)
+            if len(allocations) == 5:  # the result, then two buffers per thread
+                raise MemoryError("the last buffer")
+            return np.empty(shape)
+
+    monkeypatch.setattr(neural, "np", LastEmptyFails())
+    started = Worker.started
+    with pytest.raises(MemoryError):
+        forced_forward(monkeypatch, net, x, None)
+    assert len(allocations) == 5
+    assert Worker.started == started
+
+
+def test_split_batch_runs_in_this_thread_when_no_thread_starts(monkeypatch):
+    net, rng = random_net(2, 0)
+    x = rng.normal(size=(3 * BLOCK_ROWS, 7))
+
+    def no_thread(self):
+        raise RuntimeError("can't start new thread")
+
+    expected, _ = forced_forward(monkeypatch, net, x, "forced by the test")
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    out, split = forced_forward(monkeypatch, net, x, None)
+    assert not split
+    assert out.tobytes() == expected.tobytes()
