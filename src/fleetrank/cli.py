@@ -11,7 +11,6 @@ type (see ``errors``). Running out of memory is a runtime failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import dataclasses
 import json
@@ -23,13 +22,11 @@ import numpy as np
 
 from . import assessment, placement, synth
 from .atomic import atomic_open
-from .cores import Worker, why_one_process
 from .errors import DimensionMismatch, FleetrankError, InvalidConfig, UnknownDimension, UsageError
 from .models import (
     TOOL_VERSION,
     AdvantageModel,
     TrainingParams,
-    TripsFile,
     behavior_box_from,
     load_bundle,
     recorded_profiles,
@@ -38,7 +35,7 @@ from .models import (
     save_trip_record,
     train_regressors,
 )
-from .neural import BLOCK_ROWS
+from .neural import why_one_thread
 from .normalization import fit_stats
 from .trip_data import DatasetSchema, file_sha256, load_dataset, save_dataset
 
@@ -59,13 +56,10 @@ def _write_manifest(args: argparse.Namespace, outputs: list[str], facts: dict,
         handle.write(json.dumps(manifest, indent=2))
 
 
-def _core_facts(workers_before: int) -> dict:
-    """Whether a worker thread ran since ``Worker.started`` read ``workers_before``; if not, why."""
-    if Worker.started > workers_before:
-        return {"threads": 2, "in_one_thread_because": None}
-    reason = why_one_process() or (
-        f"no trips file to hash and no forward pass of {2 * BLOCK_ROWS} rows or more")
-    return {"threads": 1, "in_one_thread_because": reason}
+def _thread_facts(rows: int) -> dict:
+    """Whether a forward pass of ``rows`` rows splits across two threads; if not, why."""
+    reason = why_one_thread(rows)
+    return {"threads": 1 if reason else 2, "in_one_thread_because": reason}
 
 
 def _load_vector(path: str) -> np.ndarray:
@@ -193,17 +187,16 @@ def cmd_train(args: argparse.Namespace) -> tuple[list[str], dict]:
 
 
 def cmd_rank(args: argparse.Namespace) -> tuple[list[str], dict]:
-    workers = Worker.started
-    with TripsFile(args.data) as data:
-        model, schema, _meta = load_bundle(args.bundle)
-        if args.schema:
-            given = DatasetSchema.load(args.schema)
-            if given.to_dict() != schema.to_dict():
-                raise InvalidConfig("--schema does not match the schema the bundle was trained on")
-        trips = recorded_trips(args.bundle, schema, model.stats, data, lenient=args.lenient)
-        source = "data" if trips is None else "bundle"
-        if trips is None:
-            trips = load_dataset(args.data, schema, lenient=args.lenient)
+    model, schema, _meta = load_bundle(args.bundle)
+    if args.schema:
+        given = DatasetSchema.load(args.schema)
+        if given.to_dict() != schema.to_dict():
+            raise InvalidConfig("--schema does not match the schema the bundle was trained on")
+    trips = recorded_trips(args.bundle, schema, model.stats, args.data, lenient=args.lenient)
+    source = "data" if trips is None else "bundle"
+    if trips is None:
+        trips = load_dataset(args.data, schema, lenient=args.lenient)
+    facts = {"trips": source, **_thread_facts(len(trips.driver_codes))}
     advantages = assessment.trip_advantages(
         trips, model.baseline, metric_index=model.metric_index, raw_units=args.raw_units
     )
@@ -216,31 +209,29 @@ def cmd_rank(args: argparse.Namespace) -> tuple[list[str], dict]:
     with atomic_open(out / "ranking.csv") as handle:
         csv.writer(handle).writerows(assessment.ranking_rows(ranking))
     print(text, end="")
-    return ["ranking.txt", "ranking.csv"], {"trips": source, **_core_facts(workers)}
+    return ["ranking.txt", "ranking.csv"], facts
 
 
 def cmd_place(args: argparse.Namespace) -> tuple[list[str], dict]:
-    workers = Worker.started
-    with TripsFile(args.data) if args.data else contextlib.nullcontext() as data:
-        model, schema, _meta = load_bundle(args.bundle)
-        env = _load_vector(args.env)
-        _require_length(env, model.stats.d_env, "--env")
-        template_norm = None
-        free_indices = None
-        if args.fix_template:
-            template = _load_vector(args.fix_template)
-            _require_length(template, model.stats.d_behavior, "--fix-template")
-            template_norm = template if args.normalized else model.stats.normalize_behavior(template)
-            if not args.free:
-                raise InvalidConfig("--fix-template requires --free naming the searched dimensions")
-            free_indices = _free_indices(schema, args.free)
-        elif args.free:
-            raise InvalidConfig("--free requires --fix-template for the fixed dimensions")
-        profiles = recorded_profiles(args.bundle, model.stats, data, lenient=args.lenient)
-        source = "data" if profiles is None else "bundle"
-        if profiles is None:
-            ds = load_dataset(args.data, schema, lenient=args.lenient)
-            profiles = placement.build_profiles(ds, model.stats)
+    model, schema, _meta = load_bundle(args.bundle)
+    env = _load_vector(args.env)
+    _require_length(env, model.stats.d_env, "--env")
+    template_norm = None
+    free_indices = None
+    if args.fix_template:
+        template = _load_vector(args.fix_template)
+        _require_length(template, model.stats.d_behavior, "--fix-template")
+        template_norm = template if args.normalized else model.stats.normalize_behavior(template)
+        if not args.free:
+            raise InvalidConfig("--fix-template requires --free naming the searched dimensions")
+        free_indices = _free_indices(schema, args.free)
+    elif args.free:
+        raise InvalidConfig("--free requires --fix-template for the fixed dimensions")
+    profiles = recorded_profiles(args.bundle, model.stats, args.data, lenient=args.lenient)
+    source = "data" if profiles is None else "bundle"
+    if profiles is None:
+        ds = load_dataset(args.data, schema, lenient=args.lenient)
+        profiles = placement.build_profiles(ds, model.stats)
 
     result = placement.place(
         model,
@@ -269,11 +260,10 @@ def cmd_place(args: argparse.Namespace) -> tuple[list[str], dict]:
         f"matched driver {result.matched_driver} at distance {result.match_distance:.6f} "
         f"(advantage {result.optimal_advantage:.6f})"
     )
-    return ["placement.json", "search_history.csv"], {"profiles": source, **_core_facts(workers)}
+    return ["placement.json", "search_history.csv"], {"profiles": source}
 
 
 def cmd_surface(args: argparse.Namespace) -> tuple[list[str], dict]:
-    workers = Worker.started
     if args.resolution < 2:
         raise InvalidConfig(f"--resolution must be >= 2 points per axis, got {args.resolution}")
     model, schema, _meta = load_bundle(args.bundle)
@@ -296,6 +286,7 @@ def cmd_surface(args: argparse.Namespace) -> tuple[list[str], dict]:
     vv_i, vv_j = np.meshgrid(grid_i, grid_j, indexing="ij")
     candidates[:, i] = vv_i.ravel()
     candidates[:, j] = vv_j.ravel()
+    facts = _thread_facts(len(candidates))
     values = model.advantage_normalized(s_norm, candidates)
 
     out = Path(args.out)
@@ -314,7 +305,7 @@ def cmd_surface(args: argparse.Namespace) -> tuple[list[str], dict]:
                 f"{x_i},{x_j},{value!r}\r\n" for x_j, value in zip(text_j, line)
             ))
     print(f"wrote {args.resolution * args.resolution} grid points to {out / 'surface.csv'}")
-    return ["surface.csv"], _core_facts(workers)
+    return ["surface.csv"], facts
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,9 +1,8 @@
 """When this process may put the host's second core to work, and the thread it runs there.
 
-:func:`why_one_process` is the one condition for all of it: ``train``
-forks a child to fit one net, and ``Mlp.forward_batch`` and the trips
-file's hash (``models.TripsFile``) each run a :class:`Worker` thread,
-only when it finds no obstacle.
+:func:`why_one_process` is the one condition for both: ``train`` forks a
+child to fit one net, and ``Mlp.forward_batch`` runs half of a long pass
+on a :class:`Worker` thread, only when it finds no obstacle.
 """
 
 from __future__ import annotations
@@ -47,8 +46,6 @@ class Worker:
     instead, on the caller's thread.
     """
 
-    started = 0  # threads this process has started; a command that raised it used two cores
-
     def __init__(self, fn, *args):
         self._call = fn, args
         self._value = self._error = None
@@ -57,8 +54,6 @@ class Worker:
             self._thread.start()
         except RuntimeError:  # no thread to be had
             self._thread = None
-        else:
-            Worker.started += 1
 
     def _run(self) -> None:
         fn, args = self._call

@@ -22,9 +22,7 @@ statistics and ``meta.json``, and :func:`save_trip_record` writes what
 ``train`` recorded of the trips it read, ``profiles.json`` and
 ``trips.npy``. That record stands in for a parse of the trips file, in
 ``rank`` and ``place``, by one rule (:func:`recorded_trips`,
-:func:`recorded_profiles`). The rule compares the file's SHA-256, which a
-:class:`TripsFile` takes on a second thread, under the same condition,
-while the bundle loads.
+:func:`recorded_profiles`).
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ from typing import NoReturn
 import numpy as np
 
 from .atomic import atomic_open
-from .cores import Worker, why_one_process
+from .cores import why_one_process
 from .errors import CorruptBundle, DimensionMismatch, FleetrankError, InvalidConfig
 from .neural import Mlp, MlpConfig, TrainReport, load_mlp, save_mlp, train
 from .normalization import NormalizationStats
@@ -544,33 +542,8 @@ def save_trip_record(directory: str | Path, ds: Dataset, profiles: list[DriverPr
     return [PROFILES_FILE, TRIPS_FILE]
 
 
-class TripsFile:
-    """A trips file given as ``--data``, its SHA-256 taken on a second thread where it can be.
-
-    Where :func:`why_one_process` finds no obstacle, a :class:`Worker`
-    starts hashing the file as this object is made, so the hash runs beside
-    whatever the caller does next, such as loading the bundle. A hash error
-    is raised only by :meth:`sha256`, where the stand-in rule needs the
-    digest. Leaving the ``with`` block joins the thread, digest taken or not.
-    """
-
-    def __init__(self, path: str):
-        self.path = path
-        self._worker = Worker(file_sha256, path) if why_one_process() is None else None
-
-    def sha256(self) -> str:
-        return file_sha256(self.path) if self._worker is None else self._worker.result()
-
-    def __enter__(self) -> "TripsFile":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        if self._worker is not None:
-            self._worker.join()
-
-
 def recorded_profiles(
-    bundle: str | Path, stats: NormalizationStats, data: TripsFile | None, *, lenient: bool
+    bundle: str | Path, stats: NormalizationStats, data: str | None, *, lenient: bool
 ) -> list[DriverProfile] | None:
     """The profiles ``train`` stored, if they stand in for the trips file ``data``.
 
@@ -589,7 +562,7 @@ def recorded_profiles(
 
 
 def recorded_trips(
-    bundle: str | Path, schema: DatasetSchema, stats: NormalizationStats, data: TripsFile, *,
+    bundle: str | Path, schema: DatasetSchema, stats: NormalizationStats, data: str, *,
     lenient: bool,
 ) -> StoredTrips | None:
     """The trips ``train`` stored, if they stand in for the trips file ``data``.
@@ -609,19 +582,18 @@ def _stored_profiles(bundle: str | Path, stats: NormalizationStats) -> StoredPro
     return load_profiles(path, stats.d_behavior, stats.fingerprint()) if path.exists() else None
 
 
-def _stands_in(stored: StoredProfiles | None, data: TripsFile, lenient: bool) -> bool:
+def _stands_in(stored: StoredProfiles | None, data: str, lenient: bool) -> bool:
     """Whether the record stands in for the trips file ``data``.
 
     It does only when ``train`` read the same bytes and, unless ``lenient``,
     skipped no row of them: a strict parse of those bytes would raise
-    instead. The digest of ``data`` is read only when the bundle stores a
-    record. When it stands in, the skipped rows are reported as a parse
-    reports them.
+    instead. ``data`` is hashed only when the bundle stores a record. When
+    it stands in, the skipped rows are reported as a parse reports them.
     """
     if not (stored is not None and (stored.skipped_rows == 0 or lenient)
-            and data.sha256() == stored.data_sha256):
+            and file_sha256(data) == stored.data_sha256):
         return False
-    log_skipped(stored.skipped_rows, Path(data.path))
+    log_skipped(stored.skipped_rows, Path(data))
     return True
 
 

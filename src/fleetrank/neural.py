@@ -12,8 +12,8 @@ Inference (:meth:`Mlp.forward_batch`) evaluates a batch of more than
 each, through buffers reused from block to block, so its memory does not
 grow with the batch beyond the input and the result. Blocks are also the
 unit two threads share: a batch of two blocks or more runs its second half
-on a worker thread where ``cores.why_one_process`` finds no obstacle, with
-the same block edges and so the same bits.
+on a worker thread, with the same block edges and so the same bits, where
+:func:`why_one_thread` finds no obstacle.
 """
 
 from __future__ import annotations
@@ -38,6 +38,18 @@ ADAM_EPS = 1e-8
 # differently from one product over all rows, while blocks of 1,024 rows and
 # more gave the unblocked bits. 2,048 also covers a 1-column output layer.
 BLOCK_ROWS = 2048
+
+
+def why_one_thread(rows: int) -> str | None:
+    """The condition that keeps a forward pass of ``rows`` rows on one thread, or None.
+
+    None means :meth:`Mlp.forward_batch` splits the pass: it holds two
+    ``BLOCK_ROWS`` blocks or more, one half for each thread, and
+    :func:`~fleetrank.cores.why_one_process` finds no obstacle.
+    """
+    if rows < 2 * BLOCK_ROWS:
+        return f"a forward pass of {rows} rows, under two blocks of {BLOCK_ROWS}"
+    return why_one_process()
 
 
 @dataclass(frozen=True)
@@ -126,12 +138,11 @@ class Mlp:
         """Evaluate a batch of rows; returns (n, output_dim).
 
         A batch of more than ``BLOCK_ROWS`` rows runs in blocks of
-        ``BLOCK_ROWS`` rows, the last one taking the remainder, through two
+        ``BLOCK_ROWS`` rows, the last one taking the remainder, through three
         hidden-layer buffers allocated once per call; each block's output
         goes straight into the result. A shorter batch runs as one product
-        per layer. A batch of two blocks or more, where
-        :func:`~fleetrank.cores.why_one_process` finds no obstacle, has this
-        thread run the first half of the blocks and a worker thread, with
+        per layer. Where :func:`why_one_thread` finds no obstacle, this
+        thread runs the first half of the blocks and a worker thread, with
         buffers of its own, the second half.
         """
         x = np.asarray(x, dtype=float)
@@ -152,7 +163,7 @@ class Mlp:
         # the last block takes the remainder, so that no block is shorter than BLOCK_ROWS
         edges = [k * BLOCK_ROWS for k in range(n // BLOCK_ROWS)] + [n]
         out = np.empty((n, self.config.output_dim))
-        if len(edges) < 3 or why_one_process() is not None:
+        if why_one_thread(n) is not None:
             self._forward_blocks(x, out, edges, self._block_buffers(edges))
             return out
         half = len(edges) // 2
@@ -167,24 +178,18 @@ class Mlp:
         worker.result()  # the worker's error, if it raised one
         return out
 
-    def _block_buffers(self, edges: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Two flat buffers for the blocks between ``edges``, the last of them the longest.
-
-        The hidden layers alternate between them: the third layer's output
-        overwrites the first's, which the second has read.
-        """
+    def _block_buffers(self, edges: list[int]) -> list[np.ndarray]:
+        """One buffer per hidden layer for the blocks between ``edges``, the last of them the longest."""
         rows = edges[-1] - edges[-2]
-        first, second, third = self.config.hidden_widths
-        return np.empty(rows * max(first, third)), np.empty(rows * second)
+        return [np.empty((rows, width)) for width in self.config.hidden_widths]
 
     def _forward_blocks(self, x: np.ndarray, out: np.ndarray, edges: list[int],
-                        buffers: tuple[np.ndarray, np.ndarray]) -> None:
+                        hidden: list[np.ndarray]) -> None:
         """Write the rows of ``out`` between ``edges[0]`` and ``edges[-1]``, block by block."""
         for start, stop in zip(edges[:-1], edges[1:]):
             h = x[start:stop]
-            for layer, (w, b) in enumerate(zip(self.weights[:-1], self.biases[:-1])):
-                shape = (stop - start, len(b))
-                h = np.matmul(h, w.T, out=buffers[layer % 2][: shape[0] * shape[1]].reshape(shape))
+            for buffer, w, b in zip(hidden, self.weights, self.biases):
+                h = np.matmul(h, w.T, out=buffer[: stop - start])
                 h += b
                 np.maximum(0.0, h, out=h)
             block = np.matmul(h, self.weights[-1].T, out=out[start:stop])

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from fleetrank import neural
-from fleetrank.cores import Worker
 from fleetrank.errors import DimensionMismatch, NonFiniteLoss
 from fleetrank.neural import (
     ADAM_BETA1,
@@ -407,9 +406,20 @@ def test_long_batch_runs_in_blocks_of_at_least_block_rows(monkeypatch, n, d_out)
 
 
 def forced_forward(monkeypatch, net, x, reason):
-    """``net.forward_batch(x)`` with ``why_one_process`` returning ``reason``; and whether it split."""
+    """``net.forward_batch(x)`` with ``why_one_process`` returning ``reason``.
+
+    Also returns whether a second thread evaluated blocks of it.
+    """
+    threads = set()
+    forward_blocks = Mlp._forward_blocks
+
+    def recorded(self, *args):
+        threads.add(threading.get_ident())
+        return forward_blocks(self, *args)
+
     monkeypatch.setattr(neural, "why_one_process", lambda: reason)
-    started, tasks = Worker.started, len(os.listdir("/proc/self/task"))
+    monkeypatch.setattr(Mlp, "_forward_blocks", recorded)
+    tasks = len(os.listdir("/proc/self/task"))
     try:
         out = net.forward_batch(x)
     finally:
@@ -417,7 +427,7 @@ def forced_forward(monkeypatch, net, x, reason):
         assert threading.active_count() == 1
         assert len(os.listdir("/proc/self/task")) == tasks
         monkeypatch.undo()
-    return out, Worker.started > started
+    return out, bool(threads - {threading.get_ident()})
 
 
 @pytest.mark.parametrize("n", [2049, 4096, 4097, 10_000, 22_500, 90_000])
@@ -432,6 +442,9 @@ def test_split_batch_gives_the_bits_of_one_thread(monkeypatch, width, n):
     two, two_split = forced_forward(monkeypatch, net, x, None)
     assert (one_split, two_split) == (False, n >= 2 * BLOCK_ROWS)
     assert two.tobytes() == one.tobytes()
+    # why_one_thread, which the manifests quote, names the rule the split followed
+    monkeypatch.setattr(neural, "why_one_process", lambda: None)
+    assert (neural.why_one_thread(n) is None) == two_split
 
 
 @pytest.mark.parametrize("n", [2 * BLOCK_ROWS, 3 * BLOCK_ROWS + 5, 5 * BLOCK_ROWS + 3])
@@ -492,16 +505,18 @@ def test_split_batch_allocates_every_buffer_before_the_worker_starts(monkeypatch
 
         def empty(self, shape):
             allocations.append(shape)
-            if len(allocations) == 5:  # the result, then two buffers per thread
+            if len(allocations) == 7:  # the result, then three buffers per thread
                 raise MemoryError("the last buffer")
             return np.empty(shape)
 
+    def no_worker(*args):
+        raise AssertionError("a worker was made before every buffer was")
+
     monkeypatch.setattr(neural, "np", LastEmptyFails())
-    started = Worker.started
+    monkeypatch.setattr(neural, "Worker", no_worker)
     with pytest.raises(MemoryError):
         forced_forward(monkeypatch, net, x, None)
-    assert len(allocations) == 5
-    assert Worker.started == started
+    assert len(allocations) == 7
 
 
 def test_split_batch_runs_in_this_thread_when_no_thread_starts(monkeypatch):
