@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptyDataset
 from .models import Regressor, StoredTrips
-from .trip_data import Dataset, group_offsets
+from .trip_data import Dataset, group_rows
 
 log = logging.getLogger(__name__)
 
@@ -96,12 +96,9 @@ def assess_drivers(
     # each driver's values in ascending order: a canonical summation order
     # that makes the result independent of row order. Two stable sorts give
     # the order of np.lexsort((advantages, codes)) in a quarter of its time:
-    # by driver, which numpy does as a radix sort on 16-bit codes, then each
-    # driver's values in place.
-    if len(driver_ids) <= np.iinfo(np.int16).max:
-        codes = codes.astype(np.int16)
-    ordered = advantages[np.argsort(codes, kind="stable")]
-    offsets = group_offsets(codes, len(driver_ids))
+    # by driver, then each driver's values in place.
+    order, offsets = group_rows(codes, len(driver_ids))
+    ordered = advantages[order]
 
     assessments = []
     thin = 0

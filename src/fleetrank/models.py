@@ -11,10 +11,10 @@ the baseline term cancels from any comparison between two behaviors at
 a fixed environment. Both networks are a :class:`Regressor`; which
 blocks one reads follows from its input width.
 
-The two fits share no state, so :func:`train_regressors` runs the
-baseline's in a forked child while this process runs the behavior net's,
-where the host has a second core and the process runs one OS thread
-(``cores.why_one_process``); elsewhere both run here, the baseline first.
+The two fits share no state. :func:`train_regressors` fits the behavior
+net in this process, then takes the baseline from a forked child that
+fitted it meanwhile, where the host has a second core and the process
+runs one OS thread (``cores.why_one_process``), or else fits it here.
 :func:`train_regressor` is one fit.
 
 A bundle is a directory: :func:`save_bundle` writes the nets, the
@@ -228,12 +228,13 @@ def train_regressors(
 ) -> FittedPair:
     """Fit the baseline and the behavior regressor, at the same time where the host allows it.
 
-    When :func:`why_one_process` finds no obstacle, a child made with
-    ``os.fork`` fits the baseline while this process fits the behavior net,
-    the longer fit; the child sends back only the flat parameter vector and
-    the learning curve. Otherwise both fit here, the baseline first. Both
-    ways give the same bits, and when both fits fail, the baseline's error
-    is raised, as it is raised first in this process.
+    This process fits the behavior net, the longer fit, first. When
+    :func:`why_one_process` finds no obstacle, a child made with ``os.fork``
+    fits the baseline meanwhile and sends back the fitted net and its
+    learning curve; otherwise the baseline is fitted here next. Both ways
+    give the same bits. When the behavior fit fails, its error is raised
+    at once, a child killed and reaped without waiting for its fit, so when
+    both fits fail, the behavior net's error is the one raised.
     """
     s_norm = stats.normalize_env(ds.env)
     targets = stats.normalize_performance(ds.performance)
@@ -247,17 +248,11 @@ def train_regressors(
             child = _ForkedFit(baseline)
         except OSError as exc:  # no process or pipe to be had
             reason = f"fork failed: {exc}"
-    if child is None:
-        baseline_report, behavior_report = baseline.run(), behavior.run()
-    else:
-        try:
-            try:
-                behavior_report = behavior.run()
-            except Exception:
-                child.result()  # the baseline's error, if it failed too, comes first
-                raise
-            baseline_report = child.result()
-        finally:
+    try:
+        behavior_report = behavior.run()
+        baseline_report = baseline.run() if child is None else child.result()
+    finally:
+        if child is not None:
             child.close()
     return FittedPair(baseline.regressor, baseline_report, behavior.regressor, behavior_report,
                       processes=1 if reason else 2, one_process_because=reason)
@@ -314,7 +309,7 @@ class _ForkedFit:
         self.pipe = os.fdopen(read_fd, "rb")
 
     def result(self) -> TrainReport:
-        """The fit's learning curve, its net now holding the child's parameters; or its error."""
+        """The fit's learning curve, its regressor now holding the child's net; or its error."""
         message = self.pipe.read()
         _, status = os.waitpid(self.pid, 0)
         self.pid = None
@@ -327,9 +322,8 @@ class _ForkedFit:
         outcome = pickle.loads(message)  # bytes our own child wrote
         if isinstance(outcome, Exception):
             raise outcome
-        theta, epoch_losses = outcome
-        self.fit.regressor.net = Mlp.from_parameters(self.fit.regressor.net.config, theta)
-        return TrainReport(epoch_losses=epoch_losses)
+        self.fit.regressor.net, report = outcome
+        return report
 
     def close(self) -> None:
         self.pipe.close()
@@ -349,7 +343,7 @@ def _run_in_child(fit: _Fit, write_fd: int) -> NoReturn:
     try:
         try:
             report = fit.run()
-            outcome = (fit.regressor.net.parameters(), report.epoch_losses)
+            outcome = (fit.regressor.net, report)
         except Exception as exc:  # the parent raises it again
             outcome = exc
         with os.fdopen(write_fd, "wb") as pipe:

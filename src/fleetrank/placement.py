@@ -21,7 +21,7 @@ from .cmaes import CmaesConfig, CmaesResult, maximize
 from .errors import DimensionMismatch, EmptyProfiles, InvalidConfig
 from .models import AdvantageModel, DriverProfile
 from .normalization import NormalizationStats
-from .trip_data import Dataset, group_offsets
+from .trip_data import Dataset, group_rows
 
 DEFAULT_SIGMA = 0.3
 DEFAULT_MAX_GENERATIONS = 300
@@ -63,9 +63,8 @@ class PlacementResult:
 def build_profiles(ds: Dataset, stats: NormalizationStats) -> list[DriverProfile]:
     """Mean normalized behavior per driver, sorted by driver id."""
     # a stable sort keeps each driver's rows, and so the summation order, in dataset order
-    order = np.argsort(ds.driver_codes, kind="stable")
+    order, offsets = group_rows(ds.driver_codes, ds.n_drivers)
     behaviors = stats.normalize_behavior(ds.behavior)[order]
-    offsets = group_offsets(ds.driver_codes, ds.n_drivers)
     return [
         DriverProfile(
             driver_id=driver_id,

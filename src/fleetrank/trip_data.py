@@ -59,6 +59,10 @@ class DatasetSchema:
         object.__setattr__(self, "env_columns", tuple(self.env_columns))
         object.__setattr__(self, "behavior_columns", tuple(self.behavior_columns))
         object.__setattr__(self, "performance_columns", tuple(self.performance_columns))
+        for key in ("trip_id_column", "driver_id_column"):
+            name = getattr(self, key)
+            if not (isinstance(name, str) and name):
+                raise ValueError(f"{key} must be a non-empty column name, got {name!r}")
         if not self.env_columns or not self.behavior_columns:
             raise ValueError("a schema needs at least one env and one behavior column")
         groups = [set(self.env_columns), set(self.behavior_columns), set(self.performance_columns)]
@@ -231,8 +235,7 @@ class Dataset:
     @cached_property
     def driver_index(self) -> dict[str, tuple[int, ...]]:
         """Row indices of every driver's trips, in dataset order, keyed by sorted driver id."""
-        order = np.argsort(self.driver_codes, kind="stable")
-        offsets = group_offsets(self.driver_codes, self.n_drivers)
+        order, offsets = group_rows(self.driver_codes, self.n_drivers)
         return {
             driver_id: tuple(order[offsets[k] : offsets[k + 1]].tolist())
             for k, driver_id in enumerate(self.driver_ids)
@@ -246,14 +249,19 @@ class Dataset:
             raise UnknownDriver(driver_id) from None
 
 
-def group_offsets(codes: np.ndarray, n_groups: int) -> np.ndarray:
-    """Where each code's rows start once rows are sorted by code.
+def group_rows(codes: np.ndarray, n_groups: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows in stable order of their code, and where each code's rows start in it.
 
-    Group ``k`` occupies ``offsets[k]:offsets[k + 1]`` of the sorted rows.
+    Every code is in ``range(n_groups)``. Group ``k`` is
+    ``order[offsets[k]:offsets[k + 1]]``, its rows in their original order.
+    Codes that fit 16 bits are sorted as such, which numpy does as a radix
+    sort; a stable sort's permutation is unique, so the order is the same.
     """
+    keys = codes.astype(np.int16) if n_groups <= np.iinfo(np.int16).max else codes
+    order = np.argsort(keys, kind="stable")
     offsets = np.zeros(n_groups + 1, dtype=np.intp)
     np.cumsum(np.bincount(codes, minlength=n_groups), out=offsets[1:])
-    return offsets
+    return order, offsets
 
 
 def _parse_cell(raw: str | None, row: int, column: str) -> float:

@@ -16,7 +16,7 @@ from fleetrank.models import Regressor, TrainingParams, train_regressor
 from fleetrank.neural import Mlp, MlpConfig
 from fleetrank.normalization import fit_stats
 from fleetrank.synth import SynthConfig, generate
-from fleetrank.trip_data import group_offsets
+from fleetrank.trip_data import group_rows
 from tests.conftest import make_dataset, spearman
 
 
@@ -119,7 +119,7 @@ def test_assess_matches_per_driver_sort_reference():
 def lexsort_reference(driver_ids, codes, values):
     """(driver_id, mean, std, count) per driver with trips, grouped by ``np.lexsort``."""
     ordered = values[np.lexsort((values, codes))]
-    offsets = group_offsets(codes, len(driver_ids))
+    _, offsets = group_rows(codes, len(driver_ids))
     groups = [(driver_id, ordered[offsets[k] : offsets[k + 1]])
               for k, driver_id in enumerate(driver_ids) if offsets[k + 1] > offsets[k]]
     return {driver_id: (np.float64(arr.mean()).tobytes(),

@@ -532,8 +532,7 @@ def test_overflowing_stats_fail_train(tmp_path, capsys):
 def fit_path(request, monkeypatch):
     """Have train fit the baseline in a forked child, or both nets in this process.
 
-    The in-parent path is the parent commit's order: the baseline, then the
-    behavior net, in one process.
+    Either way this process fits the behavior net first.
     """
     reason = None if request.param == "forked" else "forced by the test"
     monkeypatch.setattr(models, "why_one_process", lambda: reason)
@@ -589,7 +588,7 @@ def test_train_non_finite_loss_in_either_fit(pipeline, tmp_path, capsys, monkeyp
     assert not (tmp_path / "b").exists()
 
 
-def test_train_baseline_error_wins_when_both_fits_fail(pipeline, tmp_path, capsys, monkeypatch,
+def test_train_behavior_error_wins_when_both_fits_fail(pipeline, tmp_path, capsys, monkeypatch,
                                                        fit_path):
     def fail_at(epoch):
         def action(kwargs):
@@ -598,7 +597,7 @@ def test_train_baseline_error_wins_when_both_fits_fail(pipeline, tmp_path, capsy
 
     _before_fit(monkeypatch, baseline=fail_at(7), behavior=fail_at(9))
     assert _train_small(pipeline, tmp_path / "b") == 1
-    assert capsys.readouterr().err == "error: non-finite loss at epoch 7\n"
+    assert capsys.readouterr().err == "error: non-finite loss at epoch 9\n"
     assert not (tmp_path / "b").exists()
 
 
@@ -611,19 +610,23 @@ def test_train_child_killed_is_a_runtime_error(pipeline, tmp_path, capsys, monke
     assert not (tmp_path / "b").exists()
 
 
-def test_train_interrupt_kills_and_reaps_the_child(pipeline, tmp_path, monkeypatch):
-    data, _ = pipeline
+@pytest.mark.parametrize("error", [KeyboardInterrupt(), errors.NonFiniteLoss(0)],
+                         ids=["interrupt", "behavior-error"])
+def test_train_interrupt_kills_and_reaps_the_child(pipeline, tmp_path, capsys, monkeypatch, error):
     monkeypatch.setattr(models, "why_one_process", lambda: None)
 
-    def interrupt(kwargs):
-        raise KeyboardInterrupt
+    def fail(kwargs):
+        raise error
 
     # the child would fit for a minute: the parent must not wait for it
-    _before_fit(monkeypatch, baseline=lambda kwargs: time.sleep(60), behavior=interrupt)
+    _before_fit(monkeypatch, baseline=lambda kwargs: time.sleep(60), behavior=fail)
     started = time.monotonic()
-    with pytest.raises(KeyboardInterrupt):
-        main(["train", "--data", str(data / "data.csv"), "--schema", str(data / "schema.json"),
-              "--epochs", "3", "--hidden", "8,8,8", "--out", str(tmp_path / "b")])
+    if isinstance(error, KeyboardInterrupt):
+        with pytest.raises(KeyboardInterrupt):
+            _train_small(pipeline, tmp_path / "b")
+    else:
+        assert _train_small(pipeline, tmp_path / "b") == 1
+        assert capsys.readouterr().err == "error: non-finite loss at epoch 0\n"
     assert time.monotonic() - started < 30
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -695,9 +698,14 @@ def _schema_edit(edit):
          "a schema needs at least one env and one behavior column"),
         (_schema_edit(lambda s: s.__setitem__("env_columns", "env_00")),
          "env_columns must be a list of non-empty column names, got 'env_00'"),
+        (_schema_edit(lambda s: s.__setitem__("trip_id_column", ["trip_id"])),
+         "trip_id_column must be a non-empty column name, got ['trip_id']"),
+        (_schema_edit(lambda s: s.__setitem__("driver_id_column", {"name": "driver_id"})),
+         "driver_id_column must be a non-empty column name, got {'name': 'driver_id'}"),
     ],
     ids=["truncated", "missing-behavior-columns", "overlapping-groups", "unknown-target",
-         "no-env-columns", "no-behavior-columns", "string-column-list"],
+         "no-env-columns", "no-behavior-columns", "string-column-list", "list-trip-id-column",
+         "dict-driver-id-column"],
 )
 def test_bad_schema_is_a_usage_error(pipeline, tmp_path, capsys, damage, message):
     data, bundle = pipeline

@@ -309,22 +309,6 @@ def test_train_matches_per_layer_reference_bitwise(rows, widths, batch_size):
         assert trained.tobytes() == expected.tobytes()
 
 
-def test_parameters_round_trip_bitwise():
-    rng = np.random.default_rng(6)
-    net = Mlp.init(MlpConfig(3, (6, 5, 4), 2, seed=9))
-    train(net, rng.normal(size=(20, 3)), rng.normal(size=(20, 2)), epochs=2, batch_size=8)
-    theta = net.parameters()
-    assert theta.shape == (net.n_parameters,)
-    # the layout train packs: W0, b0, W1, b1, ... in layer order, each row-major
-    assert theta[: 6 * 3].tobytes() == net.weights[0].tobytes()
-    assert theta[6 * 3 : 6 * 3 + 6].tobytes() == net.biases[0].tobytes()
-    back = Mlp.from_parameters(net.config, theta)
-    for trained, rebuilt in zip(net.weights + net.biases, back.weights + back.biases):
-        assert trained.tobytes() == rebuilt.tobytes()
-    with pytest.raises(DimensionMismatch, match="parameters"):
-        Mlp.from_parameters(net.config, theta[:-1])
-
-
 def test_copy_of_trained_net_shares_no_memory():
     rng = np.random.default_rng(5)
     net = Mlp.init(MlpConfig(3, (6, 6, 6), 2, seed=8))
