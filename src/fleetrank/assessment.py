@@ -46,21 +46,18 @@ class Ranking:
 def trip_advantages(
     ds: Dataset | StoredTrips,
     model: Regressor,
-    metric_index: int | None = None,
     raw_units: bool = False,
 ) -> np.ndarray:
     """Observed-minus-baseline advantage for every trip, in dataset order.
 
-    Values are in normalized target-metric units unless ``raw_units`` is
-    set, which scales by the metric's fitted standard deviation.
+    The advantage is taken on the schema's target metric. Values are in
+    normalized units unless ``raw_units`` is set, which scales by the
+    metric's fitted standard deviation.
     """
     stats = model.stats
     if ds.schema.d_env != stats.d_env or ds.schema.d_performance != stats.d_performance:
         raise DimensionMismatch("dataset layout does not match the model's normalization")
-    if metric_index is None:
-        metric_index = ds.schema.metric_index
-    if not 0 <= metric_index < stats.d_performance:
-        raise DimensionMismatch(f"metric_index {metric_index} out of range")
+    metric_index = ds.schema.metric_index
 
     observed = stats.normalize_performance(ds.performance)[:, metric_index]
     predicted = model.predict_normalized(stats.normalize_env(ds.env))[:, metric_index]
@@ -74,14 +71,13 @@ def assess_drivers(
     driver_ids: Sequence[str],
     driver_codes: np.ndarray,
     advantages: np.ndarray,
-    min_trips_warn: int = LOW_TRIP_WARN_THRESHOLD,
 ) -> Ranking:
     """Aggregate trip advantages per driver and sort into a ranking.
 
     Trip ``i`` belongs to driver ``driver_ids[driver_codes[i]]``, as in a
     ``Dataset``. Mean uses all of a driver's trips; std is the unbiased
     sample standard deviation (0 for a single trip). A driver with fewer
-    than ``min_trips_warn`` trips is reported with a warning, not
+    than ``LOW_TRIP_WARN_THRESHOLD`` trips is reported with a warning, not
     excluded, since a thin trip history may not cover enough driving
     conditions. Drivers without trips are left out.
     """
@@ -116,14 +112,14 @@ def assess_drivers(
                 trip_count=len(arr),
             )
         )
-        if len(arr) < min_trips_warn:
+        if len(arr) < LOW_TRIP_WARN_THRESHOLD:
             thin += 1
     if thin:
         log.warning(
             "%d of %d drivers have fewer than %d trips; their estimates may be unstable",
             thin,
             len(assessments),
-            min_trips_warn,
+            LOW_TRIP_WARN_THRESHOLD,
         )
     assessments.sort(key=lambda a: (-a.mean_advantage, a.driver_id))
     return Ranking(entries=tuple(assessments))

@@ -63,13 +63,13 @@ def _thread_facts(rows: int) -> dict:
 
 
 def _load_vector(path: str) -> np.ndarray:
-    """A finite 1-D vector from a JSON list, or from a ``{"values": [...]}`` object."""
+    """A finite 1-D vector from a JSON list of numbers; ``true`` and ``false`` are not numbers."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-        if isinstance(data, dict) and "values" in data:
-            data = data["values"]
+        if type(data) is list and any(type(x) is bool for x in data):
+            raise TypeError("true and false are not numbers")
         vector = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:  # JSON errors are ValueErrors
+    except (TypeError, ValueError, OverflowError) as exc:  # JSON errors are ValueErrors
         raise InvalidConfig(f"{path}: expected a JSON list of numbers ({exc})") from None
     if vector.ndim != 1:
         raise InvalidConfig(f"{path}: expected a flat list of numbers, got shape {vector.shape}")
@@ -197,9 +197,7 @@ def cmd_rank(args: argparse.Namespace) -> tuple[list[str], dict]:
     if trips is None:
         trips = load_dataset(args.data, schema, lenient=args.lenient)
     facts = {"trips": source, **_thread_facts(len(trips.driver_codes))}
-    advantages = assessment.trip_advantages(
-        trips, model.baseline, metric_index=model.metric_index, raw_units=args.raw_units
-    )
+    advantages = assessment.trip_advantages(trips, model.baseline, raw_units=args.raw_units)
     ranking = assessment.assess_drivers(trips.driver_ids, trips.driver_codes, advantages)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -275,14 +273,17 @@ def cmd_surface(args: argparse.Namespace) -> tuple[list[str], dict]:
     free_indices = _free_indices(schema, args.free)
     if len(free_indices) != 2:
         raise InvalidConfig("--free must name exactly two dimensions for a surface")
-    if model.behavior_box is None:
-        raise InvalidConfig("bundle has no behavior search box")
+
+    points = args.resolution * args.resolution
+    # numpy raises ValueError, not MemoryError, for an array whose size in bytes overflows
+    if points * model.stats.d_behavior * 8 > np.iinfo(np.intp).max:
+        raise MemoryError(f"a grid of {points} points is larger than any array can be")
 
     s_norm = env if args.normalized else model.stats.normalize_env(env)
     i, j = free_indices
     grid_i = np.linspace(model.behavior_box[i, 0], model.behavior_box[i, 1], args.resolution)
     grid_j = np.linspace(model.behavior_box[j, 0], model.behavior_box[j, 1], args.resolution)
-    candidates = np.tile(template_norm, (args.resolution * args.resolution, 1))
+    candidates = np.tile(template_norm, (points, 1))
     vv_i, vv_j = np.meshgrid(grid_i, grid_j, indexing="ij")
     candidates[:, i] = vv_i.ravel()
     candidates[:, j] = vv_j.ravel()
@@ -304,7 +305,7 @@ def cmd_surface(args: argparse.Namespace) -> tuple[list[str], dict]:
             handle.write("".join(
                 f"{x_i},{x_j},{value!r}\r\n" for x_j, value in zip(text_j, line)
             ))
-    print(f"wrote {args.resolution * args.resolution} grid points to {out / 'surface.csv'}")
+    print(f"wrote {points} grid points to {out / 'surface.csv'}")
     return ["surface.csv"], facts
 
 
@@ -368,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="initial search step size in normalized behavior units")
     p.add_argument("--population", type=int, default=None)
     p.add_argument("--restarts", type=int, default=0)
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--tolerance", type=float, default=placement.DEFAULT_TOLERANCE)
     p.add_argument("--lenient", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="placement-out")

@@ -67,10 +67,15 @@ class CmaesConfig:
             raise InvalidConfig("initial_sigma must be positive and finite")
         if self.population is not None and self.population < 2:
             raise InvalidConfig("population must be >= 2")
+        # numpy raises ValueError, not MemoryError, for an array whose size in bytes overflows
+        if self.population is not None and self.population * self.dim * 8 > np.iinfo(np.intp).max:
+            raise MemoryError(f"a population of {self.population} is larger than any array can be")
         if self.max_generations < 1:
             raise InvalidConfig("max_generations must be >= 1")
         if self.restarts < 0:
             raise InvalidConfig("restarts must be >= 0")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         if not (self.target_tolerance >= 0 and math.isfinite(self.target_tolerance)):
             raise InvalidConfig("target_tolerance must be finite and >= 0")
         if self.bounds is not None:

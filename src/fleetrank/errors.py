@@ -64,12 +64,6 @@ class EmptyDataset(UsageError):
     """No valid rows were found."""
 
 
-class UnknownDriver(UsageError):
-    def __init__(self, driver_id: str):
-        super().__init__(f"unknown driver {driver_id!r}")
-        self.driver_id = driver_id
-
-
 class TooFewSamples(UsageError):
     """The operation needs more samples than the dataset provides."""
 

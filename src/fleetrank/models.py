@@ -73,6 +73,8 @@ class TrainingParams:
             raise InvalidConfig(
                 f"hidden widths must be three integers >= 1, got {self.hidden_widths}"
             )
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -148,7 +150,7 @@ class AdvantageModel:
     baseline: Regressor
     behavior: Regressor
     metric_index: int
-    behavior_box: np.ndarray | None = None
+    behavior_box: np.ndarray
 
     def __post_init__(self):
         if self.baseline.stats.fingerprint() != self.behavior.stats.fingerprint():
@@ -157,10 +159,9 @@ class AdvantageModel:
         _check_role("behavior", self.behavior)
         if not 0 <= self.metric_index < self.stats.d_performance:
             raise DimensionMismatch(f"metric_index {self.metric_index} out of range")
-        if self.behavior_box is not None:
-            self.behavior_box = np.asarray(self.behavior_box, dtype=float)
-            if self.behavior_box.shape != (self.stats.d_behavior, 2):
-                raise DimensionMismatch("behavior_box must have shape (d_behavior, 2)")
+        self.behavior_box = np.asarray(self.behavior_box, dtype=float)
+        if self.behavior_box.shape != (self.stats.d_behavior, 2):
+            raise DimensionMismatch("behavior_box must have shape (d_behavior, 2)")
 
     @property
     def stats(self) -> NormalizationStats:
@@ -192,10 +193,6 @@ class AdvantageModel:
         q1 = float(self.behavior.predict(s, a1)[self.metric_index])
         q2 = float(self.behavior.predict(s, a2)[self.metric_index])
         return q1 - q2
-
-    def raw_unit_scale(self) -> float:
-        """Multiplier converting normalized advantage to raw metric units."""
-        return self.stats.performance_std(self.metric_index)
 
 
 def train_regressor(
@@ -353,8 +350,8 @@ def _run_in_child(fit: _Fit, write_fd: int) -> NoReturn:
         os._exit(code)
 
 
-def behavior_box_from(ds: Dataset, stats: NormalizationStats, margin: float = BOX_MARGIN) -> np.ndarray:
-    """Per-dimension [lo, hi] over normalized behaviors, padded by ``margin``.
+def behavior_box_from(ds: Dataset, stats: NormalizationStats) -> np.ndarray:
+    """Per-dimension [lo, hi] over normalized behaviors, padded by ``BOX_MARGIN`` of the span.
 
     Dimensions with zero observed span get a hairline box so downstream
     bound checks remain well-formed.
@@ -363,7 +360,7 @@ def behavior_box_from(ds: Dataset, stats: NormalizationStats, margin: float = BO
     lo = a.min(axis=0)
     hi = a.max(axis=0)
     span = hi - lo
-    pad = np.where(span > 0, margin * span, 1e-6)
+    pad = np.where(span > 0, BOX_MARGIN * span, 1e-6)
     return np.stack([lo - pad, hi + pad], axis=1)
 
 
@@ -387,7 +384,7 @@ def save_bundle(
         "target_metric": schema.target_metric,
         "metric_index": model.metric_index,
         "stats_fingerprint": model.stats.fingerprint(),
-        "behavior_box": None if model.behavior_box is None else model.behavior_box.tolist(),
+        "behavior_box": model.behavior_box.tolist(),
         "baseline_seed": model.baseline.net.config.seed,
         "behavior_seed": model.behavior.net.config.seed,
         "training": None if params is None else asdict(params),
@@ -449,9 +446,10 @@ def load_bundle(directory: str | Path) -> tuple[AdvantageModel, DatasetSchema, d
                 f"target metric {schema.target_metric!r} at index {schema.metric_index}"
             )
         box = meta["behavior_box"]
-        if box is not None:
-            box = np.array(box, dtype=float)
-            require_finite(box)
+        if type(box) is not list:
+            raise TypeError(f"behavior_box must be a list of [lo, hi] pairs, got {box!r}")
+        box = np.array(box, dtype=float)
+        require_finite(box)
         model = AdvantageModel(
             baseline=parts["baseline"],
             behavior=parts["behavior"],
@@ -468,7 +466,8 @@ def bundle_file(path: Path):
         yield
     except KeyError as exc:
         raise CorruptBundle(f"corrupt bundle file {path}: missing entry {exc}") from None
-    except (TypeError, ValueError, DimensionMismatch) as exc:  # JSON errors are ValueErrors
+    except (TypeError, ValueError, OverflowError, DimensionMismatch) as exc:
+        # JSON errors are ValueErrors; a JSON integer too large for a float, an OverflowError
         raise CorruptBundle(f"corrupt bundle file {path}: {exc}") from None
 
 

@@ -24,6 +24,7 @@ from .normalization import NormalizationStats
 from .trip_data import Dataset, group_rows
 
 DEFAULT_SIGMA = 0.3
+DEFAULT_TOLERANCE = 1e-9
 DEFAULT_MAX_GENERATIONS = 300
 DEFAULT_RUNNER_UPS = 5
 
@@ -83,7 +84,7 @@ def optimize_behavior(
     sigma0: float = DEFAULT_SIGMA,
     population: int | None = None,
     max_generations: int = DEFAULT_MAX_GENERATIONS,
-    tolerance: float = 1e-9,
+    tolerance: float = DEFAULT_TOLERANCE,
     restarts: int = 0,
     template_norm: np.ndarray | None = None,
     free_indices: list[int] | None = None,
@@ -114,9 +115,6 @@ def optimize_behavior(
         raise DimensionMismatch(f"expected env vector of length {stats.d_env}")
 
     d_behavior = stats.d_behavior
-    if model.behavior_box is None:
-        raise InvalidConfig("no behavior search box: the model has none")
-
     if free_indices is None:
         free = np.arange(d_behavior)
         base = np.zeros(d_behavior)
@@ -194,15 +192,18 @@ def place(
     s: np.ndarray,
     *,
     seed: int = 0,
-    top_m: int = DEFAULT_RUNNER_UPS,
     **search_kwargs,
 ) -> PlacementResult:
-    """End-to-end placement: optimize behavior, then match the nearest driver."""
+    """End-to-end placement: optimize behavior, then match the nearest driver.
+
+    The result lists the ``DEFAULT_RUNNER_UPS`` next-nearest drivers.
+    ``search_kwargs`` go to :func:`optimize_behavior`.
+    """
     s = np.asarray(s, dtype=float)
     optimum, value, result, consistent = optimize_behavior(model, s, seed=seed, **search_kwargs)
 
     driver_id, distance, ranked = match_driver(profiles, optimum)
-    runner_ups = [r for r in ranked if r[0] != driver_id][:top_m]
+    runner_ups = [r for r in ranked if r[0] != driver_id][:DEFAULT_RUNNER_UPS]
     return PlacementResult(
         env=s,
         optimal_behavior=optimum,

@@ -65,6 +65,8 @@ class SynthConfig:
             raise InvalidConfig("noise_sigma must be finite and >= 0")
         if not math.isfinite(self.interaction_scale):
             raise InvalidConfig("interaction_scale must be finite")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

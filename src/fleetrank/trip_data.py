@@ -18,7 +18,6 @@ import stat
 import warnings
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +31,6 @@ from .errors import (
     InvalidConfig,
     MissingColumn,
     NotARegularFile,
-    UnknownDriver,
     UnreadableFile,
 )
 
@@ -231,22 +229,6 @@ class Dataset:
     @property
     def performance(self) -> np.ndarray:
         return self.values[:, self.schema.d_env + self.schema.d_behavior :]
-
-    @cached_property
-    def driver_index(self) -> dict[str, tuple[int, ...]]:
-        """Row indices of every driver's trips, in dataset order, keyed by sorted driver id."""
-        order, offsets = group_rows(self.driver_codes, self.n_drivers)
-        return {
-            driver_id: tuple(order[offsets[k] : offsets[k + 1]].tolist())
-            for k, driver_id in enumerate(self.driver_ids)
-        }
-
-    def driver_indices(self, driver_id: str) -> tuple[int, ...]:
-        """Indices of all records belonging to one driver."""
-        try:
-            return self.driver_index[driver_id]
-        except KeyError:
-            raise UnknownDriver(driver_id) from None
 
 
 def group_rows(codes: np.ndarray, n_groups: int) -> tuple[np.ndarray, np.ndarray]:

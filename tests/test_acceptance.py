@@ -252,8 +252,8 @@ def test_criterion_4_environment_bias_removal(bias_runs):
     stats = NormalizationStats.load(root / "bundle" / "stats.json")
 
     q = ds.performance[:, 0]
-    easy = list(ds.driver_index[truth.driver_ids[0]])
-    hard = list(ds.driver_index[truth.driver_ids[1]])
+    easy = ds.driver_codes == ds.driver_ids.index(truth.driver_ids[0])
+    hard = ds.driver_codes == ds.driver_ids.index(truth.driver_ids[1])
     raw_gap = abs(q[easy].mean() - q[hard].mean()) / stats.performance_std(0)
 
     means = read_ranking_means(root / "rank")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fleetrank.assessment import (
+    LOW_TRIP_WARN_THRESHOLD,
     Ranking,
     assess_drivers,
     ranking_rows,
@@ -20,11 +21,11 @@ from fleetrank.trip_data import group_rows
 from tests.conftest import make_dataset, spearman
 
 
-def aggregate(pairs, **kwargs):
+def aggregate(pairs):
     """Rank (driver_id, advantage) pairs, one per trip."""
     driver_ids = sorted({d for d, _ in pairs})
     codes = [driver_ids.index(d) for d, _ in pairs]
-    return assess_drivers(driver_ids, codes, [v for _, v in pairs], **kwargs)
+    return assess_drivers(driver_ids, codes, [v for _, v in pairs])
 
 
 def zero_baseline(stats):
@@ -43,7 +44,7 @@ def test_exact_baseline_gives_zero_advantages():
     ds = make_dataset(env, np.zeros((20, 1)), np.full((20, 1), 6.0),
                       [f"d{i % 4}" for i in range(20)])
     stats = fit_stats(ds)
-    advs = trip_advantages(ds, zero_baseline(stats), metric_index=0)
+    advs = trip_advantages(ds, zero_baseline(stats))
     assert advs.shape == (20,)
     assert np.all(advs == 0.0)
 
@@ -51,7 +52,7 @@ def test_exact_baseline_gives_zero_advantages():
 def test_output_count_and_order():
     ds, _ = generate(SynthConfig(n_drivers=3, trips_per_driver=12, seed=1))
     stats = fit_stats(ds)
-    advs = trip_advantages(ds, zero_baseline(stats), metric_index=0)
+    advs = trip_advantages(ds, zero_baseline(stats))
     assert advs.shape == (len(ds),)
     # a zero baseline predicts 0, so trip i's advantage is its own normalized metric
     np.testing.assert_array_equal(advs, stats.normalize_performance(ds.performance)[:, 0])
@@ -66,13 +67,13 @@ def test_trip_advantages_track_behavior_effect():
     model, _ = train_regressor(ds, stats, TrainingParams(
         epochs=60, batch_size=64, learning_rate=3e-3, hidden_widths=(32, 32, 32), seed=3),
         with_behavior=False)
-    advs = trip_advantages(ds, model, metric_index=0)
+    advs = trip_advantages(ds, model)
     g = [truth.behavior_effect(a) for a in ds.behavior]
     assert spearman(advs, g) >= 0.9
 
 
 def test_assess_hand_values():
-    ranking = aggregate([("d1", 1.0), ("d1", -1.0), ("d2", 2.0)], min_trips_warn=0)
+    ranking = aggregate([("d1", 1.0), ("d1", -1.0), ("d2", 2.0)])
     assert [e.driver_id for e in ranking.entries] == ["d2", "d1"]
     d2, d1 = ranking.entries
     assert (d2.mean_advantage, d2.std_advantage, d2.trip_count) == (2.0, 0.0, 1)
@@ -87,17 +88,17 @@ def test_assess_empty_rejected():
 
 
 def test_tie_break_by_driver_id():
-    ranking = aggregate([("zeta", 1.0), ("alpha", 1.0)], min_trips_warn=0)
+    ranking = aggregate([("zeta", 1.0), ("alpha", 1.0)])
     assert [e.driver_id for e in ranking.entries] == ["alpha", "zeta"]
 
 
 def test_permutation_invariance():
     rng = np.random.default_rng(4)
     advs = [(f"d{i % 7}", float(rng.normal())) for i in range(70)]
-    base = aggregate(advs, min_trips_warn=0)
+    base = aggregate(advs)
     for seed in range(3):
         order = np.random.default_rng(seed).permutation(len(advs))
-        shuffled = aggregate([advs[i] for i in order], min_trips_warn=0)
+        shuffled = aggregate([advs[i] for i in order])
         assert shuffled == base
 
 
@@ -108,7 +109,7 @@ def test_assess_matches_per_driver_sort_reference():
     codes = rng.integers(0, 11, size=n)
     values = rng.normal(size=n) * 10.0 ** rng.integers(-6, 7, size=n)
     driver_ids = [f"d{k:02d}" for k in range(11)]
-    ranking = assess_drivers(driver_ids, codes, values, min_trips_warn=0)
+    ranking = assess_drivers(driver_ids, codes, values)
     for entry in ranking.entries:
         arr = np.sort(values[codes == driver_ids.index(entry.driver_id)])
         assert entry.mean_advantage == float(arr.mean())
@@ -138,7 +139,7 @@ def test_assess_groups_as_lexsort_does(n_drivers):
     codes[:20] = 0
     values[:20] = [0.0, -0.0] * 10
     driver_ids = [f"d{k:05d}" for k in range(n_drivers)]
-    ranking = assess_drivers(driver_ids, codes, values, min_trips_warn=0)
+    ranking = assess_drivers(driver_ids, codes, values)
     got = {e.driver_id: (np.float64(e.mean_advantage).tobytes(),
                          np.float64(e.std_advantage).tobytes(), e.trip_count)
            for e in ranking.entries}
@@ -146,7 +147,7 @@ def test_assess_groups_as_lexsort_does(n_drivers):
 
 
 def test_render_format():
-    ranking = aggregate([("d1", 1.0), ("d1", -1.0), ("d2", 2.0)], min_trips_warn=0)
+    ranking = aggregate([("d1", 1.0), ("d1", -1.0), ("d2", 2.0)])
     text = render_ranking(ranking)
     lines = text.splitlines()
     assert lines[1] == "1  d2  2.000000 (0.000000)  n=1"
@@ -159,7 +160,7 @@ def test_render_empty_has_header_only():
 
 
 def test_ranking_rows():
-    ranking = aggregate([("d1", 0.5)], min_trips_warn=0)
+    ranking = aggregate([("d1", 0.5)])
     rows = ranking_rows(ranking)
     assert rows[0] == ["rank", "driver_id", "mean_advantage", "std_advantage", "trip_count"]
     assert rows[1] == [1, "d1", "0.5", "0.0", 1]
@@ -170,15 +171,15 @@ def test_raw_units_scale_but_not_order():
     stats = fit_stats(ds)
     model, _ = train_regressor(ds, stats, TrainingParams(
         epochs=20, batch_size=64, hidden_widths=(8, 8, 8), seed=6), with_behavior=False)
-    normalized = trip_advantages(ds, model, metric_index=0)
-    raw = trip_advantages(ds, model, metric_index=0, raw_units=True)
+    normalized = trip_advantages(ds, model)
+    raw = trip_advantages(ds, model, raw_units=True)
     factor = stats.performance_std(0)
     for a, b in zip(normalized, raw):
         assert b == pytest.approx(a * factor, rel=1e-12)
     order_a = [e.driver_id for e in
-               assess_drivers(ds.driver_ids, ds.driver_codes, normalized, min_trips_warn=0).entries]
+               assess_drivers(ds.driver_ids, ds.driver_codes, normalized).entries]
     order_b = [e.driver_id for e in
-               assess_drivers(ds.driver_ids, ds.driver_codes, raw, min_trips_warn=0).entries]
+               assess_drivers(ds.driver_ids, ds.driver_codes, raw).entries]
     assert order_a == order_b
 
 
@@ -190,7 +191,7 @@ def test_shift_invariance_of_order():
     stats = fit_stats(ds)
     model, _ = train_regressor(ds, stats, params, with_behavior=False)
     order = [e.driver_id for e in assess_drivers(
-        ds.driver_ids, ds.driver_codes, trip_advantages(ds, model, 0), min_trips_warn=0).entries]
+        ds.driver_ids, ds.driver_codes, trip_advantages(ds, model)).entries]
 
     shifted_perf = ds.performance.copy()
     shifted_perf[:, 0] += 123.0
@@ -199,15 +200,16 @@ def test_shift_invariance_of_order():
     stats2 = fit_stats(shifted)
     model2, _ = train_regressor(shifted, stats2, params, with_behavior=False)
     order2 = [e.driver_id for e in assess_drivers(
-        shifted.driver_ids, shifted.driver_codes, trip_advantages(shifted, model2, 0),
-        min_trips_warn=0).entries]
+        shifted.driver_ids, shifted.driver_codes, trip_advantages(shifted, model2)).entries]
     assert order == order2
 
 
 def test_low_trip_warning(caplog):
+    thin = [("d1", 0.1)] * (LOW_TRIP_WARN_THRESHOLD - 1)
+    enough = [("d2", 0.2)] * LOW_TRIP_WARN_THRESHOLD
     with caplog.at_level(logging.WARNING, logger="fleetrank.assessment"):
-        aggregate([("d1", 0.1), ("d2", 0.2), ("d2", 0.3)], min_trips_warn=2)
-    assert "fewer than 2 trips" in caplog.text
+        aggregate(thin + enough)
+    assert f"1 of 2 drivers have fewer than {LOW_TRIP_WARN_THRESHOLD} trips" in caplog.text
 
 
 def test_layout_mismatch_rejected():
@@ -215,4 +217,4 @@ def test_layout_mismatch_rejected():
     other, _ = generate(SynthConfig(n_drivers=3, trips_per_driver=10, d_env=4, seed=9))
     stats = fit_stats(other)
     with pytest.raises(DimensionMismatch):
-        trip_advantages(ds, zero_baseline(stats), metric_index=0)
+        trip_advantages(ds, zero_baseline(stats))

@@ -78,6 +78,19 @@ def test_synth_rejects_single_driver(tmp_path, capsys):
     assert "2 drivers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["synth", "place"])
+def test_negative_seed_is_a_usage_error(pipeline, tmp_path, capsys, command):
+    # numpy's generators take no seed below 0; it used to end in a traceback
+    _, bundle = pipeline
+    env = tmp_path / "env.json"
+    env.write_text(json.dumps([0.0] * 8))
+    flags = ("--bundle", str(bundle), "--env", str(env)) if command == "place" else ()
+    out = tmp_path / "out"
+    assert run(command, *flags, "--seed", "-1", "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 def test_train_defaults_to_100_epochs():
     parser = build_parser()
     args = parser.parse_args(["train", "--data", "d", "--schema", "s"])
@@ -132,7 +145,7 @@ def test_rank_raw_units_preserves_order(pipeline, tmp_path):
         raw = list(csv.reader(f))[1:]
     assert [r[1] for r in norm] == [r[1] for r in raw]
     model, _, _ = load_bundle(bundle)
-    factor = model.raw_unit_scale()
+    factor = model.stats.performance_std(model.metric_index)
     for rn, rr in zip(norm, raw):
         assert float(rr[2]) == pytest.approx(float(rn[2]) * factor, rel=1e-9)
 
@@ -411,7 +424,7 @@ def test_usage_error_exit_code():
 # until it is put in one of these sets on purpose.
 USAGE_ERROR_TYPES = {
     "UsageError", "MissingColumn", "BadValue", "DuplicateTripId", "EmptyDataset",
-    "UnknownDriver", "TooFewSamples", "DimensionMismatch", "InvalidConfig", "CorruptBundle",
+    "TooFewSamples", "DimensionMismatch", "InvalidConfig", "CorruptBundle",
     "EmptyProfiles", "UnknownDimension", "UnreadableFile", "NotARegularFile",
 }
 RUNTIME_ERROR_TYPES = {"FleetrankError", "NonFiniteLoss", "NonFiniteObjective", "NonFiniteStats"}
@@ -662,6 +675,7 @@ def test_train_fits_in_two_processes_only_with_one_thread(pipeline, tmp_path):
         (["--lr", "inf"], "learning rate"),
         (["--hidden", "4,x,4"], "--hidden"),
         (["--hidden", "4,0,4"], "hidden widths"),
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
     ],
 )
 def test_train_config_errors(tmp_path, capsys, flags, message):
@@ -856,6 +870,25 @@ def test_surface_out_of_memory_is_a_runtime_error(pipeline, tmp_path, capsys):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("surface", ("--template", "a0.json", "--free", "beh_00,beh_01", "--resolution", str(10**22))),
+    ("place", ("--population", str(10**22))),
+], ids=["surface", "place"])
+def test_sizes_past_the_largest_array_are_out_of_memory(pipeline, tmp_path, capsys,
+                                                        monkeypatch, command, flags):
+    # numpy raises ValueError, not MemoryError, for these; nothing is allocated
+    _, bundle = pipeline
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "env.json").write_text(json.dumps([0.0] * 8))
+    (tmp_path / "a0.json").write_text(json.dumps([0.0] * 6))
+    code = run(command, "--bundle", str(bundle), "--env", "env.json", *flags, "--out", "o")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+    assert "larger than any array can be" in err
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
 def test_surface_rejects_repeated_free_dimension(pipeline, tmp_path, capsys):
     data, bundle = pipeline
     env = tmp_path / "env.json"
@@ -986,6 +1019,10 @@ ENV, PERFORMANCE, CODE = ("env", "<f8", (8,)), ("performance", "<f8", (2,)), ("d
          "trips.npy: driver code -1 is outside the bundle's 4 drivers"),
         (_edit_trips(lambda t: t[:-1]),
          "trips.npy: driver 'driver_03' has 39 trips here and 40 in profiles.json"),
+        (lambda b: _edit_json(b / "baseline.json", lambda n: _set_first(n["weights"], 10**400)),
+         "baseline.json: int too large to convert to float"),
+        (lambda b: _edit_json(b / "meta.json", lambda m: m.__setitem__("behavior_box", None)),
+         "meta.json: behavior_box must be a list of [lo, hi] pairs, got None"),
     ],
     ids=["truncated-meta", "undecodable-stats", "missing-meta-key", "missing-net-key",
          "float-metric-index", "bool-metric-index", "nan-weight", "inf-bias", "nan-stats", "inf-box", "fingerprint-mismatch",
@@ -993,7 +1030,8 @@ ENV, PERFORMANCE, CODE = ("env", "<f8", (8,)), ("performance", "<f8", (2,)), ("d
          "swapped-nets", "widened-schema", "moved-metric-index",
          "truncated-trips", "trips-not-an-array", "pickled-trips", "float32-trips",
          "float-driver-codes", "narrow-trips", "trips-of-two-dims", "nan-trip", "inf-trip",
-         "driver-code-too-large", "negative-driver-code", "trip-counts-disagree"],
+         "driver-code-too-large", "negative-driver-code", "trip-counts-disagree",
+         "huge-int-weight", "null-box"],
 )
 def test_rank_rejects_corrupt_bundle(pipeline, tmp_path, capsys, damage, message):
     data, bundle = pipeline
@@ -1040,9 +1078,18 @@ def test_surface_rejects_widened_schema(pipeline, tmp_path, capsys):
         ("[0, 0, 0, 0, 0, 0, 0]", "[0, 0, 0, 0, 0, 0]", "--env has 7 entries; the bundle expects 8"),
         ("[0, 0, 0, 0, 0, 0, 0, 0]", "[0, 0, 0, 0, 0]",
          "--fix-template has 5 entries; the bundle expects 6"),
+        ("[true, 0, 0, 0, 0, 0, 0, 0]", "[0, 0, 0, 0, 0, 0]",
+         "expected a JSON list of numbers (true and false are not numbers)"),
+        ("[0, 0, 0, 0, 0, 0, 0, 0]", "[0, 0, 0, 0, 0, false]",
+         "expected a JSON list of numbers (true and false are not numbers)"),
+        (f"[{10**400}, 0, 0, 0, 0, 0, 0, 0]", "[0, 0, 0, 0, 0, 0]",
+         "expected a JSON list of numbers (int too large to convert to float)"),
+        ('{"values": [0, 0, 0, 0, 0, 0, 0, 0]}', "[0, 0, 0, 0, 0, 0]",
+         "expected a JSON list of numbers"),
     ],
     ids=["nan-env", "inf-env", "inf-template", "truncated-json", "non-numeric", "matrix",
-         "short-env", "short-template"],
+         "short-env", "short-template", "bool-env", "bool-template", "huge-int-env",
+         "object-env"],
 )
 def test_place_rejects_bad_vectors_before_reading_trips(pipeline, tmp_path, capsys,
                                                         env, template, message):
@@ -1066,8 +1113,12 @@ def test_place_rejects_bad_vectors_before_reading_trips(pipeline, tmp_path, caps
         ("[0, 0, 0, 0, 0, 0, 0, 0]", "[0, NaN, 0, 0, 0, 0]", "every entry must be finite"),
         ("[0, 0, 0, 0, 0, 0, 0, 0, 0]", "[0, 0, 0, 0, 0, 0]", "--env has 9 entries"),
         ("[0, 0, 0, 0, 0, 0, 0, 0]", "[0, 0, 0, 0, 0, 0, 0]", "--template has 7 entries"),
+        ("[0, 0, 0, 0, 0, 0, 0, 0]", "[0, true, 0, 0, 0, 0]", "true and false are not numbers"),
+        ("[0, 0, 0, 0, 0, 0, 0, 0]", f"[0, 0, {-10**400}, 0, 0, 0]",
+         "int too large to convert to float"),
     ],
-    ids=["nan-env", "nan-template", "long-env", "long-template"],
+    ids=["nan-env", "nan-template", "long-env", "long-template", "bool-template",
+         "huge-int-template"],
 )
 def test_surface_rejects_bad_vectors(pipeline, tmp_path, capsys, env, template, message):
     _, bundle = pipeline
@@ -1304,10 +1355,12 @@ def _edit_driver(index, position, value):
         (_edit_profiles(lambda doc: doc.__setitem__("drivers", [])), "no drivers"),
         (_edit_profiles(lambda doc: doc.__setitem__("stats_fingerprint", "0" * 16)),
          "stats_fingerprint does not match meta.json"),
+        (_edit_profiles(lambda doc: doc["drivers"][1][2].__setitem__(3, 10**400)),
+         "int too large to convert to float"),
     ],
     ids=["truncated", "missing-drivers", "missing-digest", "nan-mean", "inf-mean", "short-mean",
          "zero-trips", "float-trips", "bool-trips", "duplicate-id", "unsorted-ids", "no-drivers",
-         "fingerprint-mismatch"],
+         "fingerprint-mismatch", "huge-int-mean"],
 )
 def test_place_rejects_corrupt_profiles(pipeline, tmp_path, capsys, damage, message):
     data, bundle = pipeline

@@ -237,6 +237,7 @@ def test_default_population_rule():
         dict(dim=2, initial_mean=np.zeros(2), initial_sigma=1.0, target_tolerance=float("nan")),
         dict(dim=2, initial_mean=np.zeros(2), initial_sigma=1.0, target_tolerance=float("inf")),
         dict(dim=2, initial_mean=np.zeros(2), initial_sigma=1.0, target_tolerance=-1.0),
+        dict(dim=2, initial_mean=np.zeros(2), initial_sigma=1.0, seed=-1),
     ],
 )
 def test_invalid_config(kwargs):

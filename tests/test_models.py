@@ -111,7 +111,8 @@ def test_advantage_zero_when_behavior_pathway_dead():
     stats = fit_stats(ds)
     baseline, _ = train_regressor(ds, stats, SMALL, with_behavior=False)
     behavior = zero_behavior_pathway(baseline)
-    model = AdvantageModel(baseline=baseline, behavior=behavior, metric_index=0)
+    model = AdvantageModel(baseline=baseline, behavior=behavior, metric_index=0,
+                           behavior_box=behavior_box_from(ds, stats))
     rng = np.random.default_rng(6)
     s = rng.normal(size=8)
     values = [model.advantage(s, rng.normal(size=6)) for _ in range(10)]
@@ -139,7 +140,8 @@ def test_advantage_uses_metric_index():
     rng = np.random.default_rng(10)
     s, a = rng.normal(size=8), rng.normal(size=6)
     for mi in (0, 1):
-        m = AdvantageModel(baseline=model.baseline, behavior=model.behavior, metric_index=mi)
+        m = AdvantageModel(baseline=model.baseline, behavior=model.behavior, metric_index=mi,
+                           behavior_box=model.behavior_box)
         expected = float(m.behavior.predict(s, a)[mi]) - float(m.baseline.predict(s)[mi])
         assert m.advantage(s, a) == expected
 
@@ -147,7 +149,8 @@ def test_advantage_uses_metric_index():
 def test_metric_index_bounds():
     _, _, _, model = small_advantage_model(seed=11)
     with pytest.raises(DimensionMismatch):
-        AdvantageModel(baseline=model.baseline, behavior=model.behavior, metric_index=2)
+        AdvantageModel(baseline=model.baseline, behavior=model.behavior, metric_index=2,
+                       behavior_box=model.behavior_box)
 
 
 def test_fingerprint_mismatch_rejected():
@@ -157,7 +160,8 @@ def test_fingerprint_mismatch_rejected():
     baseline, _ = train_regressor(ds1, stats1, SMALL, with_behavior=False)
     behavior, _ = train_regressor(ds2, stats2, SMALL, with_behavior=True)
     with pytest.raises(DimensionMismatch):
-        AdvantageModel(baseline=baseline, behavior=behavior, metric_index=0)
+        AdvantageModel(baseline=baseline, behavior=behavior, metric_index=0,
+                       behavior_box=behavior_box_from(ds1, stats1))
 
 
 def test_regressor_role_follows_input_width():
@@ -171,10 +175,11 @@ def test_regressor_role_follows_input_width():
     assert not baseline.reads_behavior and behavior.reads_behavior
     with pytest.raises(DimensionMismatch, match="input width 9 is neither"):
         regressor(9)
-    AdvantageModel(baseline=baseline, behavior=behavior, metric_index=0)
+    box = behavior_box_from(ds, stats)
+    AdvantageModel(baseline=baseline, behavior=behavior, metric_index=0, behavior_box=box)
     for pair in ((behavior, baseline), (baseline, baseline), (behavior, behavior)):
         with pytest.raises(DimensionMismatch, match="net has input width"):
-            AdvantageModel(baseline=pair[0], behavior=pair[1], metric_index=0)
+            AdvantageModel(baseline=pair[0], behavior=pair[1], metric_index=0, behavior_box=box)
 
 
 def test_baseline_value_zero_net_and_purity():
@@ -221,7 +226,7 @@ def test_additive_residual_tracks_behavior_effect():
 def test_behavior_box():
     ds, _ = generate(SynthConfig(n_drivers=3, trips_per_driver=40, seed=18))
     stats = fit_stats(ds)
-    box = behavior_box_from(ds, stats, margin=0.1)
+    box = behavior_box_from(ds, stats)
     a = stats.normalize_behavior(ds.behavior)
     lo, hi = a.min(axis=0), a.max(axis=0)
     span = hi - lo

@@ -3,7 +3,7 @@ import pytest
 
 from fleetrank import placement
 from fleetrank.cmaes import default_population, maximize
-from fleetrank.errors import DimensionMismatch, EmptyProfiles, InvalidConfig
+from fleetrank.errors import DimensionMismatch, EmptyProfiles
 from fleetrank.models import (
     AdvantageModel,
     DriverProfile,
@@ -229,13 +229,6 @@ def test_optimizer_fixed_template():
     assert consistent
 
 
-def test_optimizer_requires_box():
-    model = cone_peak_model(np.array([0.0, 0.0]))
-    model.behavior_box = None
-    with pytest.raises(InvalidConfig):
-        optimize_behavior(model, np.zeros(2), seed=0)
-
-
 def test_two_dim_search_matches_grid_oracle():
     ds, truth = generate(SynthConfig(n_drivers=5, trips_per_driver=100, seed=5))
     stats = fit_stats(ds)
@@ -327,7 +320,7 @@ def test_place_reports_fields():
         DriverProfile("b", np.array([1.2, 1.2]), 3),
         DriverProfile("c", np.array([-1.2, 0.0]), 3),
     ]
-    result = place(model, profiles, np.zeros(2), seed=10, top_m=2)
+    result = place(model, profiles, np.zeros(2), seed=10)
     assert result.matched_driver == "a"
     assert result.match_distance < 0.05
     assert [r[0] for r in result.runner_ups] == ["c", "b"] or len(result.runner_ups) == 2

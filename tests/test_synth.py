@@ -10,7 +10,7 @@ def test_counts():
     ds, truth = generate(SynthConfig(n_drivers=20, trips_per_driver=100, seed=7))
     assert len(ds) == 2000
     assert ds.n_drivers == 20
-    assert all(len(idx) == 100 for idx in ds.driver_index.values())
+    assert np.bincount(ds.driver_codes).tolist() == [100] * 20
 
 
 def test_deterministic_file(tmp_path):
@@ -36,9 +36,8 @@ def test_env_shift_lowers_raw_performance():
     )
     assert np.all(truth.driver_skills == 0.0)
     q = ds.performance[:, 0]
-    odd = [i for d in truth.driver_ids[1::2] for i in ds.driver_index[d]]
-    even = [i for d in truth.driver_ids[0::2] for i in ds.driver_index[d]]
-    assert q[odd].mean() - q[even].mean() < 0
+    odd = np.isin(np.asarray(ds.driver_ids)[ds.driver_codes], truth.driver_ids[1::2])
+    assert q[odd].mean() - q[~odd].mean() < 0
 
 
 def test_groundtruth_roundtrip(tmp_path):

@@ -8,7 +8,6 @@ from fleetrank.errors import (
     DuplicateTripId,
     EmptyDataset,
     MissingColumn,
-    UnknownDriver,
     UnreadableFile,
 )
 from fleetrank.synth import SynthConfig, generate
@@ -52,18 +51,12 @@ def test_load_basic(simple_csv, simple_schema):
     np.testing.assert_array_equal(ds.driver_codes, [0, 1, 0])
 
 
-def test_driver_indices(simple_csv, simple_schema):
+def test_driver_codes(simple_csv, simple_schema):
     ds = load_dataset(simple_csv, simple_schema)
-    assert ds.driver_indices("d1") == (0, 2)
-    assert ds.driver_indices("d2") == (1,)
-    with pytest.raises(UnknownDriver):
-        ds.driver_indices("d9")
-
-
-def test_index_partition(simple_csv, simple_schema):
-    ds = load_dataset(simple_csv, simple_schema)
-    all_indices = sorted(i for idx in ds.driver_index.values() for i in idx)
-    assert all_indices == list(range(len(ds)))
+    assert np.flatnonzero(ds.driver_codes == ds.driver_ids.index("d1")).tolist() == [0, 2]
+    assert np.flatnonzero(ds.driver_codes == ds.driver_ids.index("d2")).tolist() == [1]
+    # every trip belongs to exactly one listed driver
+    assert np.bincount(ds.driver_codes, minlength=ds.n_drivers).sum() == len(ds)
 
 
 def test_column_order_independence(tmp_path, simple_csv, simple_schema):
@@ -138,7 +131,8 @@ def test_single_row(tmp_path, simple_schema):
     )
     ds = load_dataset(path, simple_schema)
     assert len(ds) == 1
-    assert ds.driver_index == {"d1": (0,)}
+    assert ds.driver_ids == ("d1",)
+    np.testing.assert_array_equal(ds.driver_codes, [0])
 
 
 def test_roundtrip_bitwise(tmp_path):
