@@ -51,12 +51,21 @@ def test_load_basic(simple_csv, simple_schema):
     np.testing.assert_array_equal(ds.driver_codes, [0, 1, 0])
 
 
-def test_driver_codes(simple_csv, simple_schema):
+def test_driver_indices(simple_csv, simple_schema):
     ds = load_dataset(simple_csv, simple_schema)
     assert np.flatnonzero(ds.driver_codes == ds.driver_ids.index("d1")).tolist() == [0, 2]
     assert np.flatnonzero(ds.driver_codes == ds.driver_ids.index("d2")).tolist() == [1]
+    assert "d9" not in ds.driver_ids
+
+
+def test_index_partition(simple_csv, simple_schema):
+    ds = load_dataset(simple_csv, simple_schema)
     # every trip belongs to exactly one listed driver
-    assert np.bincount(ds.driver_codes, minlength=ds.n_drivers).sum() == len(ds)
+    assert ds.driver_codes.min() >= 0 and ds.driver_codes.max() < ds.n_drivers
+    all_indices = sorted(
+        i for code in range(ds.n_drivers) for i in np.flatnonzero(ds.driver_codes == code)
+    )
+    assert all_indices == list(range(len(ds)))
 
 
 def test_column_order_independence(tmp_path, simple_csv, simple_schema):
