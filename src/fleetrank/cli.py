@@ -63,16 +63,25 @@ def _thread_facts(rows: int) -> dict:
 
 
 def _load_vector(path: str) -> np.ndarray:
-    """A finite 1-D vector from a JSON list of numbers; ``true`` and ``false`` are not numbers."""
+    """A finite 1-D vector from a flat JSON list whose every entry is an int or a float.
+
+    ``true`` and ``false`` are not numbers, and neither is a string that
+    spells one.
+    """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-        if type(data) is list and any(type(x) is bool for x in data):
-            raise TypeError("true and false are not numbers")
-        vector = np.asarray(data, dtype=float)
+        if type(data) is not list:
+            raise TypeError(f"got {type(data).__name__}")
+        for entry in data:
+            if type(entry) is list:
+                raise InvalidConfig(f"{path}: expected a flat list of numbers, got a nested list")
+            if type(entry) is bool:  # bool is an int subclass
+                raise TypeError("true and false are not numbers")
+            if type(entry) not in (int, float):
+                raise TypeError(f"{entry!r} is not a number")
+        vector = np.array(data, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:  # JSON errors are ValueErrors
         raise InvalidConfig(f"{path}: expected a JSON list of numbers ({exc})") from None
-    if vector.ndim != 1:
-        raise InvalidConfig(f"{path}: expected a flat list of numbers, got shape {vector.shape}")
     if not np.all(np.isfinite(vector)):
         raise InvalidConfig(f"{path}: every entry must be finite, got {vector.tolist()}")
     return vector

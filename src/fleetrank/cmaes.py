@@ -24,6 +24,13 @@ them. An objective maps a read-only candidate matrix ``X`` of shape
 ``(lambda, dim)`` to a fitness vector of shape ``(lambda,)``, one value
 per row, so a model-backed objective can score a whole generation in one
 batched pass.
+
+A generation allocates little beyond the candidate matrix: the candidates
+are scaled, shifted and clamped inside the sampled product's own array,
+and the covariance is updated in place through one reused ``(dim, dim)``
+buffer. Each step keeps the operands and the order of operations of its
+textbook expression, so the search's bits are those of the allocating
+form.
 """
 
 from __future__ import annotations
@@ -107,6 +114,7 @@ class _StrategyParams:
         self.mu = lam // 2
         w = np.log(lam / 2 + 0.5) - np.log(np.arange(1, self.mu + 1))
         self.weights = w / w.sum()
+        self.weight_column = self.weights[:, None]
         self.mueff = 1.0 / np.sum(self.weights**2)
         self.cc = (4 + self.mueff / n) / (n + 4 + 2 * self.mueff / n)
         self.cs = (self.mueff + 2) / (n + self.mueff + 5)
@@ -154,6 +162,7 @@ def minimize(objective, config: CmaesConfig) -> CmaesResult:
     restarts_left = config.restarts
     lam = config.population if config.population is not None else default_population(n)
     start_mean = config.initial_mean
+    term = np.empty((n, n))  # each term of a covariance update in turn
 
     while True:
         par = _StrategyParams(n, lam)
@@ -181,11 +190,14 @@ def minimize(objective, config: CmaesConfig) -> CmaesResult:
                 termination = "condition"
                 break
 
-            z = rng.standard_normal((lam, n))
-            y = z @ chol.T
-            x = mean + sigma * y
+            # x = mean + sigma * (z L^T), built in the product's own array
+            x = rng.standard_normal((lam, n)) @ chol.T
+            x *= sigma
+            x += mean
             if lo is not None:
-                x = np.clip(x, lo, hi)
+                # not np.maximum and np.minimum: where a candidate and a bound are
+                # zeros of opposite sign, those can keep another zero than np.clip
+                np.clip(x, lo, hi, out=x)
             x.flags.writeable = False
 
             fitness = np.asarray(objective(x), dtype=float)
@@ -223,17 +235,20 @@ def minimize(objective, config: CmaesConfig) -> CmaesResult:
             )
             pc = (1 - par.cc) * pc + hsig * math.sqrt(par.cc * (2 - par.cc) * par.mueff) * y_w
 
-            # rank-one + rank-mu covariance update
+            # rank-one + rank-mu covariance update, in place and in the order of
+            # (1 - c1a - cmu) * C + c1 * pc pc^T + (cmu * D^T) @ (w * D)
             displaced = (selected - mean_old) / sigma
             c1a = par.c1 * (1 - (1 - hsig**2) * par.cc * (2 - par.cc))
-            cov = (
-                (1 - c1a - par.cmu) * cov
-                + par.c1 * np.outer(pc, pc)
-                + par.cmu * displaced.T @ (par.weights[:, None] * displaced)
-            )
+            cov *= 1 - c1a - par.cmu
+            np.multiply.outer(pc, pc, out=term)
+            term *= par.c1
+            cov += term
+            np.matmul(par.cmu * displaced.T, par.weight_column * displaced, out=term)
+            cov += term
 
+            # |ps|, as np.linalg.norm computes it for a vector
             sigma *= math.exp(
-                min(1.0, (par.cs / par.damps) * (np.linalg.norm(ps) / par.chi_n - 1))
+                min(1.0, (par.cs / par.damps) * (math.sqrt(ps.dot(ps)) / par.chi_n - 1))
             )
 
             if run_gen > STAGNATION_WINDOW:

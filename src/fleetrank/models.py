@@ -400,7 +400,9 @@ def load_bundle(directory: str | Path) -> tuple[AdvantageModel, DatasetSchema, d
 
     Raises ``CorruptBundle`` for a file that is not valid JSON, a
     ``meta.json`` written by another tool version, a missing or ill-typed
-    entry, a non-finite weight, bias, statistic or box bound, a net whose
+    entry, a ``true`` or ``false`` among the statistics, the box bounds or
+    a net's config (the weights and biases go unscanned, for speed), a
+    non-finite weight, bias, statistic or box bound, a net whose
     input width does not fit its file's role (``baseline.json`` and
     ``behavior.json`` swapped), statistics whose fingerprint differs
     from the one recorded in ``meta.json``, or a schema in ``meta.json``
@@ -419,7 +421,9 @@ def load_bundle(directory: str | Path) -> tuple[AdvantageModel, DatasetSchema, d
                 f"this is version {TOOL_VERSION!r}"
             )
     with bundle_file(directory / "stats.json"):
-        stats = NormalizationStats.load(directory / "stats.json")
+        document = json.loads((directory / "stats.json").read_text(encoding="utf-8"))
+        reject_booleans(document)
+        stats = NormalizationStats.from_dict(document)
         require_finite(stats.mean, stats.std)
     parts = {}
     for name in ("baseline", "behavior"):
@@ -448,6 +452,7 @@ def load_bundle(directory: str | Path) -> tuple[AdvantageModel, DatasetSchema, d
         box = meta["behavior_box"]
         if type(box) is not list:
             raise TypeError(f"behavior_box must be a list of [lo, hi] pairs, got {box!r}")
+        reject_booleans(box)
         box = np.array(box, dtype=float)
         require_finite(box)
         model = AdvantageModel(
@@ -474,6 +479,22 @@ def bundle_file(path: Path):
 def require_finite(*arrays: np.ndarray) -> None:
     if not all(np.all(np.isfinite(a)) for a in arrays):
         raise ValueError("non-finite value")
+
+
+def reject_booleans(value) -> None:
+    """Raise ``TypeError`` at a JSON ``true`` or ``false`` in ``value`` or in its lists and objects.
+
+    ``np.array(..., dtype=float)`` would read them as 1.0 and 0.0.
+    """
+    if type(value) is dict:
+        value = list(value.values())
+    if type(value) is not list:
+        value = [value]
+    for item in value:
+        if type(item) is bool:
+            raise TypeError("true and false are not numbers")
+        if type(item) is list or type(item) is dict:
+            reject_booleans(item)
 
 
 PROFILES_FILE = "profiles.json"
@@ -648,6 +669,7 @@ def _stored_profile(entry, d_behavior: int) -> DriverProfile:
         raise TypeError(f"driver id must be a non-empty string, got {driver_id!r}")
     if type(trip_count) is not int or trip_count < 1:
         raise ValueError(f"trip count of {driver_id!r} must be an integer >= 1, got {trip_count!r}")
+    reject_booleans(mean)
     mean = np.array(mean, dtype=float)
     if mean.shape != (d_behavior,):
         raise DimensionMismatch(

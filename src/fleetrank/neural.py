@@ -63,6 +63,9 @@ class MlpConfig:
         object.__setattr__(self, "hidden_widths", tuple(self.hidden_widths))
         if len(self.hidden_widths) != 3:
             raise ValueError("hidden_widths must have exactly 3 entries")
+        sizes = (self.input_dim, *self.hidden_widths, self.output_dim, self.seed)
+        if any(type(v) is bool for v in sizes):  # bool is an int subclass
+            raise TypeError("layer widths and seed must be integers, not true or false")
         if self.input_dim < 1 or self.output_dim < 1 or min(self.hidden_widths) < 1:
             raise ValueError("all layer widths must be >= 1")
 

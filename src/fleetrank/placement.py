@@ -101,7 +101,11 @@ def optimize_behavior(
 
     The baseline term is constant in behavior, so it is evaluated once;
     each generation then costs one batched behavior-network pass over its
-    candidates.
+    candidates. The net's input rows live in one prebuilt block per
+    population size, whose env and template columns are written once; a
+    generation writes its candidates into the searched columns, so the
+    rows, and every bit of the result, are those of concatenating the env
+    with each candidate.
 
     Returns the full normalized optimum, its advantage, the raw optimizer
     result, and whether in every generation the candidate with the
@@ -135,12 +139,16 @@ def optimize_behavior(
 
     baseline_value = float(model.baseline.predict_normalized(s_norm)[model.metric_index])
     argmax_consistent = True
+    row = np.concatenate([s_norm, base])
+    searched = stats.d_env + free
+    block = np.empty((0, len(row)))  # built anew when a restart doubles the population
 
     def objective(a_free: np.ndarray) -> np.ndarray:
-        nonlocal argmax_consistent
-        candidates = np.tile(base, (len(a_free), 1))
-        candidates[:, free] = a_free
-        q = model.behavior.predict_normalized(s_norm, candidates)[:, model.metric_index]
+        nonlocal argmax_consistent, block
+        if len(block) != len(a_free):
+            block = np.tile(row, (len(a_free), 1))
+        block[:, searched] = a_free
+        q = model.behavior.net.forward_batch(block)[:, model.metric_index]
         advantages = q - baseline_value
         argmax_consistent &= bool(q[np.argmax(advantages)] == q.max())
         return advantages

@@ -1023,6 +1023,17 @@ ENV, PERFORMANCE, CODE = ("env", "<f8", (8,)), ("performance", "<f8", (2,)), ("d
          "baseline.json: int too large to convert to float"),
         (lambda b: _edit_json(b / "meta.json", lambda m: m.__setitem__("behavior_box", None)),
          "meta.json: behavior_box must be a list of [lo, hi] pairs, got None"),
+        (lambda b: _edit_json(b / "meta.json", lambda m: _set_first(m["behavior_box"], True)),
+         "meta.json: true and false are not numbers"),
+        (lambda b: _edit_json(b / "stats.json", lambda s: _set_first(s["std"], True)),
+         "stats.json: true and false are not numbers"),
+        (lambda b: _edit_json(b / "stats.json", lambda s: s.__setitem__("d_performance", False)),
+         "stats.json: true and false are not numbers"),
+        (lambda b: _edit_json(b / "baseline.json", lambda n: n["config"].__setitem__("seed", True)),
+         "baseline.json: layer widths and seed must be integers, not true or false"),
+        (lambda b: _edit_json(b / "behavior.json",
+                              lambda n: n["config"]["hidden_widths"].__setitem__(0, True)),
+         "behavior.json: layer widths and seed must be integers, not true or false"),
     ],
     ids=["truncated-meta", "undecodable-stats", "missing-meta-key", "missing-net-key",
          "float-metric-index", "bool-metric-index", "nan-weight", "inf-bias", "nan-stats", "inf-box", "fingerprint-mismatch",
@@ -1031,7 +1042,8 @@ ENV, PERFORMANCE, CODE = ("env", "<f8", (8,)), ("performance", "<f8", (2,)), ("d
          "truncated-trips", "trips-not-an-array", "pickled-trips", "float32-trips",
          "float-driver-codes", "narrow-trips", "trips-of-two-dims", "nan-trip", "inf-trip",
          "driver-code-too-large", "negative-driver-code", "trip-counts-disagree",
-         "huge-int-weight", "null-box"],
+         "huge-int-weight", "null-box", "bool-box", "bool-std", "bool-stats-width", "bool-net-seed",
+         "bool-hidden-width"],
 )
 def test_rank_rejects_corrupt_bundle(pipeline, tmp_path, capsys, damage, message):
     data, bundle = pipeline
@@ -1086,10 +1098,15 @@ def test_surface_rejects_widened_schema(pipeline, tmp_path, capsys):
          "expected a JSON list of numbers (int too large to convert to float)"),
         ('{"values": [0, 0, 0, 0, 0, 0, 0, 0]}', "[0, 0, 0, 0, 0, 0]",
          "expected a JSON list of numbers"),
+        ('["0.1", 0, 0, 0, 0, 0, 0, 0]', "[0, 0, 0, 0, 0, 0]",
+         "expected a JSON list of numbers ('0.1' is not a number)"),
+        ("[0, 0, 0, 0, 0, 0, 0, 0]", '[0, 0, 0, 0, "1e3", 0]',
+         "expected a JSON list of numbers ('1e3' is not a number)"),
+        ("[0, [0, 0], 0, 0, 0, 0, 0, 0]", "[0, 0, 0, 0, 0, 0]", "expected a flat list"),
     ],
     ids=["nan-env", "inf-env", "inf-template", "truncated-json", "non-numeric", "matrix",
          "short-env", "short-template", "bool-env", "bool-template", "huge-int-env",
-         "object-env"],
+         "object-env", "string-env", "string-template", "ragged-env"],
 )
 def test_place_rejects_bad_vectors_before_reading_trips(pipeline, tmp_path, capsys,
                                                         env, template, message):
@@ -1116,9 +1133,11 @@ def test_place_rejects_bad_vectors_before_reading_trips(pipeline, tmp_path, caps
         ("[0, 0, 0, 0, 0, 0, 0, 0]", "[0, true, 0, 0, 0, 0]", "true and false are not numbers"),
         ("[0, 0, 0, 0, 0, 0, 0, 0]", f"[0, 0, {-10**400}, 0, 0, 0]",
          "int too large to convert to float"),
+        ('[0, 0, 0, 0, 0, 0, 0, "-2.5"]', "[0, 0, 0, 0, 0, 0]", "'-2.5' is not a number"),
+        ("[0, 0, 0, 0, 0, 0, 0, 0]", '["0", 0, 0, 0, 0, 0]', "'0' is not a number"),
     ],
     ids=["nan-env", "nan-template", "long-env", "long-template", "bool-template",
-         "huge-int-template"],
+         "huge-int-template", "string-env", "string-template"],
 )
 def test_surface_rejects_bad_vectors(pipeline, tmp_path, capsys, env, template, message):
     _, bundle = pipeline
@@ -1357,10 +1376,12 @@ def _edit_driver(index, position, value):
          "stats_fingerprint does not match meta.json"),
         (_edit_profiles(lambda doc: doc["drivers"][1][2].__setitem__(3, 10**400)),
          "int too large to convert to float"),
+        (_edit_profiles(lambda doc: doc["drivers"][2][2].__setitem__(4, False)),
+         "true and false are not numbers"),
     ],
     ids=["truncated", "missing-drivers", "missing-digest", "nan-mean", "inf-mean", "short-mean",
          "zero-trips", "float-trips", "bool-trips", "duplicate-id", "unsorted-ids", "no-drivers",
-         "fingerprint-mismatch", "huge-int-mean"],
+         "fingerprint-mismatch", "huge-int-mean", "bool-mean"],
 )
 def test_place_rejects_corrupt_profiles(pipeline, tmp_path, capsys, damage, message):
     data, bundle = pipeline

@@ -1,9 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fleetrank.cmaes import CmaesConfig, default_population, maximize, minimize
+from fleetrank.cmaes import (
+    CONDITION_LIMIT,
+    STAGNATION_WINDOW,
+    CmaesConfig,
+    _StrategyParams,
+    default_population,
+    maximize,
+    minimize,
+)
 from fleetrank.errors import InvalidConfig, NonFiniteObjective
 
 
@@ -302,3 +312,122 @@ def test_rotated_ellipsoid_learns_the_covariance():
                              restarts=2, seed=seed)
         solved += minimize(ellipsoid, config).best_fitness < 1e-10
     assert solved >= 9
+
+
+def reference_minimize(objective, config):
+    """``minimize`` with every generation written as allocating textbook expressions.
+
+    Sampling as ``mean + sigma * y``, the clamp by ``np.clip``, the step
+    size by ``np.linalg.norm`` and the covariance update as one expression
+    of ``np.outer`` and a matrix product: the reference that ``minimize``'s
+    in-place generation must match bit for bit. Returns the history, the
+    best point, the termination and the population of every generation.
+    """
+    n = config.dim
+    rng = np.random.default_rng(config.seed)
+    lo = hi = None
+    if config.bounds is not None:
+        lo, hi = config.bounds[:, 0], config.bounds[:, 1]
+    best_x, best_f, history, populations = None, math.inf, [], []
+    restarts_left = config.restarts
+    lam = config.population if config.population is not None else default_population(n)
+    start_mean = config.initial_mean
+    while True:
+        par = _StrategyParams(n, lam)
+        mean, sigma = start_mean.copy(), config.initial_sigma
+        cov, ps, pc = np.eye(n), np.zeros(n), np.zeros(n)
+        run_gen = 0
+        termination = "max_generations"
+        while len(history) < config.max_generations:
+            run_gen += 1
+            try:
+                chol = np.linalg.cholesky(cov)
+            except np.linalg.LinAlgError:
+                termination = "condition"
+                break
+            diag = np.diagonal(chol)
+            if diag.max() > math.sqrt(CONDITION_LIMIT) * diag.min():
+                termination = "condition"
+                break
+            y = rng.standard_normal((lam, n)) @ chol.T
+            x = mean + sigma * y
+            if lo is not None:
+                x = np.clip(x, lo, hi)
+            fitness = objective(x)
+            populations.append(lam)
+            order = np.argsort(fitness, kind="stable")
+            if fitness[order[0]] < best_f:
+                best_f, best_x = float(fitness[order[0]]), x[order[0]].copy()
+            history.append(best_f)
+            selected = x[order[: par.mu]]
+            mean_old = mean
+            mean = par.weights @ selected
+            y_w = (mean - mean_old) / sigma
+            ps = (1 - par.cs) * ps + math.sqrt(par.cs * (2 - par.cs) * par.mueff) * (
+                np.linalg.solve(chol, y_w)
+            )
+            hsig = float(
+                np.sum(ps**2) / n / (1 - (1 - par.cs) ** (2 * run_gen)) < 2 + 4 / (n + 1)
+            )
+            pc = (1 - par.cc) * pc + hsig * math.sqrt(par.cc * (2 - par.cc) * par.mueff) * y_w
+            displaced = (selected - mean_old) / sigma
+            c1a = par.c1 * (1 - (1 - hsig**2) * par.cc * (2 - par.cc))
+            cov = (
+                (1 - c1a - par.cmu) * cov
+                + par.c1 * np.outer(pc, pc)
+                + par.cmu * displaced.T @ (par.weights[:, None] * displaced)
+            )
+            sigma *= math.exp(
+                min(1.0, (par.cs / par.damps) * (np.linalg.norm(ps) / par.chi_n - 1))
+            )
+            if run_gen > STAGNATION_WINDOW:
+                if history[-1 - STAGNATION_WINDOW] - history[-1] < config.target_tolerance:
+                    termination = "stagnation"
+                    break
+        if termination == "max_generations" or restarts_left == 0:
+            return history, best_x, termination, populations
+        restarts_left -= 1
+        lam *= 2
+        start_mean = best_x if best_x is not None else mean
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("dim", [1, 6, 62])
+@pytest.mark.parametrize("bounded", [False, True], ids=["free", "bounded"])
+@pytest.mark.parametrize("restarts", [0, 1])
+def test_generation_matches_the_allocating_reference_bit_for_bit(dim, bounded, restarts):
+    # a rotated, shifted ellipsoid: the covariance must adapt, and the shift puts
+    # the optimum near the box's edge, so the clamp acts on many candidates
+    rng = np.random.default_rng(dim)
+    rotation, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    axis_scale = 10.0 ** (2 * np.arange(dim) / max(dim - 1, 1))
+    shift = rng.uniform(0.5, 1.2, size=dim)
+
+    def ellipsoid(x):
+        return np.sum(axis_scale * ((x - shift) @ rotation.T) ** 2, axis=1)
+
+    populations = []
+
+    def counted(x):
+        populations.append(len(x))
+        return ellipsoid(x)
+
+    config = CmaesConfig(
+        dim=dim, initial_mean=np.zeros(dim), initial_sigma=0.4, seed=11 + dim,
+        max_generations=120 if dim == 62 else 300, restarts=restarts,
+        # with restarts, a tolerance that 20 generations never gain ends each run
+        # at its 21st generation, so the restart runs
+        target_tolerance=1e9 if restarts else 1e-12,
+        bounds=np.tile([-1.0, 1.0], (dim, 1)) if bounded else None,
+    )
+    result = minimize(counted, config)
+    history, best_x, termination, reference_populations = reference_minimize(ellipsoid, config)
+    assert _bits(result.history) == _bits(history)
+    assert _bits(result.best_point) == _bits(best_x)
+    assert result.termination == termination
+    assert populations == reference_populations
+    if restarts:
+        assert len(set(populations)) == 2  # the restart ran, at twice the population

@@ -262,8 +262,8 @@ def test_two_dim_search_matches_grid_oracle():
     assert consistent
 
 
-def test_optimum_dominates_every_evaluated_candidate(monkeypatch):
-    # wrap the search's objective to see every generation it scores
+def record_generations(monkeypatch):
+    """Wrap the search's objective: the lists fill with each generation's candidates and values."""
     batches, scores = [], []
 
     def recording_maximize(objective, config):
@@ -276,6 +276,11 @@ def test_optimum_dominates_every_evaluated_candidate(monkeypatch):
         return maximize(recorded, config)
 
     monkeypatch.setattr(placement, "maximize", recording_maximize)
+    return batches, scores
+
+
+def test_optimum_dominates_every_evaluated_candidate(monkeypatch):
+    batches, scores = record_generations(monkeypatch)
     target = np.array([0.4, -0.7, 0.2])
     model = cone_peak_model(target)
     a_star, value, result, consistent = optimize_behavior(
@@ -288,6 +293,51 @@ def test_optimum_dominates_every_evaluated_candidate(monkeypatch):
     revalued = model.advantage_normalized(np.zeros(2), evaluated)
     assert value >= revalued.max() - 1e-9
     assert consistent
+
+
+def random_model(d_env, d_behavior, seed):
+    """Advantage model of two randomly initialized nets on metric 1 of 2, box [-2, 2]."""
+    stats = identity_stats(d_env, d_behavior, 2)
+    nets = [Mlp.init(MlpConfig(width, (16, 16, 16), 2, seed=seed + k))
+            for k, width in enumerate((d_env, d_env + d_behavior))]
+    return AdvantageModel(
+        baseline=Regressor(net=nets[0], stats=stats),
+        behavior=Regressor(net=nets[1], stats=stats),
+        metric_index=1,
+        behavior_box=np.tile([-2.0, 2.0], (d_behavior, 1)),
+    )
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        {},
+        {"template_norm": np.linspace(-1.0, 1.0, 5), "free_indices": [3, 0, 4]},
+        # a tolerance that 20 generations never gain restarts the search at twice
+        # the population, which needs a second input block
+        {"restarts": 1, "tolerance": 1e9},
+    ],
+    ids=["full", "template", "restart"],
+)
+def test_every_generation_scores_as_advantage_normalized(monkeypatch, search):
+    # the objective writes candidates into a reused input block: every value it
+    # gives must be bit for bit what the model computes for the full candidates
+    batches, scores = record_generations(monkeypatch)
+    model = random_model(3, 5, seed=40)
+    s_norm = np.array([0.3, -1.1, 0.8])
+    _, value, result, _ = optimize_behavior(model, s_norm, seed=2, max_generations=60,
+                                            s_normalized=True, **search)
+    assert len(batches) == result.generations_used
+    template = search.get("template_norm", np.zeros(5))
+    free = sorted(search.get("free_indices", range(5)))
+    for a_free, values in zip(batches, scores):
+        candidates = np.tile(template, (len(a_free), 1))
+        candidates[:, free] = a_free
+        expected = model.advantage_normalized(s_norm, candidates)
+        assert expected.view(np.uint64).tolist() == values.view(np.uint64).tolist()
+    assert value == np.concatenate(scores).max()
+    if "restarts" in search:
+        assert {len(a) for a in batches} == {default_population(5), 2 * default_population(5)}
 
 
 def test_argmax_inconsistency_is_reported():
