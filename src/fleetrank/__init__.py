@@ -19,13 +19,12 @@ from .cmaes import CmaesConfig, CmaesResult, maximize, minimize
 from .models import (
     AdvantageModel,
     DriverProfile,
-    FittedPair,
+    Fits,
     Regressor,
     TrainingParams,
     behavior_box_from,
     load_bundle,
     save_bundle,
-    train_regressor,
     train_regressors,
 )
 from .neural import Mlp, MlpConfig, TrainReport, gradient, train
@@ -50,7 +49,7 @@ __all__ = [
     "DatasetSchema",
     "DriverAssessment",
     "DriverProfile",
-    "FittedPair",
+    "Fits",
     "GroundTruth",
     "Mlp",
     "MlpConfig",
@@ -78,7 +77,6 @@ __all__ = [
     "save_bundle",
     "save_dataset",
     "train",
-    "train_regressor",
     "train_regressors",
     "trip_advantages",
 ]

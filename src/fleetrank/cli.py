@@ -22,7 +22,8 @@ import numpy as np
 
 from . import assessment, placement, synth
 from .atomic import atomic_open
-from .errors import DimensionMismatch, FleetrankError, InvalidConfig, UnknownDimension, UsageError
+from .errors import (DimensionMismatch, FleetrankError, InvalidConfig, UnknownDimension,
+                     UsageError, require_array_fits)
 from .models import (
     TOOL_VERSION,
     AdvantageModel,
@@ -153,10 +154,12 @@ def cmd_train(args: argparse.Namespace) -> tuple[list[str], dict]:
     data_sha256 = file_sha256(args.data)
     ds = load_dataset(args.data, schema, lenient=args.lenient)
     stats = fit_stats(ds)
-    fits = train_regressors(ds, stats, base_params, behav_params)
+    # the behavior net, the longer fit, runs first, so its error wins when both fail
+    fits = train_regressors(ds, stats, [(behav_params, True), (base_params, False)])
+    (behavior, baseline), (behavior_report, baseline_report) = fits.regressors, fits.reports
     model = AdvantageModel(
-        baseline=fits.baseline,
-        behavior=fits.behavior,
+        baseline=baseline,
+        behavior=behavior,
         metric_index=schema.metric_index,
         behavior_box=behavior_box_from(ds, stats),
     )
@@ -166,15 +169,15 @@ def cmd_train(args: argparse.Namespace) -> tuple[list[str], dict]:
         out,
         model,
         schema,
-        baseline_report=fits.baseline_report,
-        behavior_report=fits.behavior_report,
+        baseline_report=baseline_report,
+        behavior_report=behavior_report,
         params=base_params,
     )
     record = save_trip_record(
         out, ds, placement.build_profiles(ds, stats),
         data_sha256=data_sha256, stats_fingerprint=stats.fingerprint(),
     )
-    for name, report in (("baseline", fits.baseline_report), ("behavior", fits.behavior_report)):
+    for name, report in (("baseline", baseline_report), ("behavior", behavior_report)):
         with atomic_open(out / f"{name}_curve.csv") as handle:
             writer = csv.writer(handle)
             writer.writerow(["epoch", "mse"])
@@ -185,8 +188,8 @@ def cmd_train(args: argparse.Namespace) -> tuple[list[str], dict]:
         "baseline_curve.csv", "behavior_curve.csv",
     ]
     print(
-        f"trained bundle in {out}: baseline mse {fits.baseline_report.final_loss:.6f}, "
-        f"behavior mse {fits.behavior_report.final_loss:.6f}"
+        f"trained bundle in {out}: baseline mse {baseline_report.final_loss:.6f}, "
+        f"behavior mse {behavior_report.final_loss:.6f}"
     )
     return outputs, {
         "data_sha256": data_sha256,
@@ -284,9 +287,7 @@ def cmd_surface(args: argparse.Namespace) -> tuple[list[str], dict]:
         raise InvalidConfig("--free must name exactly two dimensions for a surface")
 
     points = args.resolution * args.resolution
-    # numpy raises ValueError, not MemoryError, for an array whose size in bytes overflows
-    if points * model.stats.d_behavior * 8 > np.iinfo(np.intp).max:
-        raise MemoryError(f"a grid of {points} points is larger than any array can be")
+    require_array_fits(points * model.stats.d_behavior, f"a grid of {points} points")
 
     s_norm = env if args.normalized else model.stats.normalize_env(env)
     i, j = free_indices

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidConfig, NonFiniteObjective
+from .errors import InvalidConfig, NonFiniteObjective, require_array_fits
 
 STAGNATION_WINDOW = 20
 CONDITION_LIMIT = 1e14
@@ -74,9 +74,8 @@ class CmaesConfig:
             raise InvalidConfig("initial_sigma must be positive and finite")
         if self.population is not None and self.population < 2:
             raise InvalidConfig("population must be >= 2")
-        # numpy raises ValueError, not MemoryError, for an array whose size in bytes overflows
-        if self.population is not None and self.population * self.dim * 8 > np.iinfo(np.intp).max:
-            raise MemoryError(f"a population of {self.population} is larger than any array can be")
+        if self.population is not None:
+            require_array_fits(self.population * self.dim, f"a population of {self.population}")
         if self.max_generations < 1:
             raise InvalidConfig("max_generations must be >= 1")
         if self.restarts < 0:

@@ -7,6 +7,8 @@ caller's input or configuration is at fault and exits 2; any other
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class FleetrankError(Exception):
     """Base class for all toolkit errors.
@@ -129,3 +131,9 @@ class NotARegularFile(UsageError):
     def __init__(self, path):
         super().__init__(f"{path}: not a regular file; pass a saved trips file, not a pipe")
         self.path = path
+
+
+def require_array_fits(values: int, what: str) -> None:
+    """Raise ``MemoryError`` past the largest float64 array; numpy would raise ``ValueError``."""
+    if values * 8 > np.iinfo(np.intp).max:
+        raise MemoryError(f"{what} is larger than any array can be")

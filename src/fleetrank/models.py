@@ -11,11 +11,10 @@ the baseline term cancels from any comparison between two behaviors at
 a fixed environment. Both networks are a :class:`Regressor`; which
 blocks one reads follows from its input width.
 
-The two fits share no state. :func:`train_regressors` fits the behavior
-net in this process, then takes the baseline from a forked child that
-fitted it meanwhile, where the host has a second core and the process
-runs one OS thread (``cores.why_one_process``), or else fits it here.
-:func:`train_regressor` is one fit.
+Fits share no state. :func:`train_regressors` runs a list of them in
+order: the first in this process, the rest in one forked child meanwhile,
+where the host has a second core and the process runs one OS thread
+(``cores.why_one_process``), or else here next.
 
 A bundle is a directory: :func:`save_bundle` writes the nets, the
 statistics and ``meta.json``, and :func:`save_trip_record` writes what
@@ -195,64 +194,50 @@ class AdvantageModel:
         return q1 - q2
 
 
-def train_regressor(
-    ds: Dataset, stats: NormalizationStats, params: TrainingParams, with_behavior: bool
-) -> tuple[Regressor, TrainReport]:
-    """Fit a fresh regressor on every record; ``with_behavior``, it reads behavior too."""
-    a_norm = stats.normalize_behavior(ds.behavior) if with_behavior else None
-    fit = _Fit(stats, params, stats.normalize_env(ds.env), a_norm,
-               stats.normalize_performance(ds.performance))
-    return fit.regressor, fit.run()
-
-
 @dataclass
-class FittedPair:
-    """A model's two regressors, fitted, with their learning curves and how they were fitted."""
+class Fits:
+    """Fitted regressors and their learning curves, in plan order, and how they were fitted."""
 
-    baseline: Regressor
-    baseline_report: TrainReport
-    behavior: Regressor
-    behavior_report: TrainReport
-    processes: int  # 2 when a forked child fitted the baseline
+    regressors: list[Regressor]
+    reports: list[TrainReport]
+    processes: int  # 2 when a forked child ran every fit after the first
     one_process_because: str | None  # the unmet condition, when ``processes`` is 1
 
 
 def train_regressors(
-    ds: Dataset,
-    stats: NormalizationStats,
-    baseline_params: TrainingParams,
-    behavior_params: TrainingParams,
-) -> FittedPair:
-    """Fit the baseline and the behavior regressor, at the same time where the host allows it.
+    ds: Dataset, stats: NormalizationStats, plan: list[tuple[TrainingParams, bool]]
+) -> Fits:
+    """Fit a fresh regressor on every record per ``(params, with_behavior)`` entry of ``plan``.
 
-    This process fits the behavior net, the longer fit, first. When
-    :func:`why_one_process` finds no obstacle, a child made with ``os.fork``
-    fits the baseline meanwhile and sends back the fitted net and its
-    learning curve; otherwise the baseline is fitted here next. Both ways
-    give the same bits. When the behavior fit fails, its error is raised
-    at once, a child killed and reaped without waiting for its fit, so when
-    both fits fail, the behavior net's error is the one raised.
+    A ``with_behavior`` regressor reads behavior too. This process runs the
+    first fit. When there are more and :func:`why_one_process` finds no
+    obstacle, one child made with ``os.fork`` runs the rest meanwhile, in
+    order, and sends back the fitted nets and their learning curves;
+    otherwise this process runs them next. Both ways give the same bits.
+    The first failing fit in list order raises: when the first fails, a
+    child is killed and reaped at once, without waiting for its fits.
     """
     s_norm = stats.normalize_env(ds.env)
     targets = stats.normalize_performance(ds.performance)
-    # both fits' rows are built before a fork, so that the child allocates nothing the
+    a_norm = stats.normalize_behavior(ds.behavior) if any(b for _, b in plan) else None
+    # every fit's rows are built before a fork, so that the child allocates nothing the
     # size of the trips: a child's peak RSS counts the pages it inherited as well
-    baseline = _Fit(stats, baseline_params, s_norm, None, targets)
-    behavior = _Fit(stats, behavior_params, s_norm, stats.normalize_behavior(ds.behavior), targets)
-    reason, child = why_one_process(), None
+    fits = [_Fit(stats, params, s_norm, a_norm if with_behavior else None, targets)
+            for params, with_behavior in plan]
+    reason, child = (why_one_process() if len(fits) > 1 else "one fit"), None
     if reason is None:
         try:
-            child = _ForkedFit(baseline)
+            child = _ForkedFits(fits[1:])
         except OSError as exc:  # no process or pipe to be had
             reason = f"fork failed: {exc}"
     try:
-        behavior_report = behavior.run()
-        baseline_report = baseline.run() if child is None else child.result()
+        reports = [fits[0].run()]
+        reports += [fit.run() for fit in fits[1:]] if child is None else child.result()
     finally:
         if child is not None:
             child.close()
-    return FittedPair(baseline.regressor, baseline_report, behavior.regressor, behavior_report,
-                      processes=1 if reason else 2, one_process_because=reason)
+    return Fits([fit.regressor for fit in fits], reports,
+                processes=1 if reason else 2, one_process_because=reason)
 
 
 class _Fit:
@@ -283,15 +268,15 @@ class _Fit:
         )
 
 
-class _ForkedFit:
-    """A fit run by a forked child, which pickles its outcome into a pipe.
+class _ForkedFits:
+    """Fits run in order by a forked child, which pickles their outcome into a pipe.
 
     :meth:`result` waits for the outcome and reaps the child; :meth:`close`
     kills and reaps a child whose result was not taken.
     """
 
-    def __init__(self, fit: _Fit):
-        self.fit = fit
+    def __init__(self, fits: list[_Fit]):
+        self.fits = fits
         read_fd, write_fd = os.pipe()
         try:
             self.pid = os.fork()
@@ -301,12 +286,12 @@ class _ForkedFit:
             raise
         if self.pid == 0:
             os.close(read_fd)
-            _run_in_child(fit, write_fd)
+            _run_in_child(fits, write_fd)
         os.close(write_fd)
         self.pipe = os.fdopen(read_fd, "rb")
 
-    def result(self) -> TrainReport:
-        """The fit's learning curve, its regressor now holding the child's net; or its error."""
+    def result(self) -> list[TrainReport]:
+        """The fits' learning curves, their regressors now holding the child's nets; or an error."""
         message = self.pipe.read()
         _, status = os.waitpid(self.pid, 0)
         self.pid = None
@@ -314,13 +299,15 @@ class _ForkedFit:
         if code != 0:
             names = {number.value: number.name for number in signal.Signals}
             how = f"was killed by {names.get(-code, -code)}" if code < 0 else f"exited {code}"
-            role = "behavior" if self.fit.regressor.reads_behavior else "baseline"
-            raise FleetrankError(f"the process fitting the {role} net {how}")
+            nets = " and ".join("the behavior net" if fit.regressor.reads_behavior
+                                else "the baseline net" for fit in self.fits)
+            raise FleetrankError(f"the process fitting {nets} {how}")
         outcome = pickle.loads(message)  # bytes our own child wrote
         if isinstance(outcome, Exception):
             raise outcome
-        self.fit.regressor.net, report = outcome
-        return report
+        for fit, (_, net) in zip(self.fits, outcome):
+            fit.regressor.net = net
+        return [report for report, _ in outcome]
 
     def close(self) -> None:
         self.pipe.close()
@@ -330,8 +317,8 @@ class _ForkedFit:
             self.pid = None
 
 
-def _run_in_child(fit: _Fit, write_fd: int) -> NoReturn:
-    """The forked child's whole life: run ``fit``, send its outcome, and leave.
+def _run_in_child(fits: list[_Fit], write_fd: int) -> NoReturn:
+    """The forked child's whole life: run ``fits`` in order, send their outcome, and leave.
 
     It leaves through ``os._exit``, whatever happens, so that it never returns
     into its parent's code, runs its exit handlers or flushes its buffers.
@@ -339,8 +326,7 @@ def _run_in_child(fit: _Fit, write_fd: int) -> NoReturn:
     code = 1
     try:
         try:
-            report = fit.run()
-            outcome = (fit.regressor.net, report)
+            outcome = [(fit.run(), fit.regressor.net) for fit in fits]
         except Exception as exc:  # the parent raises it again
             outcome = exc
         with os.fdopen(write_fd, "wb") as pipe:
@@ -368,9 +354,9 @@ def save_bundle(
     directory: str | Path,
     model: AdvantageModel,
     schema: DatasetSchema,
-    baseline_report: TrainReport | None = None,
-    behavior_report: TrainReport | None = None,
-    params: TrainingParams | None = None,
+    baseline_report: TrainReport,
+    behavior_report: TrainReport,
+    params: TrainingParams,
 ) -> None:
     """Write an advantage model as a directory of JSON artifacts."""
     directory = Path(directory)
@@ -387,9 +373,9 @@ def save_bundle(
         "behavior_box": model.behavior_box.tolist(),
         "baseline_seed": model.baseline.net.config.seed,
         "behavior_seed": model.behavior.net.config.seed,
-        "training": None if params is None else asdict(params),
-        "baseline_final_loss": None if baseline_report is None else baseline_report.final_loss,
-        "behavior_final_loss": None if behavior_report is None else behavior_report.final_loss,
+        "training": asdict(params),
+        "baseline_final_loss": baseline_report.final_loss,
+        "behavior_final_loss": behavior_report.final_loss,
     }
     with atomic_open(directory / "meta.json") as handle:
         handle.write(json.dumps(meta, indent=2))

@@ -26,7 +26,7 @@ import numpy as np
 
 from .atomic import atomic_open
 from .cores import Worker, why_one_process
-from .errors import DimensionMismatch, NonFiniteLoss
+from .errors import DimensionMismatch, NonFiniteLoss, require_array_fits
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -112,6 +112,7 @@ class Mlp:
         widths = config.layer_widths
         weights, biases = [], []
         for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+            require_array_fits(fan_out * fan_in, f"a layer of {fan_out} by {fan_in} weights")
             bound = 1.0 / np.sqrt(fan_in)
             weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
             biases.append(np.zeros(fan_out))

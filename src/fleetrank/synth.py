@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_open
-from .errors import InvalidConfig
+from .errors import InvalidConfig, require_array_fits
 from .trip_data import Dataset, DatasetSchema
 
 # Bounded amplitude of the tanh component keeps the environment-shift
@@ -67,6 +67,10 @@ class SynthConfig:
             raise InvalidConfig("interaction_scale must be finite")
         if self.seed < 0:
             raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
+        # the largest arrays: the trips' draws and values, and the env net's first layer
+        trips, width = self.n_drivers * self.trips_per_driver, self.d_env + self.d_behavior + 2
+        require_array_fits(max(trips, ENV_NET_HIDDEN) * width,
+                           f"a fleet of {trips} trips of {width} values each")
 
 
 @dataclass

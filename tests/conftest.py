@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from fleetrank.models import train_regressors
 from fleetrank.trip_data import Dataset, DatasetSchema
 
 # More examples for the property tests CI runs apart: --hypothesis-profile ci.
@@ -41,6 +42,12 @@ def make_dataset(env, behavior, performance, driver_ids, schema=None) -> Dataset
         list(driver_ids),
         np.hstack([env, behavior, performance]),
     )
+
+
+def fit_one(ds, stats, params, with_behavior):
+    """One fresh regressor fitted on every record of ``ds``, and its learning curve."""
+    fits = train_regressors(ds, stats, [(params, with_behavior)])
+    return fits.regressors[0], fits.reports[0]
 
 
 @pytest.fixture

@@ -13,12 +13,12 @@ from fleetrank.assessment import (
     trip_advantages,
 )
 from fleetrank.errors import DimensionMismatch, EmptyDataset
-from fleetrank.models import Regressor, TrainingParams, train_regressor
+from fleetrank.models import Regressor, TrainingParams
 from fleetrank.neural import Mlp, MlpConfig
 from fleetrank.normalization import fit_stats
 from fleetrank.synth import SynthConfig, generate
 from fleetrank.trip_data import group_rows
-from tests.conftest import make_dataset, spearman
+from tests.conftest import fit_one, make_dataset, spearman
 
 
 def aggregate(pairs):
@@ -64,7 +64,7 @@ def test_trip_advantages_track_behavior_effect():
     # the residual where per-trip advantages can track it
     ds, truth = generate(SynthConfig(n_drivers=4, trips_per_driver=300, d_env=2, seed=2))
     stats = fit_stats(ds)
-    model, _ = train_regressor(ds, stats, TrainingParams(
+    model, _ = fit_one(ds, stats, TrainingParams(
         epochs=60, batch_size=64, learning_rate=3e-3, hidden_widths=(32, 32, 32), seed=3),
         with_behavior=False)
     advs = trip_advantages(ds, model)
@@ -169,7 +169,7 @@ def test_ranking_rows():
 def test_raw_units_scale_but_not_order():
     ds, _ = generate(SynthConfig(n_drivers=5, trips_per_driver=30, seed=5))
     stats = fit_stats(ds)
-    model, _ = train_regressor(ds, stats, TrainingParams(
+    model, _ = fit_one(ds, stats, TrainingParams(
         epochs=20, batch_size=64, hidden_widths=(8, 8, 8), seed=6), with_behavior=False)
     normalized = trip_advantages(ds, model)
     raw = trip_advantages(ds, model, raw_units=True)
@@ -189,7 +189,7 @@ def test_shift_invariance_of_order():
     ds, _ = generate(SynthConfig(n_drivers=6, trips_per_driver=40, seed=7))
     params = TrainingParams(epochs=30, batch_size=64, hidden_widths=(16, 16, 16), seed=8)
     stats = fit_stats(ds)
-    model, _ = train_regressor(ds, stats, params, with_behavior=False)
+    model, _ = fit_one(ds, stats, params, with_behavior=False)
     order = [e.driver_id for e in assess_drivers(
         ds.driver_ids, ds.driver_codes, trip_advantages(ds, model)).entries]
 
@@ -198,7 +198,7 @@ def test_shift_invariance_of_order():
     shifted = make_dataset(ds.env, ds.behavior, shifted_perf,
                            [ds.driver_ids[k] for k in ds.driver_codes], schema=ds.schema)
     stats2 = fit_stats(shifted)
-    model2, _ = train_regressor(shifted, stats2, params, with_behavior=False)
+    model2, _ = fit_one(shifted, stats2, params, with_behavior=False)
     order2 = [e.driver_id for e in assess_drivers(
         shifted.driver_ids, shifted.driver_codes, trip_advantages(shifted, model2)).entries]
     assert order == order2

@@ -332,7 +332,8 @@ def test_surface_bytes_are_the_csv_rendering(pipeline, tmp_path):
 def test_surface_matches_constrained_place(tmp_path):
     # a hand-assembled bundle with a sharp known peak makes the
     # grid-vs-optimizer position agreement unambiguous
-    from fleetrank.models import save_bundle
+    from fleetrank.models import TrainingParams, save_bundle
+    from fleetrank.neural import TrainReport
     from fleetrank.trip_data import DatasetSchema
     from tests.test_placement import cone_peak_model
 
@@ -344,7 +345,7 @@ def test_surface_matches_constrained_place(tmp_path):
         performance_columns=("total_mpg",),
     )
     bundle = tmp_path / "bundle"
-    save_bundle(bundle, model, schema)
+    save_bundle(bundle, model, schema, TrainReport([0.0]), TrainReport([0.0]), TrainingParams())
     data = tmp_path / "trips.csv"
     data.write_text(
         "trip_id,driver_id,e0,e1,overspeed,overrpm,total_mpg\n"
@@ -381,8 +382,8 @@ def test_surface_matches_constrained_place(tmp_path):
 
 def test_surface_constant_when_behavior_ignored(tmp_path):
     # zero-weight nets make the advantage identically zero over the grid
-    from fleetrank.models import AdvantageModel, Regressor, save_bundle
-    from fleetrank.neural import Mlp, MlpConfig
+    from fleetrank.models import AdvantageModel, Regressor, TrainingParams, save_bundle
+    from fleetrank.neural import Mlp, MlpConfig, TrainReport
     from fleetrank.normalization import fit_stats
 
     ds, _ = generate(SynthConfig(n_drivers=3, trips_per_driver=10, seed=2))
@@ -401,7 +402,7 @@ def test_surface_constant_when_behavior_ignored(tmp_path):
         behavior_box=np.stack([np.full(6, -1.0), np.full(6, 1.0)], axis=1),
     )
     bundle = tmp_path / "zero_bundle"
-    save_bundle(bundle, model, ds.schema)
+    save_bundle(bundle, model, ds.schema, TrainReport([0.0]), TrainReport([0.0]), TrainingParams())
     env = tmp_path / "env.json"
     env.write_text(json.dumps([0.0] * 8))
     template = tmp_path / "a0.json"
@@ -870,23 +871,34 @@ def test_surface_out_of_memory_is_a_runtime_error(pipeline, tmp_path, capsys):
     assert not (out / "manifest.json").exists()
 
 
+TRAIN_FLAGS = ("--data", "{data}/data.csv", "--schema", "{data}/schema.json", "--epochs", "1")
+
+
 @pytest.mark.parametrize("command, flags", [
-    ("surface", ("--template", "a0.json", "--free", "beh_00,beh_01", "--resolution", str(10**22))),
-    ("place", ("--population", str(10**22))),
-], ids=["surface", "place"])
+    ("surface", ("--bundle", "{bundle}", "--env", "env.json", "--template", "a0.json",
+                 "--free", "beh_00,beh_01", "--resolution", str(10**22))),
+    ("place", ("--bundle", "{bundle}", "--env", "env.json", "--population", str(10**22))),
+    ("synth", ("--drivers", "2", "--trips", str(10**18))),
+    ("synth", ("--drivers", str(10**18), "--trips", "1")),
+    ("synth", ("--d-env", str(10**18))),
+    ("train", (*TRAIN_FLAGS, "--hidden", f"{10**18},4,4")),
+    ("train", (*TRAIN_FLAGS, "--hidden", f"4,4,{10**18}")),
+], ids=["surface", "place", "synth-trips", "synth-drivers", "synth-d-env", "train-first-width",
+        "train-last-width"])
 def test_sizes_past_the_largest_array_are_out_of_memory(pipeline, tmp_path, capsys,
                                                         monkeypatch, command, flags):
     # numpy raises ValueError, not MemoryError, for these; nothing is allocated
-    _, bundle = pipeline
+    data, bundle = pipeline
     monkeypatch.chdir(tmp_path)
     (tmp_path / "env.json").write_text(json.dumps([0.0] * 8))
     (tmp_path / "a0.json").write_text(json.dumps([0.0] * 6))
-    code = run(command, "--bundle", str(bundle), "--env", "env.json", *flags, "--out", "o")
+    flags = [flag.format(data=data, bundle=bundle) for flag in flags]
+    code = run(command, *flags, "--out", "o")
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory: ") and err.count("\n") == 1
     assert "larger than any array can be" in err
-    assert not (tmp_path / "o" / "manifest.json").exists()
+    assert not (tmp_path / "o").exists()
 
 
 def test_surface_rejects_repeated_free_dimension(pipeline, tmp_path, capsys):

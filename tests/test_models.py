@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from fleetrank import models
+from fleetrank import errors, models
 from fleetrank.errors import DimensionMismatch
 from fleetrank.models import (
     AdvantageModel,
@@ -12,13 +12,12 @@ from fleetrank.models import (
     behavior_box_from,
     load_bundle,
     save_bundle,
-    train_regressor,
     train_regressors,
 )
-from fleetrank.neural import Mlp, MlpConfig
+from fleetrank.neural import Mlp, MlpConfig, TrainReport
 from fleetrank.normalization import fit_stats
 from fleetrank.synth import SynthConfig, generate
-from tests.conftest import make_dataset
+from tests.conftest import fit_one, make_dataset
 
 SMALL = TrainingParams(epochs=60, batch_size=64, learning_rate=3e-3, hidden_widths=(16, 16, 16), seed=0)
 
@@ -58,9 +57,9 @@ def zero_behavior_pathway(baseline: Regressor) -> Regressor:
 def small_advantage_model(seed=0, trips=60, params=SMALL, **synth_kwargs):
     ds, truth = generate(SynthConfig(n_drivers=4, trips_per_driver=trips, seed=seed, **synth_kwargs))
     stats = fit_stats(ds)
-    baseline, _ = train_regressor(ds, stats, params, with_behavior=False)
+    baseline, _ = fit_one(ds, stats, params, with_behavior=False)
     behavior_params = TrainingParams(**{**params.__dict__, "seed": params.seed + 1})
-    behavior, _ = train_regressor(ds, stats, behavior_params, with_behavior=True)
+    behavior, _ = fit_one(ds, stats, behavior_params, with_behavior=True)
     model = AdvantageModel(baseline=baseline, behavior=behavior, metric_index=0,
                            behavior_box=behavior_box_from(ds, stats))
     return ds, truth, stats, model
@@ -74,14 +73,14 @@ def test_baseline_constant_target():
         driver_ids=[f"d{i % 3}" for i in range(80)],
     )
     stats = fit_stats(ds)
-    model, report = train_regressor(ds, stats, SMALL, with_behavior=False)
+    model, report = fit_one(ds, stats, SMALL, with_behavior=False)
     assert report.final_loss < 1e-4
 
 
 def test_baseline_learns_linear_map():
     ds = linear_dataset(seed=1)
     stats = fit_stats(ds)
-    model, report = train_regressor(ds, stats, TrainingParams(
+    model, report = fit_one(ds, stats, TrainingParams(
         epochs=100, batch_size=64, learning_rate=3e-3, hidden_widths=(32, 32, 32), seed=2),
         with_behavior=False)
     assert report.final_loss < 0.01
@@ -91,8 +90,8 @@ def test_baseline_learns_linear_map():
 def test_behavior_beats_baseline_on_additive_data():
     ds, truth = generate(SynthConfig(n_drivers=4, trips_per_driver=100, noise_sigma=0.0, seed=3))
     stats = fit_stats(ds)
-    _, base_report = train_regressor(ds, stats, SMALL, with_behavior=False)
-    _, behav_report = train_regressor(ds, stats, SMALL, with_behavior=True)
+    _, base_report = fit_one(ds, stats, SMALL, with_behavior=False)
+    _, behav_report = fit_one(ds, stats, SMALL, with_behavior=True)
     # the behavior effect is irreducible noise for the environment-only model
     assert behav_report.final_loss < base_report.final_loss
 
@@ -101,15 +100,15 @@ def test_behavior_no_worse_when_behavior_is_irrelevant():
     # a noise floor keeps both losses comparable; behavior inputs add no signal
     ds = linear_dataset(seed=4, use_behavior=False, noise=0.3)
     stats = fit_stats(ds)
-    _, base_report = train_regressor(ds, stats, SMALL, with_behavior=False)
-    _, behav_report = train_regressor(ds, stats, SMALL, with_behavior=True)
+    _, base_report = fit_one(ds, stats, SMALL, with_behavior=False)
+    _, behav_report = fit_one(ds, stats, SMALL, with_behavior=True)
     assert behav_report.final_loss < 2 * base_report.final_loss
 
 
 def test_advantage_zero_when_behavior_pathway_dead():
     ds, _ = generate(SynthConfig(n_drivers=3, trips_per_driver=30, seed=5))
     stats = fit_stats(ds)
-    baseline, _ = train_regressor(ds, stats, SMALL, with_behavior=False)
+    baseline, _ = fit_one(ds, stats, SMALL, with_behavior=False)
     behavior = zero_behavior_pathway(baseline)
     model = AdvantageModel(baseline=baseline, behavior=behavior, metric_index=0,
                            behavior_box=behavior_box_from(ds, stats))
@@ -157,8 +156,8 @@ def test_fingerprint_mismatch_rejected():
     ds1, _ = generate(SynthConfig(n_drivers=3, trips_per_driver=25, seed=12))
     ds2, _ = generate(SynthConfig(n_drivers=3, trips_per_driver=25, seed=13))
     stats1, stats2 = fit_stats(ds1), fit_stats(ds2)
-    baseline, _ = train_regressor(ds1, stats1, SMALL, with_behavior=False)
-    behavior, _ = train_regressor(ds2, stats2, SMALL, with_behavior=True)
+    baseline, _ = fit_one(ds1, stats1, SMALL, with_behavior=False)
+    behavior, _ = fit_one(ds2, stats2, SMALL, with_behavior=True)
     with pytest.raises(DimensionMismatch):
         AdvantageModel(baseline=baseline, behavior=behavior, metric_index=0,
                        behavior_box=behavior_box_from(ds1, stats1))
@@ -197,9 +196,11 @@ def test_baseline_value_zero_net_and_purity():
 
 def test_bundle_roundtrip_bitwise(tmp_path):
     ds, _, stats, model = small_advantage_model(seed=15)
-    save_bundle(tmp_path / "bundle", model, ds.schema)
+    save_bundle(tmp_path / "bundle", model, ds.schema, TrainReport([0.5]), TrainReport([0.25]),
+                SMALL)
     back, schema, meta = load_bundle(tmp_path / "bundle")
     assert schema == ds.schema
+    assert (meta["baseline_final_loss"], meta["behavior_final_loss"]) == (0.5, 0.25)
     assert meta["stats_fingerprint"] == stats.fingerprint()
     rng = np.random.default_rng(16)
     for _ in range(20):
@@ -247,6 +248,17 @@ def test_behavior_box_degenerate_dim():
 
 
 
+def assert_single_fits(ds, stats, plan, fits):
+    """``fits`` holds the bits and learning curves of fitting each entry of ``plan`` alone."""
+    assert len(fits.regressors) == len(fits.reports) == len(plan)
+    for fitted, report, (params, with_behavior) in zip(fits.regressors, fits.reports, plan):
+        single, single_report = fit_one(ds, stats, params, with_behavior=with_behavior)
+        assert report.epoch_losses == single_report.epoch_losses
+        assert fitted.net.config == single.net.config
+        for a, b in zip(fitted.net.weights + fitted.net.biases, single.net.weights + single.net.biases):
+            assert a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("reason", [None, "forced"], ids=["forked", "in-parent"])
 def test_train_regressors_gives_the_bits_of_two_single_fits(monkeypatch, reason):
     ds, _ = generate(SynthConfig(n_drivers=3, trips_per_driver=40, seed=2))
@@ -254,19 +266,44 @@ def test_train_regressors_gives_the_bits_of_two_single_fits(monkeypatch, reason)
     behavior_params = TrainingParams(**{**SMALL.__dict__, "epochs": 5, "seed": 1})
     baseline_params = TrainingParams(**{**SMALL.__dict__, "epochs": 5})
     monkeypatch.setattr(models, "why_one_process", lambda: reason)
-    fits = train_regressors(ds, stats, baseline_params, behavior_params)
+    plan = [(behavior_params, True), (baseline_params, False)]
+    fits = train_regressors(ds, stats, plan)
     assert (fits.processes, fits.one_process_because) == ((2, None) if reason is None else (1, reason))
     with pytest.raises(ChildProcessError):  # the child was reaped
         os.waitpid(-1, os.WNOHANG)
-    for fitted, report, params, with_behavior in (
-        (fits.baseline, fits.baseline_report, baseline_params, False),
-        (fits.behavior, fits.behavior_report, behavior_params, True),
-    ):
-        single, single_report = train_regressor(ds, stats, params, with_behavior=with_behavior)
-        assert report.epoch_losses == single_report.epoch_losses
-        assert fitted.net.config == single.net.config
-        for a, b in zip(fitted.net.weights + fitted.net.biases, single.net.weights + single.net.biases):
-            assert a.tobytes() == b.tobytes()
+    assert_single_fits(ds, stats, plan, fits)
+
+
+@pytest.mark.parametrize("reason", [None, "forced"], ids=["forked", "in-parent"])
+@pytest.mark.parametrize("length", [3, 4])
+def test_train_regressors_runs_a_longer_list_in_order(monkeypatch, reason, length):
+    ds, _ = generate(SynthConfig(n_drivers=3, trips_per_driver=40, seed=2))
+    stats = fit_stats(ds)
+    plan = [(TrainingParams(**{**SMALL.__dict__, "epochs": 3, "seed": seed}), with_behavior)
+            for seed, with_behavior in ((1, True), (0, False), (2, False), (3, True))][:length]
+    monkeypatch.setattr(models, "why_one_process", lambda: reason)
+    fits = train_regressors(ds, stats, plan)
+    assert (fits.processes, fits.one_process_because) == ((2, None) if reason is None else (1, reason))
+    with pytest.raises(ChildProcessError):  # the child was reaped
+        os.waitpid(-1, os.WNOHANG)
+    assert_single_fits(ds, stats, plan, fits)
+
+    one = train_regressors(ds, stats, plan[:1])  # one fit forks nothing
+    assert (one.processes, one.one_process_because) == (1, "one fit")
+
+    # the fits at index 2 and, in a 4-fit list, 3 fail: the first failing fit's error is raised
+    real = models.train
+
+    def train(net, inputs, targets, **kwargs):
+        if kwargs["seed"] >= 2:
+            raise errors.NonFiniteLoss(kwargs["seed"])
+        return real(net, inputs, targets, **kwargs)
+
+    monkeypatch.setattr(models, "train", train)
+    with pytest.raises(errors.NonFiniteLoss, match="at epoch 2$"):
+        train_regressors(ds, stats, plan)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_why_one_process_names_the_unmet_condition(monkeypatch):
@@ -290,7 +327,7 @@ def test_train_regressors_fits_in_this_process_when_fork_fails(monkeypatch):
 
     monkeypatch.setattr(os, "fork", no_fork)
     params = TrainingParams(epochs=2, hidden_widths=(4, 4, 4))
-    fits = train_regressors(ds, fit_stats(ds), params, params)
+    fits = train_regressors(ds, fit_stats(ds), [(params, True), (params, False)])
     assert fits.processes == 1
     assert fits.one_process_because == "fork failed: [Errno 11] Resource temporarily unavailable"
-    assert len(fits.baseline_report.epoch_losses) == len(fits.behavior_report.epoch_losses) == 2
+    assert [len(report.epoch_losses) for report in fits.reports] == [2, 2]

@@ -12,7 +12,6 @@ from fleetrank.models import (
     behavior_box_from,
     load_profiles,
     save_profiles,
-    train_regressor,
 )
 from fleetrank.neural import Mlp, MlpConfig
 from fleetrank.normalization import NormalizationStats, fit_stats
@@ -23,7 +22,7 @@ from fleetrank.placement import (
     place,
 )
 from fleetrank.synth import SynthConfig, generate
-from tests.conftest import make_dataset
+from tests.conftest import fit_one, make_dataset
 
 
 def identity_stats(d_env, d_behavior, d_performance):
@@ -233,8 +232,8 @@ def test_two_dim_search_matches_grid_oracle():
     ds, truth = generate(SynthConfig(n_drivers=5, trips_per_driver=100, seed=5))
     stats = fit_stats(ds)
     params = TrainingParams(epochs=40, batch_size=64, hidden_widths=(16, 16, 16), seed=6)
-    baseline, _ = train_regressor(ds, stats, params, with_behavior=False)
-    behavior, _ = train_regressor(ds, stats, TrainingParams(**{**params.__dict__, "seed": 7}),
+    baseline, _ = fit_one(ds, stats, params, with_behavior=False)
+    behavior, _ = fit_one(ds, stats, TrainingParams(**{**params.__dict__, "seed": 7}),
                                   with_behavior=True)
     model = AdvantageModel(baseline=baseline, behavior=behavior, metric_index=0,
                            behavior_box=behavior_box_from(ds, stats))
@@ -385,8 +384,8 @@ def test_place_baseline_shift_invariance():
     ds, truth = generate(SynthConfig(n_drivers=5, trips_per_driver=80, seed=11))
     stats = fit_stats(ds)
     params = TrainingParams(epochs=30, batch_size=64, hidden_widths=(16, 16, 16), seed=12)
-    baseline, _ = train_regressor(ds, stats, params, with_behavior=False)
-    behavior, _ = train_regressor(ds, stats, TrainingParams(**{**params.__dict__, "seed": 13}),
+    baseline, _ = fit_one(ds, stats, params, with_behavior=False)
+    behavior, _ = fit_one(ds, stats, TrainingParams(**{**params.__dict__, "seed": 13}),
                                   with_behavior=True)
     box = behavior_box_from(ds, stats)
     model = AdvantageModel(baseline=baseline, behavior=behavior, metric_index=0, behavior_box=box)

@@ -1,9 +1,12 @@
-"""The README's Quickstart runs as written and leaves the artifacts the README names."""
+"""The README's Quickstart and Library use run as written; the Quickstart leaves the artifacts
+the README names."""
 
 import json
 import re
 import shlex
 from pathlib import Path
+
+import numpy as np
 
 from fleetrank.cli import main
 
@@ -41,3 +44,16 @@ def test_quickstart_runs_as_written(tmp_path, monkeypatch, capsys):
     assert {"ranking.txt", "placement.json", "meta.json", "trips.npy"} <= named
     written = {path.name for path in tmp_path.rglob("*") if path.is_file()}
     assert named <= written, named - written
+
+
+def test_library_use_runs_as_written(capsys):
+    section = README.read_text(encoding="utf-8").split("\n## Library use\n", 1)[1]
+    blocks = re.findall(r"```python\n(.*?)```", section.split("\n## ", 1)[0], flags=re.S)
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:  # each block goes on from the names the ones before it made
+        exec(compile(block, str(README), "exec"), namespace)
+    # the fleet's top driver sits at the behavior optimum: ranking and placement both find it
+    top = namespace["truth"].optimum_driver_id
+    assert capsys.readouterr().out == f"{top} {top}\n"
+    np.testing.assert_allclose(namespace["result"].best_point, namespace["center"], atol=1e-6)
