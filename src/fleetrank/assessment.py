@@ -7,8 +7,8 @@ an environment-debiased quality estimate, and sorting those means gives
 the ranking.
 
 :func:`trip_advantages` scores a parsed ``Dataset`` or the trips ``train``
-stored in the bundle (``models.StoredTrips``), so ``rank`` can score the
-trips ``train`` read without parsing them again.
+stored in the bundle's ``trips.npy``, read as a ``models.StoredTrips``, so
+``rank`` can score the trips ``train`` read without parsing them again.
 """
 
 from __future__ import annotations

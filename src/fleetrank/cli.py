@@ -33,7 +33,6 @@ from .models import (
     recorded_profiles,
     recorded_trips,
     save_bundle,
-    save_trip_record,
     train_regressors,
 )
 from .neural import why_one_thread
@@ -164,18 +163,15 @@ def cmd_train(args: argparse.Namespace) -> tuple[list[str], dict]:
         behavior_box=behavior_box_from(ds, stats),
     )
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_bundle(
+    outputs = save_bundle(
         out,
         model,
-        schema,
+        ds,
+        placement.build_profiles(ds, stats),
+        data_sha256=data_sha256,
         baseline_report=baseline_report,
         behavior_report=behavior_report,
         params=base_params,
-    )
-    record = save_trip_record(
-        out, ds, placement.build_profiles(ds, stats),
-        data_sha256=data_sha256, stats_fingerprint=stats.fingerprint(),
     )
     for name, report in (("baseline", baseline_report), ("behavior", behavior_report)):
         with atomic_open(out / f"{name}_curve.csv") as handle:
@@ -183,10 +179,7 @@ def cmd_train(args: argparse.Namespace) -> tuple[list[str], dict]:
             writer.writerow(["epoch", "mse"])
             for epoch, loss in enumerate(report.epoch_losses, start=1):
                 writer.writerow([epoch, repr(loss)])
-    outputs = [
-        "baseline.json", "behavior.json", "stats.json", "meta.json", *record,
-        "baseline_curve.csv", "behavior_curve.csv",
-    ]
+    outputs += ["baseline_curve.csv", "behavior_curve.csv"]
     print(
         f"trained bundle in {out}: baseline mse {baseline_report.final_loss:.6f}, "
         f"behavior mse {behavior_report.final_loss:.6f}"
@@ -199,12 +192,12 @@ def cmd_train(args: argparse.Namespace) -> tuple[list[str], dict]:
 
 
 def cmd_rank(args: argparse.Namespace) -> tuple[list[str], dict]:
-    model, schema, _meta = load_bundle(args.bundle)
+    model, schema, meta = load_bundle(args.bundle)
     if args.schema:
         given = DatasetSchema.load(args.schema)
         if given.to_dict() != schema.to_dict():
             raise InvalidConfig("--schema does not match the schema the bundle was trained on")
-    trips = recorded_trips(args.bundle, schema, model.stats, args.data, lenient=args.lenient)
+    trips = recorded_trips(args.bundle, schema, meta, args.data, lenient=args.lenient)
     source = "data" if trips is None else "bundle"
     if trips is None:
         trips = load_dataset(args.data, schema, lenient=args.lenient)
@@ -223,7 +216,7 @@ def cmd_rank(args: argparse.Namespace) -> tuple[list[str], dict]:
 
 
 def cmd_place(args: argparse.Namespace) -> tuple[list[str], dict]:
-    model, schema, _meta = load_bundle(args.bundle)
+    model, schema, meta = load_bundle(args.bundle)
     env = _load_vector(args.env)
     _require_length(env, model.stats.d_env, "--env")
     template_norm = None
@@ -237,7 +230,7 @@ def cmd_place(args: argparse.Namespace) -> tuple[list[str], dict]:
         free_indices = _free_indices(schema, args.free)
     elif args.free:
         raise InvalidConfig("--free requires --fix-template for the fixed dimensions")
-    profiles = recorded_profiles(args.bundle, model.stats, args.data, lenient=args.lenient)
+    profiles = recorded_profiles(args.bundle, schema, meta, args.data, lenient=args.lenient)
     source = "data" if profiles is None else "bundle"
     if profiles is None:
         ds = load_dataset(args.data, schema, lenient=args.lenient)

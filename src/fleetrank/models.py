@@ -16,12 +16,14 @@ order: the first in this process, the rest in one forked child meanwhile,
 where the host has a second core and the process runs one OS thread
 (``cores.why_one_process``), or else here next.
 
-A bundle is a directory: :func:`save_bundle` writes the nets, the
-statistics and ``meta.json``, and :func:`save_trip_record` writes what
-``train`` recorded of the trips it read, ``profiles.json`` and
-``trips.npy``. That record stands in for a parse of the trips file, in
-``rank`` and ``place``, by one rule (:func:`recorded_trips`,
-:func:`recorded_profiles`).
+A bundle is a directory that :func:`save_bundle` writes: the nets, the
+statistics and ``meta.json`` as JSON, and ``train``'s record of the trips
+it read as two numpy ``.npy`` arrays of records, ``trips.npy`` (one per
+trip) and ``drivers.npy`` (one per driver). ``meta.json`` holds the
+record's provenance: the trips file's SHA-256, the rows its load skipped
+and the driver ids. The record stands in for a parse of the trips file,
+in ``rank`` and ``place``, by one rule (:func:`recorded_trips`,
+:func:`recorded_profiles`), and one checked reader reads both arrays.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .neural import Mlp, MlpConfig, TrainReport, load_mlp, save_mlp, train
 from .normalization import NormalizationStats
 from .trip_data import Dataset, DatasetSchema, file_sha256, log_skipped
 
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = "0.2.0"
 
 # Fractional padding applied per side when deriving the behavior search
 # box from observed data ranges, keeping the search in-distribution.
@@ -353,12 +355,22 @@ def behavior_box_from(ds: Dataset, stats: NormalizationStats) -> np.ndarray:
 def save_bundle(
     directory: str | Path,
     model: AdvantageModel,
-    schema: DatasetSchema,
+    ds: Dataset,
+    profiles: list[DriverProfile],
+    *,
+    data_sha256: str,
     baseline_report: TrainReport,
     behavior_report: TrainReport,
     params: TrainingParams,
-) -> None:
-    """Write an advantage model as a directory of JSON artifacts."""
+) -> list[str]:
+    """Write an advantage model fitted on ``ds`` and the record of ``ds``; returns the files' names.
+
+    The nets, the statistics and ``meta.json`` are JSON. The record is
+    ``trips.npy``, the columns ranking reads, one record per trip in dataset
+    order, and ``drivers.npy``, ``profiles`` as one record per driver.
+    ``meta.json`` holds its provenance: ``data_sha256`` (of the trips file's
+    bytes), the rows the load skipped and the driver ids.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     save_mlp(model.baseline.net, directory / "baseline.json")
@@ -366,8 +378,8 @@ def save_bundle(
     model.stats.save(directory / "stats.json")
     meta = {
         "version": TOOL_VERSION,
-        "schema": schema.to_dict(),
-        "target_metric": schema.target_metric,
+        "schema": ds.schema.to_dict(),
+        "target_metric": ds.schema.target_metric,
         "metric_index": model.metric_index,
         "stats_fingerprint": model.stats.fingerprint(),
         "behavior_box": model.behavior_box.tolist(),
@@ -376,9 +388,24 @@ def save_bundle(
         "training": asdict(params),
         "baseline_final_loss": baseline_report.final_loss,
         "behavior_final_loss": behavior_report.final_loss,
+        "data_sha256": data_sha256,
+        "skipped_rows": ds.skipped_rows,
+        "driver_ids": list(ds.driver_ids),
     }
     with atomic_open(directory / "meta.json") as handle:
         handle.write(json.dumps(meta, indent=2))
+    trips = np.empty(len(ds), dtype=_trips_dtype(ds.schema))
+    trips["env"] = ds.env
+    trips["performance"] = ds.performance
+    trips["driver_code"] = ds.driver_codes
+    drivers = np.empty(len(profiles), dtype=_drivers_dtype(ds.schema))
+    drivers["trip_count"] = [p.trip_count for p in profiles]
+    drivers["mean_behavior"] = [p.mean_behavior for p in profiles]
+    for name, table in ((TRIPS_FILE, trips), (DRIVERS_FILE, drivers)):
+        # a fixed header and then the records' bytes, so the same records give the same bytes
+        with atomic_open(directory / name, binary=True) as handle:
+            np.save(handle, table, allow_pickle=False)
+    return ["baseline.json", "behavior.json", "stats.json", "meta.json", TRIPS_FILE, DRIVERS_FILE]
 
 
 def load_bundle(directory: str | Path) -> tuple[AdvantageModel, DatasetSchema, dict]:
@@ -391,9 +418,12 @@ def load_bundle(directory: str | Path) -> tuple[AdvantageModel, DatasetSchema, d
     non-finite weight, bias, statistic or box bound, a net whose
     input width does not fit its file's role (``baseline.json`` and
     ``behavior.json`` swapped), statistics whose fingerprint differs
-    from the one recorded in ``meta.json``, or a schema in ``meta.json``
+    from the one recorded in ``meta.json``, a schema in ``meta.json``
     whose block widths differ from the statistics' or whose target metric
-    is not at ``metric_index``.
+    is not at ``metric_index``, or driver ids that are not a non-empty,
+    unique and sorted list of non-empty strings. The record's arrays are
+    read only where they stand in for a trips file (:func:`recorded_trips`,
+    :func:`recorded_profiles`).
     """
     directory = Path(directory)
     meta_path = directory / "meta.json"
@@ -435,6 +465,18 @@ def load_bundle(directory: str | Path) -> tuple[AdvantageModel, DatasetSchema, d
                 f"metric_index {meta['metric_index']} does not match the schema's "
                 f"target metric {schema.target_metric!r} at index {schema.metric_index}"
             )
+        if type(meta["data_sha256"]) is not str:
+            raise TypeError(f"data_sha256 must be a string, got {meta['data_sha256']!r}")
+        skipped_rows = meta["skipped_rows"]
+        if type(skipped_rows) is not int or skipped_rows < 0:  # bool is an int subclass
+            raise TypeError(f"skipped_rows must be an integer >= 0, got {skipped_rows!r}")
+        ids = meta["driver_ids"]
+        if type(ids) is not list or not ids or not all(type(i) is str and i for i in ids):
+            raise TypeError(
+                f"driver_ids must be a non-empty list of non-empty strings, got {ids!r}"
+            )
+        if any(a >= b for a, b in zip(ids, ids[1:])):
+            raise ValueError("driver ids must be unique and sorted")
         box = meta["behavior_box"]
         if type(box) is not list:
             raise TypeError(f"behavior_box must be a list of [lo, hi] pairs, got {box!r}")
@@ -483,8 +525,8 @@ def reject_booleans(value) -> None:
             reject_booleans(item)
 
 
-PROFILES_FILE = "profiles.json"
 TRIPS_FILE = "trips.npy"
+DRIVERS_FILE = "drivers.npy"
 
 
 @dataclass(frozen=True)
@@ -494,15 +536,6 @@ class DriverProfile:
     driver_id: str
     mean_behavior: np.ndarray
     trip_count: int
-
-
-@dataclass(frozen=True)
-class StoredProfiles:
-    """Driver profiles as a bundle stores them, with the trips file they came from."""
-
-    profiles: list[DriverProfile]
-    data_sha256: str  # of the trips file's bytes
-    skipped_rows: int  # rows the load that built them skipped
 
 
 @dataclass(frozen=True)
@@ -521,150 +554,6 @@ class StoredTrips:
     driver_codes: np.ndarray
 
 
-def save_trip_record(directory: str | Path, ds: Dataset, profiles: list[DriverProfile], *,
-                     data_sha256: str, stats_fingerprint: str) -> list[str]:
-    """Write what ``train`` keeps of the trips it read; returns the files' names.
-
-    ``profiles.json`` holds ``profiles`` with the SHA-256 of the trips file
-    and the rows its load skipped. ``trips.npy`` holds the columns ranking
-    reads, one ``.npy`` array of records in dataset order: a fixed header
-    and then the records' bytes, so the same trips give the same bytes.
-    """
-    directory = Path(directory)
-    save_profiles(directory / PROFILES_FILE, profiles, data_sha256=data_sha256,
-                  skipped_rows=ds.skipped_rows, stats_fingerprint=stats_fingerprint)
-    table = np.empty(len(ds), dtype=_trips_dtype(ds.schema))
-    table["env"] = ds.env
-    table["performance"] = ds.performance
-    table["driver_code"] = ds.driver_codes
-    with atomic_open(directory / TRIPS_FILE, binary=True) as handle:
-        np.save(handle, table, allow_pickle=False)
-    return [PROFILES_FILE, TRIPS_FILE]
-
-
-def recorded_profiles(
-    bundle: str | Path, stats: NormalizationStats, data: str | None, *, lenient: bool
-) -> list[DriverProfile] | None:
-    """The profiles ``train`` stored, if they stand in for the trips file ``data``.
-
-    With no ``data`` they always do, and a bundle without ``profiles.json``
-    raises ``InvalidConfig``. ``None`` means ``data`` must be parsed.
-    """
-    stored = _stored_profiles(bundle, stats)
-    if data is None:
-        if stored is None:
-            raise InvalidConfig(
-                f"bundle {bundle} has no {PROFILES_FILE}: "
-                "retrain it with this version, or pass --data with the trips to match against"
-            )
-        return stored.profiles
-    return stored.profiles if _stands_in(stored, data, lenient) else None
-
-
-def recorded_trips(
-    bundle: str | Path, schema: DatasetSchema, stats: NormalizationStats, data: str, *,
-    lenient: bool,
-) -> StoredTrips | None:
-    """The trips ``train`` stored, if they stand in for the trips file ``data``.
-
-    They hold the same rows in the same order as a parse of ``data`` when
-    they do, so both give the same bits. ``None`` means ``data`` must be
-    parsed, as for a bundle without ``trips.npy``.
-    """
-    path = Path(bundle) / TRIPS_FILE
-    stored = _stored_profiles(bundle, stats) if path.exists() else None
-    return load_trips(path, schema, stored.profiles) if _stands_in(stored, data, lenient) else None
-
-
-def _stored_profiles(bundle: str | Path, stats: NormalizationStats) -> StoredProfiles | None:
-    """The bundle's ``profiles.json``, or None for a bundle that has none."""
-    path = Path(bundle) / PROFILES_FILE
-    return load_profiles(path, stats.d_behavior, stats.fingerprint()) if path.exists() else None
-
-
-def _stands_in(stored: StoredProfiles | None, data: str, lenient: bool) -> bool:
-    """Whether the record stands in for the trips file ``data``.
-
-    It does only when ``train`` read the same bytes and, unless ``lenient``,
-    skipped no row of them: a strict parse of those bytes would raise
-    instead. ``data`` is hashed only when the bundle stores a record. When
-    it stands in, the skipped rows are reported as a parse reports them.
-    """
-    if not (stored is not None and (stored.skipped_rows == 0 or lenient)
-            and file_sha256(data) == stored.data_sha256):
-        return False
-    log_skipped(stored.skipped_rows, Path(data))
-    return True
-
-
-def save_profiles(
-    path: str | Path,
-    profiles: list[DriverProfile],
-    *,
-    data_sha256: str,
-    skipped_rows: int,
-    stats_fingerprint: str,
-) -> None:
-    """Write profiles as JSON; floats go out as ``repr``, so a load gives back the same bits."""
-    document = {
-        "data_sha256": data_sha256,
-        "skipped_rows": skipped_rows,
-        "stats_fingerprint": stats_fingerprint,
-        "drivers": [[p.driver_id, p.trip_count, p.mean_behavior.tolist()] for p in profiles],
-    }
-    with atomic_open(path) as handle:
-        handle.write(json.dumps(document, indent=2))
-
-
-def load_profiles(path: str | Path, d_behavior: int, stats_fingerprint: str) -> StoredProfiles:
-    """Read and verify profiles written by :func:`save_profiles`.
-
-    Raises ``CorruptBundle`` naming the file for invalid JSON, a missing or
-    ill-typed entry, an empty driver list, driver ids that are not unique
-    and sorted, a trip count that is not an integer >= 1, a mean behavior
-    that is not ``d_behavior`` finite numbers, or a ``stats_fingerprint``
-    other than the bundle's.
-    """
-    path = Path(path)
-    with bundle_file(path):
-        document = json.loads(path.read_text(encoding="utf-8"))
-        if type(document) is not dict:
-            raise TypeError(f"expected a JSON object, got {type(document).__name__}")
-        if document["stats_fingerprint"] != stats_fingerprint:
-            raise ValueError("stats_fingerprint does not match meta.json")
-        data_sha256, skipped_rows = document["data_sha256"], document["skipped_rows"]
-        if type(data_sha256) is not str:
-            raise TypeError(f"data_sha256 must be a string, got {data_sha256!r}")
-        if type(skipped_rows) is not int or skipped_rows < 0:  # bool is an int subclass
-            raise TypeError(f"skipped_rows must be an integer >= 0, got {skipped_rows!r}")
-        profiles = [_stored_profile(entry, d_behavior) for entry in document["drivers"]]
-        if not profiles:
-            raise ValueError("no drivers")
-        ids = [p.driver_id for p in profiles]
-        if any(a >= b for a, b in zip(ids, ids[1:])):
-            raise ValueError("driver ids must be unique and sorted")
-    return StoredProfiles(profiles, data_sha256, skipped_rows)
-
-
-def _stored_profile(entry, d_behavior: int) -> DriverProfile:
-    """One ``[driver_id, trip_count, mean_behavior]`` entry of ``profiles.json``."""
-    if type(entry) is not list or len(entry) != 3:
-        raise TypeError(f"expected [driver_id, trip_count, mean_behavior], got {entry!r}")
-    driver_id, trip_count, mean = entry
-    if type(driver_id) is not str or not driver_id:
-        raise TypeError(f"driver id must be a non-empty string, got {driver_id!r}")
-    if type(trip_count) is not int or trip_count < 1:
-        raise ValueError(f"trip count of {driver_id!r} must be an integer >= 1, got {trip_count!r}")
-    reject_booleans(mean)
-    mean = np.array(mean, dtype=float)
-    if mean.shape != (d_behavior,):
-        raise DimensionMismatch(
-            f"mean behavior of {driver_id!r} has shape {mean.shape}, expected ({d_behavior},)"
-        )
-    require_finite(mean)
-    return DriverProfile(driver_id=driver_id, mean_behavior=mean, trip_count=trip_count)
-
-
 def _trips_dtype(schema: DatasetSchema) -> np.dtype:
     """One record per trip: the raw env block, the raw performance block, the driver code."""
     return np.dtype([
@@ -674,36 +563,103 @@ def _trips_dtype(schema: DatasetSchema) -> np.dtype:
     ])
 
 
-def load_trips(path: str | Path, schema: DatasetSchema, profiles: list[DriverProfile]) -> StoredTrips:
-    """Read and verify ``trips.npy`` against the ``profiles.json`` stored beside it.
+def _drivers_dtype(schema: DatasetSchema) -> np.dtype:
+    """One record per driver, in driver-id order: the trip count, the mean normalized behavior."""
+    return np.dtype([("trip_count", "<i8"), ("mean_behavior", "<f8", (schema.d_behavior,))])
+
+
+def _read_records(path: Path, dtype: np.dtype) -> np.ndarray:
+    """A one-dimensional array of records of exactly ``dtype``, every float finite.
 
     Raises ``CorruptBundle`` naming the file for a file that is not an
-    array file, holds pickled data, holds records of another layout, type
-    or shape, holds a non-finite value or a driver code outside
-    ``profiles``, or gives a driver a trip count other than its profile's.
+    array file, holds pickled data, or holds records of another layout,
+    type or shape or a non-finite float.
     """
-    path = Path(path)
-    expected = _trips_dtype(schema)
-    driver_ids = tuple(p.driver_id for p in profiles)
     with bundle_file(path):
         with path.open("rb") as handle:
             table = np.lib.format.read_array(handle, allow_pickle=False)
-        if table.dtype != expected:
-            raise TypeError(f"expected records {expected}, got {table.dtype}")
+        if table.dtype != dtype:
+            raise TypeError(f"expected records {dtype}, got {table.dtype}")
         if table.ndim != 1:
-            raise DimensionMismatch(f"expected one record per trip, got shape {table.shape}")
-        env, performance, codes = table["env"], table["performance"], table["driver_code"]
-        require_finite(env, performance)
+            raise DimensionMismatch(f"expected a one-dimensional array, got shape {table.shape}")
+        require_finite(*(table[name] for name in dtype.names if dtype[name].base.kind == "f"))
+    return table
+
+
+def recorded_profiles(
+    bundle: str | Path, schema: DatasetSchema, meta: dict, data: str | None, *, lenient: bool
+) -> list[DriverProfile] | None:
+    """The profiles ``train`` stored, if they stand in for the trips file ``data``.
+
+    With no ``data`` they always do. ``None`` means ``data`` must be parsed.
+    """
+    if data is not None and not _stands_in(meta, data, lenient):
+        return None
+    drivers = _stored_drivers(bundle, schema, meta)
+    return [DriverProfile(driver_id=driver_id, mean_behavior=mean, trip_count=count)
+            for driver_id, count, mean in zip(meta["driver_ids"], drivers["trip_count"].tolist(),
+                                              drivers["mean_behavior"])]
+
+
+def recorded_trips(
+    bundle: str | Path, schema: DatasetSchema, meta: dict, data: str, *, lenient: bool
+) -> StoredTrips | None:
+    """The trips ``train`` stored, if they stand in for the trips file ``data``.
+
+    They hold the same rows in the same order as a parse of ``data`` when
+    they do, so both give the same bits. ``None`` means ``data`` must be
+    parsed.
+    """
+    if not _stands_in(meta, data, lenient):
+        return None
+    driver_ids = tuple(meta["driver_ids"])
+    counts = _stored_drivers(bundle, schema, meta)["trip_count"]
+    path = Path(bundle) / TRIPS_FILE
+    table = _read_records(path, _trips_dtype(schema))
+    codes = table["driver_code"]
+    with bundle_file(path):
         if len(codes) and (codes.min() < 0 or codes.max() >= len(driver_ids)):
             outside = codes[(codes < 0) | (codes >= len(driver_ids))][0]
             raise ValueError(
                 f"driver code {outside} is outside the bundle's {len(driver_ids)} drivers"
             )
-        counts = np.bincount(codes, minlength=len(driver_ids)).tolist()
-        for profile, count in zip(profiles, counts):
-            if count != profile.trip_count:
-                raise ValueError(
-                    f"driver {profile.driver_id!r} has {count} trips here and "
-                    f"{profile.trip_count} in {PROFILES_FILE}"
-                )
-    return StoredTrips(schema, env, performance, driver_ids, codes)
+        found = np.bincount(codes, minlength=len(driver_ids))
+        if not np.array_equal(found, counts):
+            k = int(np.flatnonzero(found != counts)[0])
+            raise ValueError(
+                f"driver {driver_ids[k]!r} has {found[k]} trips here and "
+                f"{counts[k]} in {DRIVERS_FILE}"
+            )
+    return StoredTrips(schema, table["env"], table["performance"], driver_ids, codes)
+
+
+def _stored_drivers(bundle: str | Path, schema: DatasetSchema, meta: dict) -> np.ndarray:
+    """``drivers.npy``: one record per id in ``meta["driver_ids"]``, each with a trip or more."""
+    path = Path(bundle) / DRIVERS_FILE
+    table = _read_records(path, _drivers_dtype(schema))
+    driver_ids = meta["driver_ids"]
+    with bundle_file(path):
+        if len(table) != len(driver_ids):
+            raise ValueError(
+                f"{len(table)} records for the {len(driver_ids)} drivers in meta.json"
+            )
+        counts = table["trip_count"]
+        if counts.min() < 1:
+            k = int(np.argmin(counts))
+            raise ValueError(f"trip count of {driver_ids[k]!r} must be >= 1, got {counts[k]}")
+    return table
+
+
+def _stands_in(meta: dict, data: str, lenient: bool) -> bool:
+    """Whether the bundle's record stands in for the trips file ``data``.
+
+    It does only when ``train`` read the same bytes and, unless ``lenient``,
+    skipped no row of them: a strict parse of those bytes would raise
+    instead. When it stands in, the skipped rows are reported as a parse
+    reports them.
+    """
+    skipped = meta["skipped_rows"]
+    if not ((skipped == 0 or lenient) and file_sha256(data) == meta["data_sha256"]):
+        return False
+    log_skipped(skipped, Path(data))
+    return True

@@ -41,6 +41,9 @@ class NormalizationStats:
             raise DimensionMismatch("stats length does not match block layout")
         if np.any(self.std <= 0):
             raise ValueError("std entries must be strictly positive")
+        for d in self.degenerate_dims:  # fit_stats gives each degenerate dimension std 1
+            if type(d) is not int or not 0 <= d < len(self.mean) or self.std[d] != 1.0:
+                raise ValueError(f"degenerate dimension {d!r} is not a dimension with std 1")
 
     @property
     def dim(self) -> int:
@@ -116,10 +119,15 @@ class NormalizationStats:
 
     @classmethod
     def from_dict(cls, data: dict) -> "NormalizationStats":
+        dims = data["degenerate_dims"]
+        if type(dims) is not list or not all(type(d) is int for d in dims):  # bool is an int
+            raise TypeError(f"degenerate_dims must be a list of integers, got {dims!r}")
+        if len(set(dims)) != len(dims):
+            raise ValueError(f"degenerate_dims repeats a dimension: {dims!r}")
         return cls(
             mean=np.array(data["mean"], dtype=float),
             std=np.array(data["std"], dtype=float),
-            degenerate_dims=frozenset(data["degenerate_dims"]),
+            degenerate_dims=frozenset(dims),
             d_env=data["d_env"],
             d_behavior=data["d_behavior"],
             d_performance=data["d_performance"],

@@ -6,9 +6,9 @@ space, then matches the real driver whose averaged behavior profile
 lies nearest (Euclidean) to that optimum. Matching happens in
 normalized space so no single raw unit dominates the distance.
 
-``train`` stores the profiles :func:`build_profiles` gives in the bundle
-(see ``models``), so ``place`` can match against them without reading the
-trips again.
+``train`` stores the profiles :func:`build_profiles` gives in the bundle,
+one record per driver in ``drivers.npy`` (see ``models``), so ``place``
+can match against them without reading the trips again.
 """
 
 from __future__ import annotations

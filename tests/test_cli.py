@@ -22,7 +22,7 @@ import fleetrank
 from fleetrank import assessment, cli, errors, models, neural
 from fleetrank.atomic import atomic_open
 from fleetrank.cli import build_parser, main
-from fleetrank.models import PROFILES_FILE, TOOL_VERSION, TRIPS_FILE, load_bundle, load_profiles
+from fleetrank.models import DRIVERS_FILE, TOOL_VERSION, TRIPS_FILE, load_bundle, recorded_profiles
 from fleetrank.neural import BLOCK_ROWS
 from fleetrank.placement import build_profiles
 from fleetrank.synth import SynthConfig, generate
@@ -101,12 +101,12 @@ def test_train_defaults_to_100_epochs():
 
 def test_train_outputs(pipeline):
     data, bundle = pipeline
-    for name in ("baseline.json", "behavior.json", "stats.json", "meta.json", "profiles.json",
-                 "trips.npy", "baseline_curve.csv", "behavior_curve.csv", "manifest.json"):
-        assert (bundle / name).exists()
+    names = ["baseline.json", "behavior.json", "stats.json", "meta.json", "trips.npy",
+             "drivers.npy", "baseline_curve.csv", "behavior_curve.csv"]
+    assert sorted(p.name for p in bundle.iterdir()) == sorted([*names, "manifest.json"])
     manifest = json.loads((bundle / "manifest.json").read_text())
+    assert manifest["outputs"] == names
     assert manifest["data_sha256"] == hashlib.sha256((data / "data.csv").read_bytes()).hexdigest()
-    assert "profiles.json" in manifest["outputs"] and "trips.npy" in manifest["outputs"]
     reason = models.why_one_process()
     assert (manifest["fit_processes"], manifest["fit_in_one_process_because"]) == (
         (2, None) if reason is None else (1, reason))
@@ -117,6 +117,8 @@ def test_train_outputs(pipeline):
     meta = json.loads((bundle / "meta.json").read_text())
     assert meta["training"]["epochs"] == 15
     assert meta["behavior_seed"] == 5  # baseline seed + 1
+    assert (meta["data_sha256"], meta["skipped_rows"]) == (manifest["data_sha256"], 0)
+    assert meta["driver_ids"] == ["driver_00", "driver_01", "driver_02", "driver_03"]
 
 
 def test_rank_outputs(pipeline, tmp_path):
@@ -334,7 +336,7 @@ def test_surface_matches_constrained_place(tmp_path):
     # grid-vs-optimizer position agreement unambiguous
     from fleetrank.models import TrainingParams, save_bundle
     from fleetrank.neural import TrainReport
-    from fleetrank.trip_data import DatasetSchema
+    from fleetrank.trip_data import DatasetSchema, file_sha256
     from tests.test_placement import cone_peak_model
 
     target = np.array([0.35, -0.6])
@@ -344,8 +346,6 @@ def test_surface_matches_constrained_place(tmp_path):
         behavior_columns=("overspeed", "overrpm"),
         performance_columns=("total_mpg",),
     )
-    bundle = tmp_path / "bundle"
-    save_bundle(bundle, model, schema, TrainReport([0.0]), TrainReport([0.0]), TrainingParams())
     data = tmp_path / "trips.csv"
     data.write_text(
         "trip_id,driver_id,e0,e1,overspeed,overrpm,total_mpg\n"
@@ -353,6 +353,11 @@ def test_surface_matches_constrained_place(tmp_path):
         "t2,d2,0.0,0.0,-1.0,1.0,1.0\n",
         encoding="utf-8",
     )
+    ds = load_dataset(data, schema)
+    bundle = tmp_path / "bundle"
+    save_bundle(bundle, model, ds, build_profiles(ds, model.stats), data_sha256=file_sha256(data),
+                baseline_report=TrainReport([0.0]), behavior_report=TrainReport([0.0]),
+                params=TrainingParams())
     env = tmp_path / "env.json"
     env.write_text(json.dumps([0.0, 0.0]))
     template = tmp_path / "a0.json"
@@ -402,7 +407,9 @@ def test_surface_constant_when_behavior_ignored(tmp_path):
         behavior_box=np.stack([np.full(6, -1.0), np.full(6, 1.0)], axis=1),
     )
     bundle = tmp_path / "zero_bundle"
-    save_bundle(bundle, model, ds.schema, TrainReport([0.0]), TrainReport([0.0]), TrainingParams())
+    save_bundle(bundle, model, ds, build_profiles(ds, stats), data_sha256="0" * 64,
+                baseline_report=TrainReport([0.0]), behavior_report=TrainReport([0.0]),
+                params=TrainingParams())
     env = tmp_path / "env.json"
     env.write_text(json.dumps([0.0] * 8))
     template = tmp_path / "a0.json"
@@ -952,19 +959,31 @@ def _widen_schema(bundle):
                lambda m: m["schema"]["behavior_columns"].extend(["beh_06", "beh_07"]))
 
 
-def _edit_trips(edit):
-    """Damage that saves ``edit`` of the bundle's trips.npy records in its place."""
+def _edit_records(name, edit):
+    """Damage that saves ``edit`` of the records of the bundle's ``.npy`` file ``name``."""
     def damage(bundle):
-        path = bundle / TRIPS_FILE
+        path = bundle / name
         np.save(path, edit(np.load(path)), allow_pickle=True)
     return damage
 
 
-def _set_trip(field, index, value):
+def _set_record(name, field, index, value):
     def edit(table):
         table[field][index] = value
         return table
-    return _edit_trips(edit)
+    return _edit_records(name, edit)
+
+
+def _edit_meta(edit):
+    return lambda bundle: _edit_json(bundle / "meta.json", edit)
+
+
+def _set_meta(key, value):
+    return _edit_meta(lambda m: m.__setitem__(key, value))
+
+
+def _set_stats(key, value):
+    return lambda bundle: _edit_json(bundle / "stats.json", lambda s: s.__setitem__(key, value))
 
 
 ENV, PERFORMANCE, CODE = ("env", "<f8", (8,)), ("performance", "<f8", (2,)), ("driver_code", "<i8")
@@ -1012,25 +1031,29 @@ ENV, PERFORMANCE, CODE = ("env", "<f8", (8,)), ("performance", "<f8", (2,)), ("d
          "trips.npy: Failed to read all data for array"),
         (lambda b: (b / "trips.npy").write_text("trip_id,driver_id\n"),
          "trips.npy: the magic string is not correct"),
-        (_edit_trips(lambda t: np.array([{"trips": len(t)}], dtype=object)),
+        (_edit_records(TRIPS_FILE, lambda t: np.array([{"trips": len(t)}], dtype=object)),
          "trips.npy: Object arrays cannot be loaded when allow_pickle=False"),
-        (_edit_trips(lambda t: t.astype([("env", "<f4", (8,)), PERFORMANCE, CODE])),
+        (_edit_records(TRIPS_FILE,
+                       lambda t: t.astype([("env", "<f4", (8,)), PERFORMANCE, CODE])),
          "trips.npy: expected records [('env', '<f8', (8,)), ('performance', '<f8', (2,)), "
          "('driver_code', '<i8')], got [('env', '<f4', (8,))"),
-        (_edit_trips(lambda t: t.astype([ENV, PERFORMANCE, ("driver_code", "<f8")])),
+        (_edit_records(TRIPS_FILE,
+                       lambda t: t.astype([ENV, PERFORMANCE, ("driver_code", "<f8")])),
          "('driver_code', '<f8')]"),
-        (_edit_trips(lambda t: np.zeros(len(t), [("env", "<f8", (7,)), PERFORMANCE, CODE])),
+        (_edit_records(TRIPS_FILE,
+                       lambda t: np.zeros(len(t), [("env", "<f8", (7,)), PERFORMANCE, CODE])),
          "got [('env', '<f8', (7,))"),
-        (_edit_trips(lambda t: t.reshape(-1, 1)),
-         "trips.npy: expected one record per trip, got shape (160, 1)"),
-        (_set_trip("env", (3, 2), math.nan), "trips.npy: non-finite value"),
-        (_set_trip("performance", (150, 0), -math.inf), "trips.npy: non-finite value"),
-        (_set_trip("driver_code", 7, 4),
+        (_edit_records(TRIPS_FILE, lambda t: t.reshape(-1, 1)),
+         "trips.npy: expected a one-dimensional array, got shape (160, 1)"),
+        (_set_record(TRIPS_FILE, "env", (3, 2), math.nan), "trips.npy: non-finite value"),
+        (_set_record(TRIPS_FILE, "performance", (150, 0), -math.inf),
+         "trips.npy: non-finite value"),
+        (_set_record(TRIPS_FILE, "driver_code", 7, 4),
          "trips.npy: driver code 4 is outside the bundle's 4 drivers"),
-        (_set_trip("driver_code", 7, -1),
+        (_set_record(TRIPS_FILE, "driver_code", 7, -1),
          "trips.npy: driver code -1 is outside the bundle's 4 drivers"),
-        (_edit_trips(lambda t: t[:-1]),
-         "trips.npy: driver 'driver_03' has 39 trips here and 40 in profiles.json"),
+        (_edit_records(TRIPS_FILE, lambda t: t[:-1]),
+         "trips.npy: driver 'driver_03' has 39 trips here and 40 in drivers.npy"),
         (lambda b: _edit_json(b / "baseline.json", lambda n: _set_first(n["weights"], 10**400)),
          "baseline.json: int too large to convert to float"),
         (lambda b: _edit_json(b / "meta.json", lambda m: m.__setitem__("behavior_box", None)),
@@ -1046,6 +1069,23 @@ ENV, PERFORMANCE, CODE = ("env", "<f8", (8,)), ("performance", "<f8", (2,)), ("d
         (lambda b: _edit_json(b / "behavior.json",
                               lambda n: n["config"]["hidden_widths"].__setitem__(0, True)),
          "behavior.json: layer widths and seed must be integers, not true or false"),
+        (_set_stats("degenerate_dims", "abc"),
+         "stats.json: degenerate_dims must be a list of integers, got 'abc'"),
+        (_set_stats("degenerate_dims", {"a": 1}),
+         "stats.json: degenerate_dims must be a list of integers, got {'a': 1}"),
+        (_set_stats("degenerate_dims", [[1]]),
+         "stats.json: degenerate_dims must be a list of integers, got [[1]]"),
+        (_edit_meta(lambda m: m.pop("data_sha256")), "meta.json: missing entry 'data_sha256'"),
+        (_set_meta("skipped_rows", True),
+         "meta.json: skipped_rows must be an integer >= 0, got True"),
+        (_edit_meta(lambda m: m["driver_ids"].reverse()),
+         "meta.json: driver ids must be unique and sorted"),
+        (_edit_meta(lambda m: m["driver_ids"].__setitem__(1, m["driver_ids"][0])),
+         "meta.json: driver ids must be unique and sorted"),
+        (_set_meta("driver_ids", []),
+         "meta.json: driver_ids must be a non-empty list of non-empty strings, got []"),
+        (_edit_meta(lambda m: m["driver_ids"].__setitem__(0, "")),
+         "meta.json: driver_ids must be a non-empty list of non-empty strings, got ['', "),
     ],
     ids=["truncated-meta", "undecodable-stats", "missing-meta-key", "missing-net-key",
          "float-metric-index", "bool-metric-index", "nan-weight", "inf-bias", "nan-stats", "inf-box", "fingerprint-mismatch",
@@ -1055,7 +1095,9 @@ ENV, PERFORMANCE, CODE = ("env", "<f8", (8,)), ("performance", "<f8", (2,)), ("d
          "float-driver-codes", "narrow-trips", "trips-of-two-dims", "nan-trip", "inf-trip",
          "driver-code-too-large", "negative-driver-code", "trip-counts-disagree",
          "huge-int-weight", "null-box", "bool-box", "bool-std", "bool-stats-width", "bool-net-seed",
-         "bool-hidden-width"],
+         "bool-hidden-width", "string-degenerate-dims", "object-degenerate-dims",
+         "nested-degenerate-dims", "missing-digest", "bool-skipped-rows", "unsorted-driver-ids",
+         "repeated-driver-id", "no-driver-ids", "empty-driver-id"],
 )
 def test_rank_rejects_corrupt_bundle(pipeline, tmp_path, capsys, damage, message):
     data, bundle = pipeline
@@ -1176,10 +1218,9 @@ def _trip_rows(data):
 
 
 def _stored_profiles(bundle):
-    """The bundle's model and schema, and the profiles ``train`` stored in it."""
+    """The bundle's model, schema and ``meta.json``, and the profiles ``train`` stored in it."""
     model, schema, meta = load_bundle(bundle)
-    path = bundle / PROFILES_FILE
-    return model, schema, load_profiles(path, model.stats.d_behavior, meta["stats_fingerprint"])
+    return model, schema, meta, recorded_profiles(bundle, schema, meta, None, lenient=False)
 
 
 def _place(bundle, out, *flags):
@@ -1216,7 +1257,7 @@ def test_place_reads_trips_whose_bytes_changed_after_train(pipeline, tmp_path):
     code, source = _place(bundle, tmp_path / "out", "--data", str(edited))
     assert (code, source) == (0, "data")
 
-    model, schema, stored = _stored_profiles(bundle)
+    model, schema, _, stored = _stored_profiles(bundle)
     result = json.loads((tmp_path / "out" / "placement.json").read_text())
     optimum = np.array(result["optimal_behavior_normalized"])
     reported = dict([(result["matched_driver"], result["match_distance"]),
@@ -1226,7 +1267,7 @@ def test_place_reads_trips_whose_bytes_changed_after_train(pipeline, tmp_path):
         return {p.driver_id: float(np.linalg.norm(p.mean_behavior - optimum)) for p in profiles}
 
     assert reported == distances(build_profiles(load_dataset(edited, schema), model.stats))
-    assert reported != distances(stored.profiles)
+    assert reported != distances(stored)
 
 
 def test_lenient_training_does_not_hide_strict_errors_from_place(pipeline, tmp_path, capsys):
@@ -1237,7 +1278,7 @@ def test_lenient_training_does_not_hide_strict_errors_from_place(pipeline, tmp_p
     bundle = tmp_path / "bundle"
     assert run("train", "--data", str(bad), "--schema", str(data / "schema.json"), "--epochs", "2",
                "--hidden", "8,8,8", "--lenient", "--out", str(bundle)) == 0
-    assert json.loads((bundle / PROFILES_FILE).read_text())["skipped_rows"] == 1
+    assert json.loads((bundle / "meta.json").read_text())["skipped_rows"] == 1
     capsys.readouterr()
 
     assert _place(bundle, tmp_path / "strict", "--data", str(bad)) == (2, None)
@@ -1250,9 +1291,9 @@ def test_lenient_training_does_not_hide_strict_errors_from_place(pipeline, tmp_p
 def stored_copies(pipeline, tmp_path_factory):
     """Bundles trained on clean trips and, leniently, on trips with one bad row.
 
-    Each comes with a copy that lacks the stored artifacts, and each trips
-    file with a padded copy: a trailing blank line gives other bytes and the
-    same trips.
+    Each trips file comes with the bundle trained on it, the bundle trained
+    on the other file, and a padded copy: a trailing blank line gives other
+    bytes and the same trips.
     """
     data, bundle = pipeline
     root = tmp_path_factory.mktemp("stored")
@@ -1263,14 +1304,11 @@ def stored_copies(pipeline, tmp_path_factory):
     assert run("train", "--data", str(bad), "--schema", str(data / "schema.json"), "--epochs", "2",
                "--hidden", "8,8,8", "--lenient", "--out", str(bad_bundle)) == 0
     copies = {}
-    for name, trips, trained in (("clean", data / "data.csv", bundle), ("bad", bad, bad_bundle)):
-        bare = root / f"{name}-bare"
-        shutil.copytree(trained, bare)
-        (bare / PROFILES_FILE).unlink()
-        (bare / TRIPS_FILE).unlink()
+    for name, trips, trained, other in (("clean", data / "data.csv", bundle, bad_bundle),
+                                        ("bad", bad, bad_bundle, bundle)):
         padded = root / f"{name}-padded.csv"
         padded.write_bytes(trips.read_bytes() + b"\r\n")
-        copies[name] = {"bundle": trained, "bare": bare, "trips": trips, "padded": padded}
+        copies[name] = {"bundle": trained, "other": other, "trips": trips, "padded": padded}
     return copies
 
 
@@ -1289,6 +1327,10 @@ def _run_with_source(command, bundle, trips, out, lenient):
     return code, source, [(out / name).read_bytes() for name in names]
 
 
+def _skipped_warnings(caplog):
+    return [r.getMessage() for r in caplog.records if "skipped" in r.getMessage()]
+
+
 @pytest.mark.parametrize("lenient", [False, True], ids=["strict", "lenient"])
 @pytest.mark.parametrize("stored", [True, False], ids=["stored", "not-stored"])
 @pytest.mark.parametrize("same_bytes", [True, False], ids=["same-bytes", "other-bytes"])
@@ -1296,12 +1338,13 @@ def _run_with_source(command, bundle, trips, out, lenient):
 @pytest.mark.parametrize("command", ["rank", "place"])
 def test_bundle_stands_in_for_data_by_one_rule(stored_copies, tmp_path, caplog, capsys, command,
                                                 trips, same_bytes, stored, lenient):
+    # stored: the bundle's record is of these trips; not stored: of the other trips file
     copy = stored_copies[trips]
     path = copy["trips"] if same_bytes else copy["padded"]
-    bundle = copy["bundle"] if stored else copy["bare"]
+    bundle = copy["bundle"] if stored else copy["other"]
     caplog.set_level("WARNING", logger="fleetrank")
     code, source, outputs = _run_with_source(command, bundle, path, tmp_path / "out", lenient)
-    warnings = [r.getMessage() for r in caplog.records if "skipped" in r.getMessage()]
+    warnings = _skipped_warnings(caplog)
     if trips == "bad" and not lenient:
         # a strict run parses the file and reports the row a lenient train skipped
         assert (code, source) == (2, None)
@@ -1310,101 +1353,126 @@ def test_bundle_stands_in_for_data_by_one_rule(stored_copies, tmp_path, caplog, 
         return
     assert code == 0
     assert source == ("bundle" if stored and same_bytes else "data")
-    # every source gives the bytes of a parse of the file
+    # every source gives the bytes of a parse of the same trips
     caplog.clear()
-    _, parsed, expected = _run_with_source(command, copy["bare"], path, tmp_path / "ref", lenient)
+    padded = copy["padded"]
+    _, parsed, expected = _run_with_source(command, bundle, padded, tmp_path / "ref", lenient)
     assert parsed == "data" and outputs == expected
-    parse_warnings = [r.getMessage() for r in caplog.records if "skipped" in r.getMessage()]
-    assert warnings == parse_warnings
-    assert warnings == ([f"skipped 1 unparsable or repeated rows while loading {path}"]
-                        if trips == "bad" else [])
-
-
-def test_rank_parses_data_for_a_bundle_with_profiles_but_no_stored_trips(pipeline, tmp_path):
-    # profiles.json without trips.npy, as an older version wrote the bundle
-    data, bundle = pipeline
-    old = tmp_path / "bundle"
-    shutil.copytree(bundle, old)
-    (old / TRIPS_FILE).unlink()
-    assert (old / PROFILES_FILE).exists()
-    full = _run_with_source("rank", bundle, data / "data.csv", tmp_path / "full", False)
-    parsed = _run_with_source("rank", old, data / "data.csv", tmp_path / "old", False)
-    assert full[:2] == (0, "bundle") and parsed[:2] == (0, "data")
-    assert parsed[2] == full[2]
+    for file, logged in ((path, warnings), (padded, _skipped_warnings(caplog))):
+        assert logged == ([f"skipped 1 unparsable or repeated rows while loading {file}"]
+                          if trips == "bad" else [])
 
 
 def test_stored_profiles_equal_a_fresh_build_bitwise(pipeline):
     data, bundle = pipeline
-    model, schema, stored = _stored_profiles(bundle)
+    model, schema, meta, stored = _stored_profiles(bundle)
     fresh = build_profiles(load_dataset(data / "data.csv", schema), model.stats)
-    assert stored.data_sha256 == hashlib.sha256((data / "data.csv").read_bytes()).hexdigest()
-    assert stored.skipped_rows == 0
-    assert [(p.driver_id, p.trip_count) for p in stored.profiles] == \
+    assert meta["data_sha256"] == hashlib.sha256((data / "data.csv").read_bytes()).hexdigest()
+    assert meta["skipped_rows"] == 0
+    assert [(p.driver_id, p.trip_count) for p in stored] == \
         [(p.driver_id, p.trip_count) for p in fresh]
-    for a, b in zip(stored.profiles, fresh):
+    for a, b in zip(stored, fresh):
         assert a.mean_behavior.dtype == b.mean_behavior.dtype
         assert a.mean_behavior.tobytes() == b.mean_behavior.tobytes()
 
 
-def test_place_without_data_needs_stored_profiles(pipeline, tmp_path, capsys):
+def test_a_bundle_of_version_0_1_0_is_refused(pipeline, tmp_path, capsys):
+    # 0.1.0 stored the profiles in profiles.json, and its meta.json had no record entries
     data, bundle = pipeline
+    _, _, meta, profiles = _stored_profiles(bundle)
     old = tmp_path / "bundle"
     shutil.copytree(bundle, old)
-    (old / PROFILES_FILE).unlink()
-    assert _place(old, tmp_path / "o") == (2, None)
-    err = capsys.readouterr().err
-    assert "has no profiles.json" in err and "retrain" in err and "--data" in err
-    assert _place(old, tmp_path / "p", "--data", str(data / "data.csv")) == (0, "data")
+    (old / DRIVERS_FILE).unlink()
+    record = {key: meta.pop(key) for key in ("data_sha256", "skipped_rows", "driver_ids")}
+    (old / "meta.json").write_text(json.dumps({**meta, "version": "0.1.0"}, indent=2))
+    (old / "profiles.json").write_text(json.dumps({
+        "data_sha256": record["data_sha256"],
+        "skipped_rows": record["skipped_rows"],
+        "stats_fingerprint": meta["stats_fingerprint"],
+        "drivers": [[p.driver_id, p.trip_count, p.mean_behavior.tolist()] for p in profiles],
+    }, indent=2))
+    padded = tmp_path / "padded.csv"
+    padded.write_bytes((data / "data.csv").read_bytes() + b"\r\n")
+    message = (f"error: corrupt bundle file {old / 'meta.json'}: written by tool version "
+               f"'0.1.0', this is version {TOOL_VERSION!r}\n")
+    for trips in (data / "data.csv", padded):
+        assert run("rank", "--data", str(trips), "--bundle", str(old),
+                   "--out", str(tmp_path / "rank")) == 2
+        assert capsys.readouterr().err == message
+    for flags in ((), ("--data", str(data / "data.csv")), ("--data", str(padded))):
+        assert _place(old, tmp_path / "place", *flags) == (2, None)
+        assert capsys.readouterr().err == message
+    assert not (tmp_path / "rank").exists() and not (tmp_path / "place").exists()
 
 
-def _edit_profiles(edit):
-    return lambda path: _edit_json(path, edit)
-
-
-def _edit_driver(index, position, value):
-    return _edit_profiles(lambda doc: doc["drivers"][index].__setitem__(position, value))
+DRIVER = ("trip_count", "<i8")
+MEAN, SHORT_MEAN = ("mean_behavior", "<f8", (6,)), ("mean_behavior", "<f8", (5,))
 
 
 @pytest.mark.parametrize(
-    "damage, message",
+    "file, damage, message",
     [
-        (lambda path: path.write_text(path.read_text()[:40]), "Unterminated string"),
-        (_edit_profiles(lambda doc: doc.pop("drivers")), "missing entry 'drivers'"),
-        (_edit_profiles(lambda doc: doc.pop("data_sha256")), "missing entry 'data_sha256'"),
-        (_edit_profiles(lambda doc: doc["drivers"][0][2].__setitem__(1, math.nan)),
+        (DRIVERS_FILE,
+         lambda b: (b / DRIVERS_FILE).write_bytes((b / DRIVERS_FILE).read_bytes()[:-8]),
+         "Failed to read all data for array"),
+        ("meta.json", _edit_meta(lambda m: m.pop("driver_ids")), "missing entry 'driver_ids'"),
+        ("meta.json", _edit_meta(lambda m: m.pop("data_sha256")), "missing entry 'data_sha256'"),
+        (DRIVERS_FILE, _set_record(DRIVERS_FILE, "mean_behavior", (0, 1), math.nan),
          "non-finite value"),
-        (_edit_profiles(lambda doc: doc["drivers"][2][2].__setitem__(0, -math.inf)),
+        (DRIVERS_FILE, _set_record(DRIVERS_FILE, "mean_behavior", (2, 0), -math.inf),
          "non-finite value"),
-        (_edit_profiles(lambda doc: doc["drivers"][0][2].pop()),
-         "mean behavior of 'driver_00' has shape (5,), expected (6,)"),
-        (_edit_driver(1, 1, 0), "trip count of 'driver_01' must be an integer >= 1, got 0"),
-        (_edit_driver(1, 1, 2.5), "trip count of 'driver_01' must be an integer >= 1, got 2.5"),
-        (_edit_driver(1, 1, True), "trip count of 'driver_01' must be an integer >= 1, got True"),
-        (_edit_driver(1, 0, "driver_00"), "driver ids must be unique and sorted"),
-        (_edit_profiles(lambda doc: doc["drivers"].reverse()),
+        (DRIVERS_FILE,
+         _edit_records(DRIVERS_FILE, lambda t: np.zeros(len(t), [DRIVER, SHORT_MEAN])),
+         "expected records [('trip_count', '<i8'), ('mean_behavior', '<f8', (6,))], "
+         "got [('trip_count', '<i8'), ('mean_behavior', '<f8', (5,))]"),
+        (DRIVERS_FILE, _set_record(DRIVERS_FILE, "trip_count", 1, 0),
+         "trip count of 'driver_01' must be >= 1, got 0"),
+        (DRIVERS_FILE,
+         _edit_records(DRIVERS_FILE, lambda t: t.astype([("trip_count", "<f8"), MEAN])),
+         "got [('trip_count', '<f8')"),
+        (DRIVERS_FILE, _edit_records(DRIVERS_FILE, lambda t: t.astype([("trip_count", "?"), MEAN])),
+         "got [('trip_count', '?')"),
+        ("meta.json", _edit_meta(lambda m: m["driver_ids"].__setitem__(1, "driver_00")),
          "driver ids must be unique and sorted"),
-        (_edit_profiles(lambda doc: doc.__setitem__("drivers", [])), "no drivers"),
-        (_edit_profiles(lambda doc: doc.__setitem__("stats_fingerprint", "0" * 16)),
-         "stats_fingerprint does not match meta.json"),
-        (_edit_profiles(lambda doc: doc["drivers"][1][2].__setitem__(3, 10**400)),
-         "int too large to convert to float"),
-        (_edit_profiles(lambda doc: doc["drivers"][2][2].__setitem__(4, False)),
-         "true and false are not numbers"),
+        ("meta.json", _edit_meta(lambda m: m["driver_ids"].reverse()),
+         "driver ids must be unique and sorted"),
+        (DRIVERS_FILE, _edit_records(DRIVERS_FILE, lambda t: t[:0]),
+         "0 records for the 4 drivers in meta.json"),
+        # the record's means are in the units of the statistics meta.json names
+        ("meta.json", _set_meta("stats_fingerprint", "0" * 16),
+         "stats_fingerprint does not match stats.json"),
+        (DRIVERS_FILE, _edit_records(DRIVERS_FILE, lambda t: t[:-1]),
+         "3 records for the 4 drivers in meta.json"),
+        (DRIVERS_FILE,
+         _edit_records(DRIVERS_FILE, lambda t: t.astype([DRIVER, ("mean_behavior", "<i8", (6,))])),
+         "got [('trip_count', '<i8'), ('mean_behavior', '<i8', (6,))]"),
+        (DRIVERS_FILE,
+         _edit_records(DRIVERS_FILE, lambda t: t.astype([DRIVER, ("mean_behavior", "?", (6,))])),
+         "got [('trip_count', '<i8'), ('mean_behavior', '?', (6,))]"),
+        (DRIVERS_FILE,
+         _edit_records(DRIVERS_FILE, lambda t: np.array([{"drivers": len(t)}], dtype=object)),
+         "Object arrays cannot be loaded when allow_pickle=False"),
+        (DRIVERS_FILE, _edit_records(DRIVERS_FILE, lambda t: t.reshape(2, 2)),
+         "expected a one-dimensional array, got shape (2, 2)"),
     ],
     ids=["truncated", "missing-drivers", "missing-digest", "nan-mean", "inf-mean", "short-mean",
          "zero-trips", "float-trips", "bool-trips", "duplicate-id", "unsorted-ids", "no-drivers",
-         "fingerprint-mismatch", "huge-int-mean", "bool-mean"],
+         "fingerprint-mismatch", "one-driver-short", "int-mean", "bool-mean", "pickled", "two-dims"],
 )
-def test_place_rejects_corrupt_profiles(pipeline, tmp_path, capsys, damage, message):
+def test_place_rejects_corrupt_profiles(pipeline, tmp_path, capsys, file, damage, message):
     data, bundle = pipeline
     broken = tmp_path / "bundle"
     shutil.copytree(bundle, broken)
-    damage(broken / PROFILES_FILE)
+    damage(broken)
     for name, flags in (("o1", ()), ("o2", ("--data", str(data / "data.csv")))):
         assert _place(broken, tmp_path / name, *flags) == (2, None)
         err = capsys.readouterr().err
-        assert f"corrupt bundle file {broken / PROFILES_FILE}: {message}" in err
+        assert f"corrupt bundle file {broken / file}: " in err and message in err
         assert not (tmp_path / name).exists()
+    if file == DRIVERS_FILE:  # a run on other bytes does not read the record
+        padded = tmp_path / "padded.csv"
+        padded.write_bytes((data / "data.csv").read_bytes() + b"\r\n")
+        assert _place(broken, tmp_path / "o3", "--data", str(padded)) == (0, "data")
 
 
 def test_repeated_trip_id_is_a_usage_error(pipeline, tmp_path, capsys):

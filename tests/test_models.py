@@ -16,6 +16,7 @@ from fleetrank.models import (
 )
 from fleetrank.neural import Mlp, MlpConfig, TrainReport
 from fleetrank.normalization import fit_stats
+from fleetrank.placement import build_profiles
 from fleetrank.synth import SynthConfig, generate
 from tests.conftest import fit_one, make_dataset
 
@@ -196,8 +197,10 @@ def test_baseline_value_zero_net_and_purity():
 
 def test_bundle_roundtrip_bitwise(tmp_path):
     ds, _, stats, model = small_advantage_model(seed=15)
-    save_bundle(tmp_path / "bundle", model, ds.schema, TrainReport([0.5]), TrainReport([0.25]),
-                SMALL)
+    saved = save_bundle(tmp_path / "bundle", model, ds, build_profiles(ds, stats),
+                        data_sha256="ab" * 32, baseline_report=TrainReport([0.5]),
+                        behavior_report=TrainReport([0.25]), params=SMALL)
+    assert sorted(saved) == sorted(p.name for p in (tmp_path / "bundle").iterdir())
     back, schema, meta = load_bundle(tmp_path / "bundle")
     assert schema == ds.schema
     assert (meta["baseline_final_loss"], meta["behavior_final_loss"]) == (0.5, 0.25)

@@ -140,6 +140,28 @@ def test_json_roundtrip(tmp_path):
     assert back.fingerprint() == stats.fingerprint()
 
 
+@pytest.mark.parametrize(
+    "dims, message",
+    [
+        ("abc", "degenerate_dims must be a list of integers, got 'abc'"),
+        ({"a": 1}, "degenerate_dims must be a list of integers, got {'a': 1}"),
+        ([[1]], "degenerate_dims must be a list of integers, got [[1]]"),
+        ([True], "degenerate_dims must be a list of integers, got [True]"),
+        ([2, 2], "degenerate_dims repeats a dimension: [2, 2]"),
+        ([3], "degenerate dimension 3 is not a dimension with std 1"),
+        ([-1], "degenerate dimension -1 is not a dimension with std 1"),
+        ([1], "degenerate dimension 1 is not a dimension with std 1"),
+    ],
+)
+def test_degenerate_dims_are_distinct_dimensions_with_std_1(dims, message):
+    data = {"mean": [0.0, 0.0, 0.0], "std": [1.0, 2.0, 1.0], "d_env": 1, "d_behavior": 1,
+            "d_performance": 1}
+    assert NormalizationStats.from_dict({**data, "degenerate_dims": [2, 0]}).degenerate_dims == {0, 2}
+    with pytest.raises((TypeError, ValueError)) as caught:
+        NormalizationStats.from_dict({**data, "degenerate_dims": dims})
+    assert str(caught.value) == message
+
+
 def test_fingerprint_distinguishes():
     a = fit_stats(one_dim_dataset([0.0, 2.0]))
     b = fit_stats(one_dim_dataset([0.0, 4.0]))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,11 @@ from fleetrank.models import (
     Regressor,
     TrainingParams,
     behavior_box_from,
-    load_profiles,
-    save_profiles,
+    load_bundle,
+    recorded_profiles,
+    save_bundle,
 )
-from fleetrank.neural import Mlp, MlpConfig
+from fleetrank.neural import Mlp, MlpConfig, TrainReport
 from fleetrank.normalization import NormalizationStats, fit_stats
 from fleetrank.placement import (
     build_profiles,
@@ -128,12 +131,15 @@ def test_saved_profiles_load_bitwise(tmp_path):
     means = [np.array([-0.0, 5e-324, 1.7976931348623157e308]),
              np.array([0.1, -1 / 3, 2.0 ** -1074])]
     profiles = [DriverProfile("a", means[0], 1), DriverProfile("b,\"c\"", means[1], 250)]
-    path = tmp_path / "profiles.json"
-    save_profiles(path, profiles, data_sha256="ab" * 32, skipped_rows=3, stats_fingerprint="f" * 16)
-    stored = load_profiles(path, 3, "f" * 16)
-    assert (stored.data_sha256, stored.skipped_rows) == ("ab" * 32, 3)
-    assert [(p.driver_id, p.trip_count) for p in stored.profiles] == [("a", 1), ("b,\"c\"", 250)]
-    for loaded, mean in zip(stored.profiles, means):
+    ds = make_dataset(np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 1)), ["a", "b,\"c\""])
+    save_bundle(tmp_path, cone_peak_model(np.zeros(3)), dataclasses.replace(ds, skipped_rows=3),
+                profiles, data_sha256="ab" * 32, baseline_report=TrainReport([0.5]),
+                behavior_report=TrainReport([0.25]), params=TrainingParams())
+    _, schema, meta = load_bundle(tmp_path)
+    assert (meta["data_sha256"], meta["skipped_rows"]) == ("ab" * 32, 3)
+    stored = recorded_profiles(tmp_path, schema, meta, None, lenient=False)
+    assert [(p.driver_id, p.trip_count) for p in stored] == [("a", 1), ("b,\"c\"", 250)]
+    for loaded, mean in zip(stored, means):
         assert loaded.mean_behavior.dtype == mean.dtype
         assert loaded.mean_behavior.tobytes() == mean.tobytes()  # -0.0 and subnormals included
 
