@@ -14,12 +14,13 @@ stored in the bundle's ``trips.npy``, read as a ``models.StoredTrips``, so
 from __future__ import annotations
 
 import logging
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyDataset
+from .errors import DimensionMismatch, EmptyDataset, NonFiniteAdvantage
 from .models import Regressor, StoredTrips
 from .trip_data import Dataset, group_rows
 
@@ -52,18 +53,26 @@ def trip_advantages(
 
     The advantage is taken on the schema's target metric. Values are in
     normalized units unless ``raw_units`` is set, which scales by the
-    metric's fitted standard deviation.
+    metric's fitted standard deviation. Trips whose values lie far outside
+    the training data's range can overflow; a non-finite advantage raises
+    ``NonFiniteAdvantage`` naming the first such trip.
     """
     stats = model.stats
     if ds.schema.d_env != stats.d_env or ds.schema.d_performance != stats.d_performance:
         raise DimensionMismatch("dataset layout does not match the model's normalization")
     metric_index = ds.schema.metric_index
 
-    observed = stats.normalize_performance(ds.performance)[:, metric_index]
-    predicted = model.predict_normalized(stats.normalize_env(ds.env))[:, metric_index]
-    values = observed - predicted
-    if raw_units:
-        values = values * stats.performance_std(metric_index)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below instead
+        observed = stats.normalize_performance(ds.performance)[:, metric_index]
+        predicted = model.predict_normalized(stats.normalize_env(ds.env))[:, metric_index]
+        values = observed - predicted
+        if raw_units:
+            values = values * stats.performance_std(metric_index)
+    finite = np.isfinite(values)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise NonFiniteAdvantage(f"advantage for trip {k + 1} of {len(values)} "
+                                 f"(driver {ds.driver_ids[ds.driver_codes[k]]!r})")
     return values
 
 
@@ -79,7 +88,8 @@ def assess_drivers(
     sample standard deviation (0 for a single trip). A driver with fewer
     than ``LOW_TRIP_WARN_THRESHOLD`` trips is reported with a warning, not
     excluded, since a thin trip history may not cover enough driving
-    conditions. Drivers without trips are left out.
+    conditions. Drivers without trips are left out. A mean or std that
+    overflows raises ``NonFiniteAdvantage``.
     """
     codes = np.asarray(driver_codes, dtype=np.intp)
     advantages = np.asarray(advantages, dtype=float)
@@ -103,11 +113,15 @@ def assess_drivers(
         if len(arr) == 0:
             continue
         arr.sort(kind="stable")
-        std = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below instead
+            mean = float(arr.mean())
+            std = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
+        if not (math.isfinite(mean) and math.isfinite(std)):
+            raise NonFiniteAdvantage(f"mean or std advantage of driver {driver_id!r}")
         assessments.append(
             DriverAssessment(
                 driver_id=driver_id,
-                mean_advantage=float(arr.mean()),
+                mean_advantage=mean,
                 std_advantage=std,
                 trip_count=len(arr),
             )

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import assessment, placement, synth
 from .atomic import atomic_open
-from .errors import (DimensionMismatch, FleetrankError, InvalidConfig, UnknownDimension,
-                     UsageError, require_array_fits)
+from .errors import (DimensionMismatch, FleetrankError, InvalidConfig, NonFiniteAdvantage,
+                     UnknownDimension, UsageError, require_array_fits)
 from .models import (
     TOOL_VERSION,
     AdvantageModel,
@@ -173,13 +173,6 @@ def cmd_train(args: argparse.Namespace) -> tuple[list[str], dict]:
         behavior_report=behavior_report,
         params=base_params,
     )
-    for name, report in (("baseline", baseline_report), ("behavior", behavior_report)):
-        with atomic_open(out / f"{name}_curve.csv") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["epoch", "mse"])
-            for epoch, loss in enumerate(report.epoch_losses, start=1):
-                writer.writerow([epoch, repr(loss)])
-    outputs += ["baseline_curve.csv", "behavior_curve.csv"]
     print(
         f"trained bundle in {out}: baseline mse {baseline_report.final_loss:.6f}, "
         f"behavior mse {behavior_report.final_loss:.6f}"
@@ -274,7 +267,6 @@ def cmd_surface(args: argparse.Namespace) -> tuple[list[str], dict]:
     _require_length(env, model.stats.d_env, "--env")
     template = _load_vector(args.template)
     _require_length(template, model.stats.d_behavior, "--template")
-    template_norm = template if args.normalized else model.stats.normalize_behavior(template)
     free_indices = _free_indices(schema, args.free)
     if len(free_indices) != 2:
         raise InvalidConfig("--free must name exactly two dimensions for a surface")
@@ -282,21 +274,28 @@ def cmd_surface(args: argparse.Namespace) -> tuple[list[str], dict]:
     points = args.resolution * args.resolution
     require_array_fits(points * model.stats.d_behavior, f"a grid of {points} points")
 
-    s_norm = env if args.normalized else model.stats.normalize_env(env)
     i, j = free_indices
+    name_i = schema.behavior_columns[i]
+    name_j = schema.behavior_columns[j]
     grid_i = np.linspace(model.behavior_box[i, 0], model.behavior_box[i, 1], args.resolution)
     grid_j = np.linspace(model.behavior_box[j, 0], model.behavior_box[j, 1], args.resolution)
-    candidates = np.tile(template_norm, (points, 1))
-    vv_i, vv_j = np.meshgrid(grid_i, grid_j, indexing="ij")
-    candidates[:, i] = vv_i.ravel()
-    candidates[:, j] = vv_j.ravel()
-    facts = _thread_facts(len(candidates))
-    values = model.advantage_normalized(s_norm, candidates)
+    facts = _thread_facts(points)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below instead
+        s_norm = env if args.normalized else model.stats.normalize_env(env)
+        template_norm = template if args.normalized else model.stats.normalize_behavior(template)
+        candidates = np.tile(template_norm, (points, 1))
+        vv_i, vv_j = np.meshgrid(grid_i, grid_j, indexing="ij")
+        candidates[:, i] = vv_i.ravel()
+        candidates[:, j] = vv_j.ravel()
+        values = model.advantage_normalized(s_norm, candidates)
+    finite = np.isfinite(values)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise NonFiniteAdvantage(f"advantage at {name_i} {float(grid_i[k // args.resolution])!r}, "
+                                 f"{name_j} {float(grid_j[k % args.resolution])!r}")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    name_i = schema.behavior_columns[i]
-    name_j = schema.behavior_columns[j]
     # A float's repr holds no comma, quote or line end, so the csv module would
     # write these cells as they are. Each coordinate is formatted once, and the
     # lines of one grid row go out in one write.
@@ -400,7 +399,7 @@ def main(argv: list[str] | None = None) -> int:
     started = time.time()
     try:
         outputs, facts = args.func(args)
-    except (UsageError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+    except (UsageError, FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError,
             PermissionError) as exc:  # the OS errors: a path the user named is unusable
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,6 +11,8 @@ import os
 import threading
 import time
 
+import numpy as np
+
 # how long a joined thread's OS thread may take to leave /proc/self/task; it
 # takes microseconds, and this only bounds the wait should it linger anyway
 EXIT_WAIT_S = 0.1
@@ -43,11 +45,12 @@ class Worker:
 
     :meth:`join` waits for it, :meth:`result` returns its value or raises its
     error. When no thread can be started, ``fn`` runs in :meth:`result`
-    instead, on the caller's thread.
+    instead, on the caller's thread. Either way it runs under the caller's
+    numpy error state, which a new thread would not inherit.
     """
 
     def __init__(self, fn, *args):
-        self._call = fn, args
+        self._call = fn, args, np.geterr()
         self._value = self._error = None
         self._thread = threading.Thread(target=self._run, name=f"fleetrank-{fn.__name__}")
         try:
@@ -56,9 +59,10 @@ class Worker:
             self._thread = None
 
     def _run(self) -> None:
-        fn, args = self._call
+        fn, args, error_state = self._call
         try:
-            self._value = fn(*args)
+            with np.errstate(**error_state):
+                self._value = fn(*args)
         except BaseException as exc:  # the caller raises it again in result()
             self._error = exc
 
@@ -78,7 +82,7 @@ class Worker:
 
     def result(self):
         if self._thread is None:
-            fn, args = self._call
+            fn, args, _ = self._call
             return fn(*args)
         self.join()
         if self._error is not None:

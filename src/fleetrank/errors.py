@@ -103,6 +103,17 @@ class NonFiniteObjective(FleetrankError):
         self.best = best
 
 
+class NonFiniteAdvantage(FleetrankError):
+    """An advantage, or a driver's mean or std of them, came out NaN or infinite.
+
+    Inputs far outside the training data's range overflow the nets' arithmetic.
+    """
+
+    def __init__(self, what: str):
+        super().__init__(f"non-finite {what}")
+        self.what = what
+
+
 class InvalidConfig(UsageError):
     """A configuration value violates its documented constraints."""
 

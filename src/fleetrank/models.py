@@ -16,18 +16,20 @@ order: the first in this process, the rest in one forked child meanwhile,
 where the host has a second core and the process runs one OS thread
 (``cores.why_one_process``), or else here next.
 
-A bundle is a directory that :func:`save_bundle` writes: the nets, the
-statistics and ``meta.json`` as JSON, and ``train``'s record of the trips
-it read as two numpy ``.npy`` arrays of records, ``trips.npy`` (one per
-trip) and ``drivers.npy`` (one per driver). ``meta.json`` holds the
-record's provenance: the trips file's SHA-256, the rows its load skipped
-and the driver ids. The record stands in for a parse of the trips file,
-in ``rank`` and ``place``, by one rule (:func:`recorded_trips`,
+A bundle is a directory whose every file :func:`save_bundle` writes, each
+fact once: the nets, the statistics and ``meta.json`` as JSON, the nets'
+learning curves as CSV, and ``train``'s record of the trips it read as two
+numpy ``.npy`` arrays of records, ``trips.npy`` (one per trip) and
+``drivers.npy`` (one per driver). ``meta.json`` holds the record's
+provenance: the trips file's SHA-256, the rows its load skipped and the
+driver ids. The record stands in for a parse of the trips file, in
+``rank`` and ``place``, by one rule (:func:`recorded_trips`,
 :func:`recorded_profiles`), and one checked reader reads both arrays.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -363,13 +365,14 @@ def save_bundle(
     behavior_report: TrainReport,
     params: TrainingParams,
 ) -> list[str]:
-    """Write an advantage model fitted on ``ds`` and the record of ``ds``; returns the files' names.
+    """Write every file of the bundle of a model fitted on ``ds``; returns their names.
 
-    The nets, the statistics and ``meta.json`` are JSON. The record is
-    ``trips.npy``, the columns ranking reads, one record per trip in dataset
-    order, and ``drivers.npy``, ``profiles`` as one record per driver.
-    ``meta.json`` holds its provenance: ``data_sha256`` (of the trips file's
-    bytes), the rows the load skipped and the driver ids.
+    The nets, the statistics and ``meta.json`` are JSON, each net's learning
+    curve ``<net>_curve.csv``. The record is ``trips.npy``, the columns
+    ranking reads, one record per trip in dataset order, and ``drivers.npy``,
+    ``profiles`` as one record per driver. ``meta.json`` holds its
+    provenance: ``data_sha256`` (of the trips file's bytes), the rows the
+    load skipped and the driver ids.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -379,15 +382,10 @@ def save_bundle(
     meta = {
         "version": TOOL_VERSION,
         "schema": ds.schema.to_dict(),
-        "target_metric": ds.schema.target_metric,
         "metric_index": model.metric_index,
         "stats_fingerprint": model.stats.fingerprint(),
         "behavior_box": model.behavior_box.tolist(),
-        "baseline_seed": model.baseline.net.config.seed,
-        "behavior_seed": model.behavior.net.config.seed,
         "training": asdict(params),
-        "baseline_final_loss": baseline_report.final_loss,
-        "behavior_final_loss": behavior_report.final_loss,
         "data_sha256": data_sha256,
         "skipped_rows": ds.skipped_rows,
         "driver_ids": list(ds.driver_ids),
@@ -405,7 +403,14 @@ def save_bundle(
         # a fixed header and then the records' bytes, so the same records give the same bytes
         with atomic_open(directory / name, binary=True) as handle:
             np.save(handle, table, allow_pickle=False)
-    return ["baseline.json", "behavior.json", "stats.json", "meta.json", TRIPS_FILE, DRIVERS_FILE]
+    for name, report in (("baseline", baseline_report), ("behavior", behavior_report)):
+        with atomic_open(directory / f"{name}_curve.csv") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["epoch", "mse"])
+            for epoch, loss in enumerate(report.epoch_losses, start=1):
+                writer.writerow([epoch, repr(loss)])
+    return ["baseline.json", "behavior.json", "stats.json", "meta.json", TRIPS_FILE, DRIVERS_FILE,
+            "baseline_curve.csv", "behavior_curve.csv"]
 
 
 def load_bundle(directory: str | Path) -> tuple[AdvantageModel, DatasetSchema, dict]:

@@ -29,7 +29,6 @@ class NormalizationStats:
 
     mean: np.ndarray
     std: np.ndarray
-    degenerate_dims: frozenset[int]
     d_env: int
     d_behavior: int
     d_performance: int
@@ -41,9 +40,6 @@ class NormalizationStats:
             raise DimensionMismatch("stats length does not match block layout")
         if np.any(self.std <= 0):
             raise ValueError("std entries must be strictly positive")
-        for d in self.degenerate_dims:  # fit_stats gives each degenerate dimension std 1
-            if type(d) is not int or not 0 <= d < len(self.mean) or self.std[d] != 1.0:
-                raise ValueError(f"degenerate dimension {d!r} is not a dimension with std 1")
 
     @property
     def dim(self) -> int:
@@ -80,7 +76,7 @@ class NormalizationStats:
         return self._apply(x, slice(0, self.dim))
 
     def denormalize(self, x: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`normalize`; identity on non-degenerate dims."""
+        """Inverse of :meth:`normalize`."""
         return self._invert(x, slice(0, self.dim))
 
     def normalize_env(self, s: np.ndarray) -> np.ndarray:
@@ -111,7 +107,6 @@ class NormalizationStats:
         return {
             "mean": self.mean.tolist(),
             "std": self.std.tolist(),
-            "degenerate_dims": sorted(self.degenerate_dims),
             "d_env": self.d_env,
             "d_behavior": self.d_behavior,
             "d_performance": self.d_performance,
@@ -119,15 +114,9 @@ class NormalizationStats:
 
     @classmethod
     def from_dict(cls, data: dict) -> "NormalizationStats":
-        dims = data["degenerate_dims"]
-        if type(dims) is not list or not all(type(d) is int for d in dims):  # bool is an int
-            raise TypeError(f"degenerate_dims must be a list of integers, got {dims!r}")
-        if len(set(dims)) != len(dims):
-            raise ValueError(f"degenerate_dims repeats a dimension: {dims!r}")
         return cls(
             mean=np.array(data["mean"], dtype=float),
             std=np.array(data["std"], dtype=float),
-            degenerate_dims=frozenset(dims),
             d_env=data["d_env"],
             d_behavior=data["d_behavior"],
             d_performance=data["d_performance"],
@@ -146,10 +135,10 @@ def fit_stats(ds: Dataset) -> NormalizationStats:
     """Fit per-dimension mean and unbiased sample std on a dataset.
 
     Dimensions whose variance falls below ``VARIANCE_TOLERANCE`` are
-    recorded as degenerate and assigned std 1 so the transform stays
-    invertible and index-aligned. Finite values near the float limit can
-    still overflow the mean or the variance; that raises ``NonFiniteStats``
-    naming the first such column.
+    constant and get std 1, so the transform stays invertible and
+    index-aligned; no list of them is kept. Finite values near the float
+    limit can still overflow the mean or the variance; that raises
+    ``NonFiniteStats`` naming the first such column.
     """
     x = ds.values
     n = x.shape[0]
@@ -161,15 +150,11 @@ def fit_stats(ds: Dataset) -> NormalizationStats:
     finite = np.isfinite(var)  # an overflowed mean makes the variance overflow too
     if not finite.all():
         raise NonFiniteStats(ds.schema.numeric_columns[int(np.argmin(finite))])
-    degenerate = frozenset(int(d) for d in np.flatnonzero(var < VARIANCE_TOLERANCE))
     std = np.sqrt(var)
-    if degenerate:
-        std = std.copy()
-        std[list(degenerate)] = 1.0
+    std[var < VARIANCE_TOLERANCE] = 1.0
     return NormalizationStats(
         mean=mean,
         std=std,
-        degenerate_dims=degenerate,
         d_env=ds.schema.d_env,
         d_behavior=ds.schema.d_behavior,
         d_performance=ds.schema.d_performance,

@@ -107,6 +107,9 @@ def optimize_behavior(
     rows, and every bit of the result, are those of concatenating the env
     with each candidate.
 
+    An input far outside the training data's range can overflow the nets:
+    the search then raises ``NonFiniteObjective``, without numpy's warnings.
+
     Returns the full normalized optimum, its advantage, the raw optimizer
     result, and whether in every generation the candidate with the
     highest advantage also had the highest behavior-model output (it
@@ -114,7 +117,8 @@ def optimize_behavior(
     """
     s = np.asarray(s, dtype=float)
     stats = model.stats
-    s_norm = s if s_normalized else stats.normalize_env(s)
+    with np.errstate(over="ignore"):
+        s_norm = s if s_normalized else stats.normalize_env(s)
     if s_norm.shape != (stats.d_env,):
         raise DimensionMismatch(f"expected env vector of length {stats.d_env}")
 
@@ -137,7 +141,8 @@ def optimize_behavior(
     sub_bounds = model.behavior_box[free]
     start = np.clip(np.zeros(len(free)), sub_bounds[:, 0], sub_bounds[:, 1])
 
-    baseline_value = float(model.baseline.predict_normalized(s_norm)[model.metric_index])
+    with np.errstate(over="ignore", invalid="ignore"):
+        baseline_value = float(model.baseline.predict_normalized(s_norm)[model.metric_index])
     argmax_consistent = True
     row = np.concatenate([s_norm, base])
     searched = stats.d_env + free
@@ -148,8 +153,9 @@ def optimize_behavior(
         if len(block) != len(a_free):
             block = np.tile(row, (len(a_free), 1))
         block[:, searched] = a_free
-        q = model.behavior.net.forward_batch(block)[:, model.metric_index]
-        advantages = q - baseline_value
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = model.behavior.net.forward_batch(block)[:, model.metric_index]
+            advantages = q - baseline_value
         argmax_consistent &= bool(q[np.argmax(advantages)] == q.max())
         return advantages
 

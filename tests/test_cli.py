@@ -105,7 +105,7 @@ def test_train_outputs(pipeline):
              "drivers.npy", "baseline_curve.csv", "behavior_curve.csv"]
     assert sorted(p.name for p in bundle.iterdir()) == sorted([*names, "manifest.json"])
     manifest = json.loads((bundle / "manifest.json").read_text())
-    assert manifest["outputs"] == names
+    assert manifest["outputs"] == names  # save_bundle's return: it writes every bundle file
     assert manifest["data_sha256"] == hashlib.sha256((data / "data.csv").read_bytes()).hexdigest()
     reason = models.why_one_process()
     assert (manifest["fit_processes"], manifest["fit_in_one_process_because"]) == (
@@ -114,9 +114,16 @@ def test_train_outputs(pipeline):
         rows = list(csv.reader(handle))
     assert rows[0] == ["epoch", "mse"]
     assert len(rows) == 1 + 15
+    # each fact once: the target metric is in the schema, the seeds in the nets' configs
+    # and the losses in the curves
     meta = json.loads((bundle / "meta.json").read_text())
+    assert list(meta) == ["version", "schema", "metric_index", "stats_fingerprint",
+                          "behavior_box", "training", "data_sha256", "skipped_rows", "driver_ids"]
+    stats = json.loads((bundle / "stats.json").read_text())
+    assert list(stats) == ["mean", "std", "d_env", "d_behavior", "d_performance"]
     assert meta["training"]["epochs"] == 15
-    assert meta["behavior_seed"] == 5  # baseline seed + 1
+    behavior = json.loads((bundle / "behavior.json").read_text())
+    assert behavior["config"]["seed"] == 5  # baseline seed + 1
     assert (meta["data_sha256"], meta["skipped_rows"]) == (manifest["data_sha256"], 0)
     assert meta["driver_ids"] == ["driver_00", "driver_01", "driver_02", "driver_03"]
 
@@ -435,8 +442,10 @@ USAGE_ERROR_TYPES = {
     "TooFewSamples", "DimensionMismatch", "InvalidConfig", "CorruptBundle",
     "EmptyProfiles", "UnknownDimension", "UnreadableFile", "NotARegularFile",
 }
-RUNTIME_ERROR_TYPES = {"FleetrankError", "NonFiniteLoss", "NonFiniteObjective", "NonFiniteStats"}
-PATH_ERROR_TYPES = [FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError]
+RUNTIME_ERROR_TYPES = {"FleetrankError", "NonFiniteLoss", "NonFiniteObjective", "NonFiniteStats",
+                       "NonFiniteAdvantage"}
+PATH_ERROR_TYPES = [FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError,
+                    PermissionError]
 ERROR_TYPES = [
     cls for _, cls in inspect.getmembers(errors, inspect.isclass)
     if issubclass(cls, errors.FleetrankError)
@@ -547,6 +556,85 @@ def test_overflowing_stats_fail_train(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err == "error: non-finite mean or std in column 'total_mpg'\n"
     assert not bundle.exists()
+
+
+def _with_env_cells(data, path, row, cells):
+    """A copy of the trips with ``cells`` (env column index to text) set in data row ``row``."""
+    rows = _trip_rows(data)
+    for k, text in cells.items():
+        rows[row][2 + k] = text
+    return _write_rows(path, rows)
+
+
+FLOAT_LIMIT_ENV = {k: "1.79e308" if k % 2 == 0 else "-1.79e308" for k in range(8)}
+
+
+@pytest.mark.parametrize("cells, raw_units, message", [
+    (FLOAT_LIMIT_ENV, [], "non-finite advantage for trip 1 of 160 (driver 'driver_00')"),
+    (FLOAT_LIMIT_ENV, ["--raw-units"],
+     "non-finite advantage for trip 1 of 160 (driver 'driver_00')"),
+    ({0: "1e300"}, [], "non-finite mean or std advantage of driver 'driver_00'"),
+], ids=["nan-advantage", "nan-advantage-raw-units", "overflowing-std"])
+def test_rank_with_a_non_finite_advantage_is_a_runtime_error(pipeline, tmp_path, capsys, cells,
+                                                            raw_units, message):
+    # trips near the float limit used to rank first with nan, or an inf std, at exit 0
+    data, bundle = pipeline
+    trips = _with_env_cells(data, tmp_path / "trips.csv", 1, cells)
+    assert _trip_rows(data)[1][1] == "driver_00"
+    out = tmp_path / "rank"
+    assert run("rank", "--data", str(trips), "--bundle", str(bundle), *raw_units,
+               "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"  # and no numpy warning
+    assert not out.exists()
+
+
+def test_rank_with_a_non_finite_advantage_on_the_worker_thread(two_block_pipeline, tmp_path,
+                                                               capsys, monkeypatch):
+    # the last trip is in the half of the forward pass that the worker thread runs, under
+    # the caller's numpy error state; a warning there fails the test, as RuntimeWarning
+    # is an error in this suite
+    root = two_block_pipeline
+    monkeypatch.setattr(neural, "why_one_process", lambda: None)
+    assert neural.why_one_thread(4400) is None
+    trips = _with_env_cells(root / "data", tmp_path / "trips.csv", 4400, FLOAT_LIMIT_ENV)
+    out = tmp_path / "rank"
+    assert run("rank", "--data", str(trips), "--bundle", str(root / "bundle"),
+               "--out", str(out)) == 1
+    assert capsys.readouterr().err == (
+        "error: non-finite advantage for trip 4400 of 4400 (driver 'driver_03')\n")
+    assert not out.exists()
+
+
+def test_surface_with_a_non_finite_advantage_is_a_runtime_error(pipeline, tmp_path, capsys):
+    # it used to write nan advantages at exit 0
+    _, bundle = pipeline
+    env = tmp_path / "env.json"
+    env.write_text(json.dumps([float(FLOAT_LIMIT_ENV[k]) for k in range(8)]))
+    template = tmp_path / "a0.json"
+    template.write_text(json.dumps([0.0] * 6))
+    box = load_bundle(bundle)[0].behavior_box
+    out = tmp_path / "surface"
+    assert run("surface", "--bundle", str(bundle), "--env", str(env), "--template",
+               str(template), "--free", "beh_00,beh_01", "--resolution", "3",
+               "--out", str(out)) == 1
+    assert capsys.readouterr().err == (
+        f"error: non-finite advantage at beh_00 {float(box[0, 0])!r}, "
+        f"beh_01 {float(box[1, 0])!r}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("normalized", [[], ["--normalized"]], ids=["raw", "normalized"])
+def test_place_with_a_non_finite_objective_warns_of_nothing(pipeline, tmp_path, capsys,
+                                                            normalized):
+    # it exited 1, but numpy's overflow and invalid-value warnings reached stderr first
+    _, bundle = pipeline
+    env = tmp_path / "env.json"
+    env.write_text(json.dumps([float(FLOAT_LIMIT_ENV[k]) for k in range(8)]))
+    out = tmp_path / "place"
+    assert run("place", "--bundle", str(bundle), "--env", str(env), *normalized,
+               "--out", str(out)) == 1
+    assert capsys.readouterr().err == "error: objective returned a non-finite value\n"
+    assert not out.exists()
 
 
 @pytest.fixture(params=["forked", "in-parent"])
@@ -759,6 +847,30 @@ def test_directory_for_an_input_file_is_a_usage_error(pipeline, tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"Is a directory: {str(tmp_path)!r}" in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "rank", "place", "surface"])
+def test_out_naming_a_file_is_a_usage_error(pipeline, tmp_path, capsys, command):
+    # it ended in a FileExistsError traceback, in train after the whole fit
+    data, bundle = pipeline
+    env = tmp_path / "env.json"
+    env.write_text(json.dumps([0.0] * 8))
+    template = tmp_path / "a0.json"
+    template.write_text(json.dumps([0.0] * 6))
+    argv = {
+        "synth": ["--drivers", "2", "--trips", "5"],
+        "train": ["--data", str(data / "data.csv"), "--schema", str(data / "schema.json"),
+                  "--epochs", "1", "--hidden", "4,4,4"],
+        "rank": ["--data", str(data / "data.csv"), "--bundle", str(bundle)],
+        "place": ["--bundle", str(bundle), "--env", str(env), "--max-generations", "5"],
+        "surface": ["--bundle", str(bundle), "--env", str(env), "--template", str(template),
+                    "--free", "beh_00,beh_01", "--resolution", "3"],
+    }[command]
+    out = tmp_path / "out"
+    out.write_text("a file\n")
+    assert run(command, *argv, "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: [Errno {errno.EEXIST}] File exists: {str(out)!r}\n"
+    assert out.read_text() == "a file\n"
 
 
 @pytest.mark.parametrize("pipe", ["fifo", "dev-fd"])
@@ -982,10 +1094,6 @@ def _set_meta(key, value):
     return _edit_meta(lambda m: m.__setitem__(key, value))
 
 
-def _set_stats(key, value):
-    return lambda bundle: _edit_json(bundle / "stats.json", lambda s: s.__setitem__(key, value))
-
-
 ENV, PERFORMANCE, CODE = ("env", "<f8", (8,)), ("performance", "<f8", (2,)), ("driver_code", "<i8")
 
 
@@ -1069,12 +1177,6 @@ ENV, PERFORMANCE, CODE = ("env", "<f8", (8,)), ("performance", "<f8", (2,)), ("d
         (lambda b: _edit_json(b / "behavior.json",
                               lambda n: n["config"]["hidden_widths"].__setitem__(0, True)),
          "behavior.json: layer widths and seed must be integers, not true or false"),
-        (_set_stats("degenerate_dims", "abc"),
-         "stats.json: degenerate_dims must be a list of integers, got 'abc'"),
-        (_set_stats("degenerate_dims", {"a": 1}),
-         "stats.json: degenerate_dims must be a list of integers, got {'a': 1}"),
-        (_set_stats("degenerate_dims", [[1]]),
-         "stats.json: degenerate_dims must be a list of integers, got [[1]]"),
         (_edit_meta(lambda m: m.pop("data_sha256")), "meta.json: missing entry 'data_sha256'"),
         (_set_meta("skipped_rows", True),
          "meta.json: skipped_rows must be an integer >= 0, got True"),
@@ -1095,8 +1197,7 @@ ENV, PERFORMANCE, CODE = ("env", "<f8", (8,)), ("performance", "<f8", (2,)), ("d
          "float-driver-codes", "narrow-trips", "trips-of-two-dims", "nan-trip", "inf-trip",
          "driver-code-too-large", "negative-driver-code", "trip-counts-disagree",
          "huge-int-weight", "null-box", "bool-box", "bool-std", "bool-stats-width", "bool-net-seed",
-         "bool-hidden-width", "string-degenerate-dims", "object-degenerate-dims",
-         "nested-degenerate-dims", "missing-digest", "bool-skipped-rows", "unsorted-driver-ids",
+         "bool-hidden-width", "missing-digest", "bool-skipped-rows", "unsorted-driver-ids",
          "repeated-driver-id", "no-driver-ids", "empty-driver-id"],
 )
 def test_rank_rejects_corrupt_bundle(pipeline, tmp_path, capsys, damage, message):
@@ -1403,6 +1504,65 @@ def test_a_bundle_of_version_0_1_0_is_refused(pipeline, tmp_path, capsys):
         assert _place(old, tmp_path / "place", *flags) == (2, None)
         assert capsys.readouterr().err == message
     assert not (tmp_path / "rank").exists() and not (tmp_path / "place").exists()
+
+
+def _with_copied_entries(bundle, degenerate_dims):
+    """Add the entries an earlier ``train`` of version 0.2.0 also wrote, as it wrote them.
+
+    ``stats.json`` had ``degenerate_dims``, and ``meta.json`` copies of the target
+    metric, both nets' seeds and the last line of each learning curve.
+    """
+    stats = json.loads((bundle / "stats.json").read_text())
+    stats = {"mean": stats["mean"], "std": stats["std"], "degenerate_dims": degenerate_dims,
+             **{key: stats[key] for key in ("d_env", "d_behavior", "d_performance")}}
+    (bundle / "stats.json").write_text(json.dumps(stats))
+    meta = json.loads((bundle / "meta.json").read_text())
+    seed, loss = {}, {}
+    for name in ("baseline", "behavior"):
+        seed[name] = json.loads((bundle / f"{name}.json").read_text())["config"]["seed"]
+        with (bundle / f"{name}_curve.csv").open(newline="") as handle:
+            loss[name] = float(list(csv.reader(handle))[-1][1])
+    order = ["version", "schema", "target_metric", "metric_index", "stats_fingerprint",
+             "behavior_box", "baseline_seed", "behavior_seed", "training", "baseline_final_loss",
+             "behavior_final_loss", "data_sha256", "skipped_rows", "driver_ids"]
+    meta.update(target_metric=meta["schema"]["target_metric"], baseline_seed=seed["baseline"],
+                behavior_seed=seed["behavior"], baseline_final_loss=loss["baseline"],
+                behavior_final_loss=loss["behavior"])
+    assert sorted(meta) == sorted(order)
+    (bundle / "meta.json").write_text(json.dumps({key: meta[key] for key in order}, indent=2))
+
+
+# [] is what train wrote for these trips; "abc" a value the reader of that version refused
+@pytest.mark.parametrize("degenerate_dims", [[], "abc"], ids=["valid", "once-refused"])
+def test_a_bundle_with_the_copied_entries_gives_the_same_bytes(pipeline, tmp_path,
+                                                               degenerate_dims):
+    data, bundle = pipeline
+    older = tmp_path / "older"
+    shutil.copytree(bundle, older)
+    _with_copied_entries(older, degenerate_dims)
+    env = tmp_path / "env.json"
+    env.write_text(json.dumps([0.3] * 8))
+    template = tmp_path / "a0.json"
+    template.write_text(json.dumps([0.0] * 6))
+    padded = tmp_path / "padded.csv"  # other bytes, the same trips: rank parses them
+    padded.write_bytes((data / "data.csv").read_bytes() + b"\r\n")
+    commands = {
+        "rank": ["rank", "--data", str(data / "data.csv")],
+        "rank-parsed": ["rank", "--data", str(padded)],
+        "place": ["place", "--env", str(env), "--max-generations", "30"],
+        "place-data": ["place", "--data", str(data / "data.csv"), "--env", str(env),
+                       "--max-generations", "30"],
+        "surface": ["surface", "--env", str(env), "--template", str(template),
+                    "--free", "beh_00,beh_01", "--resolution", "5"],
+    }
+    for name, argv in commands.items():
+        outputs = []
+        for which in (bundle, older):
+            out = tmp_path / f"{which.name}-{name}"
+            assert run(*argv, "--bundle", str(which), "--out", str(out)) == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())
+                            if p.name != "manifest.json"})
+        assert outputs[0] == outputs[1], name
 
 
 DRIVER = ("trip_count", "<i8")

@@ -198,12 +198,14 @@ def test_baseline_value_zero_net_and_purity():
 def test_bundle_roundtrip_bitwise(tmp_path):
     ds, _, stats, model = small_advantage_model(seed=15)
     saved = save_bundle(tmp_path / "bundle", model, ds, build_profiles(ds, stats),
-                        data_sha256="ab" * 32, baseline_report=TrainReport([0.5]),
+                        data_sha256="ab" * 32, baseline_report=TrainReport([0.5, 0.1]),
                         behavior_report=TrainReport([0.25]), params=SMALL)
     assert sorted(saved) == sorted(p.name for p in (tmp_path / "bundle").iterdir())
+    assert (tmp_path / "bundle" / "baseline_curve.csv").read_bytes() == (
+        b"epoch,mse\r\n1,0.5\r\n2,0.1\r\n")
+    assert (tmp_path / "bundle" / "behavior_curve.csv").read_bytes() == b"epoch,mse\r\n1,0.25\r\n"
     back, schema, meta = load_bundle(tmp_path / "bundle")
     assert schema == ds.schema
-    assert (meta["baseline_final_loss"], meta["behavior_final_loss"]) == (0.5, 0.25)
     assert meta["stats_fingerprint"] == stats.fingerprint()
     rng = np.random.default_rng(16)
     for _ in range(20):

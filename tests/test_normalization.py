@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fleetrank.errors import DimensionMismatch, NonFiniteStats, TooFewSamples
-from fleetrank.normalization import NormalizationStats, fit_stats
+from fleetrank.normalization import VARIANCE_TOLERANCE, NormalizationStats, fit_stats
 from fleetrank.synth import SynthConfig, generate
 from tests.conftest import make_dataset
 
@@ -38,8 +38,6 @@ def test_three_sample_unit_std():
 def test_degenerate_column():
     stats = fit_stats(one_dim_dataset([0.0, 2.0]))
     # behavior column is constant 0, performance constant 1
-    assert 1 in stats.degenerate_dims
-    assert 2 in stats.degenerate_dims
     assert stats.std[1] == 1.0
     assert stats.std[2] == 1.0
     assert stats.normalize(np.array([1.0, 0.0, 1.0]))[1] == 0.0
@@ -89,7 +87,7 @@ def test_whole_dataset_normalization():
     ds, _ = generate(SynthConfig(n_drivers=5, trips_per_driver=40, seed=3))
     stats = fit_stats(ds)
     xn = stats.normalize(ds.values)
-    keep = [d for d in range(stats.dim) if d not in stats.degenerate_dims]
+    keep = ds.values.var(axis=0, ddof=1) >= VARIANCE_TOLERANCE  # the columns fit_stats scales
     assert np.abs(xn[:, keep].mean(axis=0)).max() < 1e-9
     assert np.abs(xn[:, keep].std(axis=0, ddof=1) - 1.0).max() < 1e-6
 
@@ -136,30 +134,7 @@ def test_json_roundtrip(tmp_path):
     back = NormalizationStats.load(path)
     np.testing.assert_array_equal(back.mean, stats.mean)
     np.testing.assert_array_equal(back.std, stats.std)
-    assert back.degenerate_dims == stats.degenerate_dims
     assert back.fingerprint() == stats.fingerprint()
-
-
-@pytest.mark.parametrize(
-    "dims, message",
-    [
-        ("abc", "degenerate_dims must be a list of integers, got 'abc'"),
-        ({"a": 1}, "degenerate_dims must be a list of integers, got {'a': 1}"),
-        ([[1]], "degenerate_dims must be a list of integers, got [[1]]"),
-        ([True], "degenerate_dims must be a list of integers, got [True]"),
-        ([2, 2], "degenerate_dims repeats a dimension: [2, 2]"),
-        ([3], "degenerate dimension 3 is not a dimension with std 1"),
-        ([-1], "degenerate dimension -1 is not a dimension with std 1"),
-        ([1], "degenerate dimension 1 is not a dimension with std 1"),
-    ],
-)
-def test_degenerate_dims_are_distinct_dimensions_with_std_1(dims, message):
-    data = {"mean": [0.0, 0.0, 0.0], "std": [1.0, 2.0, 1.0], "d_env": 1, "d_behavior": 1,
-            "d_performance": 1}
-    assert NormalizationStats.from_dict({**data, "degenerate_dims": [2, 0]}).degenerate_dims == {0, 2}
-    with pytest.raises((TypeError, ValueError)) as caught:
-        NormalizationStats.from_dict({**data, "degenerate_dims": dims})
-    assert str(caught.value) == message
 
 
 def test_fingerprint_distinguishes():

@@ -33,7 +33,6 @@ def identity_stats(d_env, d_behavior, d_performance):
     return NormalizationStats(
         mean=np.zeros(dim),
         std=np.ones(dim),
-        degenerate_dims=frozenset(),
         d_env=d_env,
         d_behavior=d_behavior,
         d_performance=d_performance,
