@@ -13,7 +13,9 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import errno
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -29,6 +31,7 @@ from .models import (
     AdvantageModel,
     TrainingParams,
     behavior_box_from,
+    json_floats,
     load_bundle,
     recorded_profiles,
     recorded_trips,
@@ -63,28 +66,32 @@ def _thread_facts(rows: int) -> dict:
 
 
 def _load_vector(path: str) -> np.ndarray:
-    """A finite 1-D vector from a flat JSON list whose every entry is an int or a float.
-
-    ``true`` and ``false`` are not numbers, and neither is a string that
-    spells one.
-    """
+    """A 1-D vector from a flat JSON list of finite numbers, read by :func:`json_floats`."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-        if type(data) is not list:
-            raise TypeError(f"got {type(data).__name__}")
-        for entry in data:
-            if type(entry) is list:
-                raise InvalidConfig(f"{path}: expected a flat list of numbers, got a nested list")
-            if type(entry) is bool:  # bool is an int subclass
-                raise TypeError("true and false are not numbers")
-            if type(entry) not in (int, float):
-                raise TypeError(f"{entry!r} is not a number")
-        vector = np.array(data, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:  # JSON errors are ValueErrors
+    except ValueError as exc:  # JSON errors are ValueErrors
         raise InvalidConfig(f"{path}: expected a JSON list of numbers ({exc})") from None
-    if not np.all(np.isfinite(vector)):
-        raise InvalidConfig(f"{path}: every entry must be finite, got {vector.tolist()}")
-    return vector
+    try:
+        return json_floats(data, (None,))
+    except (TypeError, OverflowError) as exc:
+        raise InvalidConfig(f"{path}: expected a JSON list of numbers ({exc})") from None
+    except ValueError:  # json_floats's one ValueError for a flat list: a non-finite entry
+        raise InvalidConfig(f"{path}: every entry must be finite, got {data}") from None
+
+
+def _require_usable_out(out: str) -> None:
+    """Raise the error that making the directory ``out`` would, before the command's work.
+
+    Its ``mkdir`` would refuse an ``out`` that is or sits under a file only after the work:
+    for ``train``, after fitting both nets.
+    """
+    path = Path(out)
+    existing = next((p for p in (path, *path.parents) if p.exists()), None)
+    if existing is None or existing.is_dir():
+        return
+    if existing == path:
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), out)
+    raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), out)
 
 
 def _require_length(vector: np.ndarray, length: int, flag: str) -> None:
@@ -398,6 +405,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     started = time.time()
     try:
+        _require_usable_out(args.out)
         outputs, facts = args.func(args)
     except (UsageError, FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError,
             PermissionError) as exc:  # the OS errors: a path the user named is unusable

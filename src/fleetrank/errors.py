@@ -104,9 +104,10 @@ class NonFiniteObjective(FleetrankError):
 
 
 class NonFiniteAdvantage(FleetrankError):
-    """An advantage, or a driver's mean or std of them, came out NaN or infinite.
+    """An advantage, a driver's mean or std of them, or a match distance came out NaN or infinite.
 
-    Inputs far outside the training data's range overflow the nets' arithmetic.
+    Inputs far outside the training data's range overflow the nets' arithmetic,
+    and a behavior template near the float limit the distance to a driver's profile.
     """
 
     def __init__(self, what: str):

@@ -20,11 +20,13 @@ A bundle is a directory whose every file :func:`save_bundle` writes, each
 fact once: the nets, the statistics and ``meta.json`` as JSON, the nets'
 learning curves as CSV, and ``train``'s record of the trips it read as two
 numpy ``.npy`` arrays of records, ``trips.npy`` (one per trip) and
-``drivers.npy`` (one per driver). ``meta.json`` holds the record's
-provenance: the trips file's SHA-256, the rows its load skipped and the
-driver ids. The record stands in for a parse of the trips file, in
-``rank`` and ``place``, by one rule (:func:`recorded_trips`,
-:func:`recorded_profiles`), and one checked reader reads both arrays.
+``drivers.npy`` (one per driver). Only this module knows their formats,
+and every JSON number is read by one checked reader, :func:`json_floats`.
+``meta.json`` holds the record's provenance: the trips file's SHA-256, the
+rows its load skipped and the driver ids. The record stands in for a parse
+of the trips file, in ``rank`` and ``place``, by one rule
+(:func:`recorded_trips`, :func:`recorded_profiles`), and one checked reader
+reads both arrays.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import pickle
 import signal
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
+from itertools import chain
 from pathlib import Path
 from typing import NoReturn
 
@@ -45,7 +48,7 @@ import numpy as np
 from .atomic import atomic_open
 from .cores import why_one_process
 from .errors import CorruptBundle, DimensionMismatch, FleetrankError, InvalidConfig
-from .neural import Mlp, MlpConfig, TrainReport, load_mlp, save_mlp, train
+from .neural import Mlp, MlpConfig, TrainReport, train
 from .normalization import NormalizationStats
 from .trip_data import Dataset, DatasetSchema, file_sha256, log_skipped
 
@@ -376,9 +379,9 @@ def save_bundle(
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    save_mlp(model.baseline.net, directory / "baseline.json")
-    save_mlp(model.behavior.net, directory / "behavior.json")
-    model.stats.save(directory / "stats.json")
+    stats = model.stats  # its fields' order is the file's key order
+    _write_json(directory / "stats.json",
+                {**asdict(stats), "mean": stats.mean.tolist(), "std": stats.std.tolist()})
     meta = {
         "version": TOOL_VERSION,
         "schema": ds.schema.to_dict(),
@@ -390,8 +393,7 @@ def save_bundle(
         "skipped_rows": ds.skipped_rows,
         "driver_ids": list(ds.driver_ids),
     }
-    with atomic_open(directory / "meta.json") as handle:
-        handle.write(json.dumps(meta, indent=2))
+    _write_json(directory / "meta.json", meta, indent=2)
     trips = np.empty(len(ds), dtype=_trips_dtype(ds.schema))
     trips["env"] = ds.env
     trips["performance"] = ds.performance
@@ -403,7 +405,13 @@ def save_bundle(
         # a fixed header and then the records' bytes, so the same records give the same bytes
         with atomic_open(directory / name, binary=True) as handle:
             np.save(handle, table, allow_pickle=False)
-    for name, report in (("baseline", baseline_report), ("behavior", behavior_report)):
+    for name, net, report in (("baseline", model.baseline.net, baseline_report),
+                              ("behavior", model.behavior.net, behavior_report)):
+        _write_json(directory / f"{name}.json", {
+            "config": asdict(net.config),
+            "weights": [w.tolist() for w in net.weights],
+            "biases": [b.tolist() for b in net.biases],
+        })
         with atomic_open(directory / f"{name}_curve.csv") as handle:
             writer = csv.writer(handle)
             writer.writerow(["epoch", "mse"])
@@ -416,11 +424,13 @@ def save_bundle(
 def load_bundle(directory: str | Path) -> tuple[AdvantageModel, DatasetSchema, dict]:
     """Read and verify a bundle written by :func:`save_bundle`.
 
-    Raises ``CorruptBundle`` for a file that is not valid JSON, a
+    Raises ``CorruptBundle`` for a file that is not a valid JSON object, a
     ``meta.json`` written by another tool version, a missing or ill-typed
-    entry, a ``true`` or ``false`` among the statistics, the box bounds or
-    a net's config (the weights and biases go unscanned, for speed), a
-    non-finite weight, bias, statistic or box bound, a net whose
+    entry, a weight, bias, statistic or box bound that :func:`json_floats`
+    refuses (a ``true``, ``false`` or string, a non-finite number, lists
+    of another shape), a block width, layer width or seed that is not an
+    integer, a net file without one weight and one bias list per layer, a
+    net whose
     input width does not fit its file's role (``baseline.json`` and
     ``behavior.json`` swapped), statistics whose fingerprint differs
     from the one recorded in ``meta.json``, a schema in ``meta.json``
@@ -433,26 +443,23 @@ def load_bundle(directory: str | Path) -> tuple[AdvantageModel, DatasetSchema, d
     directory = Path(directory)
     meta_path = directory / "meta.json"
     with bundle_file(meta_path):
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        if type(meta) is not dict:
-            raise TypeError(f"expected a JSON object, got {type(meta).__name__}")
+        meta = _read_object(meta_path)
         if meta.get("version") != TOOL_VERSION:
             raise ValueError(
                 f"written by tool version {meta.get('version')!r}, "
                 f"this is version {TOOL_VERSION!r}"
             )
     with bundle_file(directory / "stats.json"):
-        document = json.loads((directory / "stats.json").read_text(encoding="utf-8"))
-        reject_booleans(document)
-        stats = NormalizationStats.from_dict(document)
-        require_finite(stats.mean, stats.std)
+        document = _read_object(directory / "stats.json")
+        stats = NormalizationStats(
+            json_floats(document["mean"], (None,)), json_floats(document["std"], (None,)),
+            document["d_env"], document["d_behavior"], document["d_performance"])
     parts = {}
     for name in ("baseline", "behavior"):
         path = directory / f"{name}.json"
         with bundle_file(path):
-            parts[name] = Regressor(net=load_mlp(path), stats=stats)
+            parts[name] = Regressor(net=_read_net(path), stats=stats)
             _check_role(name, parts[name])
-            require_finite(*parts[name].net.weights, *parts[name].net.biases)
     with bundle_file(meta_path):
         if meta["stats_fingerprint"] != stats.fingerprint():
             raise ValueError("stats_fingerprint does not match stats.json")
@@ -482,17 +489,11 @@ def load_bundle(directory: str | Path) -> tuple[AdvantageModel, DatasetSchema, d
             )
         if any(a >= b for a, b in zip(ids, ids[1:])):
             raise ValueError("driver ids must be unique and sorted")
-        box = meta["behavior_box"]
-        if type(box) is not list:
-            raise TypeError(f"behavior_box must be a list of [lo, hi] pairs, got {box!r}")
-        reject_booleans(box)
-        box = np.array(box, dtype=float)
-        require_finite(box)
         model = AdvantageModel(
             baseline=parts["baseline"],
             behavior=parts["behavior"],
             metric_index=meta["metric_index"],
-            behavior_box=box,
+            behavior_box=json_floats(meta["behavior_box"], (stats.d_behavior, 2)),
         )
     return model, schema, meta
 
@@ -514,20 +515,62 @@ def require_finite(*arrays: np.ndarray) -> None:
         raise ValueError("non-finite value")
 
 
-def reject_booleans(value) -> None:
-    """Raise ``TypeError`` at a JSON ``true`` or ``false`` in ``value`` or in its lists and objects.
+def json_floats(value, shape: tuple[int | None, ...]) -> np.ndarray:
+    """``value``, lists nested ``len(shape)`` deep from ``json.loads``, as a float64 array.
 
-    ``np.array(..., dtype=float)`` would read them as 1.0 and 0.0.
+    Each level's lists hold its extent in ``shape``, or any one length where
+    that is None. Every leaf is a finite ``int`` or ``float``: not ``true``
+    or ``false`` (a bool is an int, which ``np.array`` reads as 1.0 or 0.0)
+    nor a string (which it parses). Raises ``TypeError`` for another type,
+    ``DimensionMismatch`` for another extent, ``OverflowError`` past the
+    float range and ``ValueError`` for a NaN, an infinity or, where the
+    extent is None, unequal lengths.
     """
-    if type(value) is dict:
-        value = list(value.values())
-    if type(value) is not list:
-        value = [value]
-    for item in value:
-        if type(item) is bool:
+    rows = [value]
+    for depth, extent in enumerate(shape):
+        rows = list(chain.from_iterable(rows)) if depth else rows
+        for row in rows:
+            if type(row) is not list:
+                raise TypeError(f"expected a list, got {row!r}")
+            if extent is not None and len(row) != extent:
+                raise DimensionMismatch(f"expected lists of {extent} entries, got {len(row)}")
+    # one pass over the leaves' types, in C: a Python test per leaf would cost several times more
+    if not {int, float}.issuperset(map(type, chain.from_iterable(rows))):
+        leaf = next(x for x in chain.from_iterable(rows) if type(x) not in (int, float))
+        if type(leaf) is bool:
             raise TypeError("true and false are not numbers")
-        if type(item) is list or type(item) is dict:
-            reject_booleans(item)
+        if type(leaf) is list:
+            raise TypeError("expected a flat list of numbers, got a nested list")
+        raise TypeError(f"{leaf!r} is not a number")
+    array = np.array(value, dtype=float)  # an OverflowError for an integer past the float range
+    require_finite(array)
+    return array
+
+
+def _read_object(path: Path) -> dict:
+    document = json.loads(path.read_text(encoding="utf-8"))
+    if type(document) is not dict:
+        raise TypeError(f"expected a JSON object, got {type(document).__name__}")
+    return document
+
+
+def _write_json(path: Path, document: dict, indent: int | None = None) -> None:
+    with atomic_open(path) as handle:
+        handle.write(json.dumps(document, indent=indent))
+
+
+def _read_net(path: Path) -> Mlp:
+    """A net file: its config, then one weight matrix and one bias vector per layer."""
+    document = _read_object(path)
+    config = document["config"]
+    config = MlpConfig(config["input_dim"], config["hidden_widths"], config["output_dim"],
+                       config["seed"])
+    fan_ins, fan_outs = config.layer_widths[:-1], config.layer_widths[1:]
+    weights, biases = document["weights"], document["biases"]
+    if not len(weights) == len(biases) == len(fan_outs):  # zip would drop a layer
+        raise ValueError(f"expected {len(fan_outs)} weight lists and {len(fan_outs)} bias lists")
+    return Mlp(config, [json_floats(w, (m, n)) for w, n, m in zip(weights, fan_ins, fan_outs)],
+               [json_floats(b, (m,)) for b, m in zip(biases, fan_outs)])
 
 
 TRIPS_FILE = "trips.npy"

@@ -18,13 +18,10 @@ on a worker thread, with the same block edges and so the same bits, where
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
-from .atomic import atomic_open
 from .cores import Worker, why_one_process
 from .errors import DimensionMismatch, NonFiniteLoss, require_array_fits
 
@@ -63,9 +60,10 @@ class MlpConfig:
         object.__setattr__(self, "hidden_widths", tuple(self.hidden_widths))
         if len(self.hidden_widths) != 3:
             raise ValueError("hidden_widths must have exactly 3 entries")
-        sizes = (self.input_dim, *self.hidden_widths, self.output_dim, self.seed)
-        if any(type(v) is bool for v in sizes):  # bool is an int subclass
-            raise TypeError("layer widths and seed must be integers, not true or false")
+        for size in (self.input_dim, *self.hidden_widths, self.output_dim, self.seed):
+            if type(size) is not int:  # bool is an int subclass
+                got = "true or false" if type(size) is bool else repr(size)
+                raise TypeError(f"layer widths and seed must be integers, not {got}")
         if self.input_dim < 1 or self.output_dim < 1 or min(self.hidden_widths) < 1:
             raise ValueError("all layer widths must be >= 1")
 
@@ -364,26 +362,3 @@ def train(
             _adam_step(theta, work.grad, m, v, scratch, learning_rate, step)
         epoch_losses.append(sq_err_sum / n)
     return TrainReport(epoch_losses=epoch_losses)
-
-
-def save_mlp(net: Mlp, path: str | Path) -> None:
-    data = {
-        "config": asdict(net.config),
-        "weights": [w.tolist() for w in net.weights],
-        "biases": [b.tolist() for b in net.biases],
-    }
-    with atomic_open(path) as handle:
-        handle.write(json.dumps(data))
-
-
-def load_mlp(path: str | Path) -> Mlp:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    config = MlpConfig(
-        input_dim=data["config"]["input_dim"],
-        hidden_widths=tuple(data["config"]["hidden_widths"]),
-        output_dim=data["config"]["output_dim"],
-        seed=data["config"]["seed"],
-    )
-    weights = [np.array(w, dtype=float) for w in data["weights"]]
-    biases = [np.array(b, dtype=float) for b in data["biases"]]
-    return Mlp(config, weights, biases)

@@ -8,13 +8,10 @@ so every model and report shares one coordinate system.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_open
 from .errors import DimensionMismatch, NonFiniteStats, TooFewSamples
 from .trip_data import Dataset
 
@@ -34,6 +31,10 @@ class NormalizationStats:
     d_performance: int
 
     def __post_init__(self):
+        for width in (self.d_env, self.d_behavior, self.d_performance):
+            if type(width) is not int:  # bool is an int subclass
+                raise TypeError("true and false are not numbers" if type(width) is bool
+                                else f"block widths must be integers, not {width!r}")
         if self.mean.shape != self.std.shape or self.mean.ndim != 1:
             raise DimensionMismatch("mean and std must be 1-D vectors of equal length")
         if len(self.mean) != self.d_env + self.d_behavior + self.d_performance:
@@ -102,33 +103,6 @@ class NormalizationStats:
         h.update(np.ascontiguousarray(self.std).tobytes())
         h.update(f"{self.d_env},{self.d_behavior},{self.d_performance}".encode())
         return h.hexdigest()[:16]
-
-    def to_dict(self) -> dict:
-        return {
-            "mean": self.mean.tolist(),
-            "std": self.std.tolist(),
-            "d_env": self.d_env,
-            "d_behavior": self.d_behavior,
-            "d_performance": self.d_performance,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "NormalizationStats":
-        return cls(
-            mean=np.array(data["mean"], dtype=float),
-            std=np.array(data["std"], dtype=float),
-            d_env=data["d_env"],
-            d_behavior=data["d_behavior"],
-            d_performance=data["d_performance"],
-        )
-
-    def save(self, path: str | Path) -> None:
-        with atomic_open(path) as handle:
-            handle.write(json.dumps(self.to_dict()))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "NormalizationStats":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def fit_stats(ds: Dataset) -> NormalizationStats:

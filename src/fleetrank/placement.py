@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cmaes import CmaesConfig, CmaesResult, maximize
-from .errors import DimensionMismatch, EmptyProfiles, InvalidConfig
+from .errors import DimensionMismatch, EmptyProfiles, InvalidConfig, NonFiniteAdvantage
 from .models import AdvantageModel, DriverProfile
 from .normalization import NormalizationStats
 from .trip_data import Dataset, group_rows
@@ -183,7 +183,8 @@ def match_driver(
     """Driver whose mean profile is nearest the target behavior vector.
 
     Returns (driver_id, distance, full ascending-distance list). Ties
-    break on ascending driver id.
+    break on ascending driver id. A distance that overflows, from a target
+    near the float limit, raises ``NonFiniteAdvantage``.
     """
     if not profiles:
         raise EmptyProfiles("no profiles to match against")
@@ -195,7 +196,11 @@ def match_driver(
     for p in profiles:
         if p.mean_behavior.shape != (dim,):
             raise DimensionMismatch("profiles have inconsistent dimensions")
-        distances.append((p.driver_id, float(np.linalg.norm(p.mean_behavior - target))))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below instead
+            distance = float(np.linalg.norm(p.mean_behavior - target))
+        if not np.isfinite(distance):
+            raise NonFiniteAdvantage(f"match distance to driver {p.driver_id!r}")
+        distances.append((p.driver_id, distance))
     ranked = sorted(distances, key=lambda t: (t[1], t[0]))
     return ranked[0][0], ranked[0][1], ranked
 

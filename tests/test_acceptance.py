@@ -18,7 +18,6 @@ from fleetrank.cli import main
 from fleetrank.cmaes import CmaesConfig, maximize, minimize
 from fleetrank.models import load_bundle
 from fleetrank.neural import Mlp, MlpConfig, gradient
-from fleetrank.normalization import NormalizationStats
 from fleetrank.placement import build_profiles, optimize_behavior, place
 from fleetrank.synth import GroundTruth
 from fleetrank.trip_data import DatasetSchema, load_dataset
@@ -249,7 +248,7 @@ def test_criterion_4_environment_bias_removal(bias_runs):
     schema = DatasetSchema.load(root / "data" / "schema.json")
     ds = load_dataset(root / "data" / "data.csv", schema)
     truth = GroundTruth.load(root / "data" / "groundtruth.json")
-    stats = NormalizationStats.load(root / "bundle" / "stats.json")
+    stats = load_bundle(root / "bundle")[0].stats
 
     q = ds.performance[:, 0]
     easy = ds.driver_codes == ds.driver_ids.index(truth.driver_ids[0])

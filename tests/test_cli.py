@@ -637,6 +637,22 @@ def test_place_with_a_non_finite_objective_warns_of_nothing(pipeline, tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("normalized", [[], ["--normalized"]], ids=["raw", "normalized"])
+def test_place_with_a_non_finite_match_distance_is_a_runtime_error(pipeline, tmp_path, capsys,
+                                                                   normalized):
+    # it wrote "match_distance": Infinity at exit 0, after numpy's overflow warning
+    _, bundle = pipeline
+    env = tmp_path / "env.json"
+    env.write_text(json.dumps([0.0] * 8))
+    template = tmp_path / "a0.json"
+    template.write_text(json.dumps([1.7e308, -1.7e308, 0, 0, 0, 0]))
+    out = tmp_path / "place"
+    assert run("place", "--bundle", str(bundle), "--env", str(env), "--fix-template", str(template),
+               "--free", "beh_02", *normalized, "--out", str(out)) == 1
+    assert capsys.readouterr().err == "error: non-finite match distance to driver 'driver_00'\n"
+    assert not out.exists()
+
+
 @pytest.fixture(params=["forked", "in-parent"])
 def fit_path(request, monkeypatch):
     """Have train fit the baseline in a forked child, or both nets in this process.
@@ -871,6 +887,23 @@ def test_out_naming_a_file_is_a_usage_error(pipeline, tmp_path, capsys, command)
     assert run(command, *argv, "--out", str(out)) == 2
     assert capsys.readouterr().err == f"error: [Errno {errno.EEXIST}] File exists: {str(out)!r}\n"
     assert out.read_text() == "a file\n"
+
+
+@pytest.mark.parametrize("where", ["file", "under-a-file"])
+def test_train_refuses_an_unusable_out_before_fitting(pipeline, tmp_path, capsys, monkeypatch,
+                                                      where):
+    # train learned that --out was unusable only when it wrote the bundle, after the whole fit
+    data, _ = pipeline
+    monkeypatch.setattr(cli, "train_regressors", lambda *args: pytest.fail("train fitted nets"))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file\n")
+    out = blocker if where == "file" else blocker / "bundle"
+    assert run("train", "--data", str(data / "data.csv"), "--schema", str(data / "schema.json"),
+               "--out", str(out)) == 2
+    code, reason = ((errno.EEXIST, "File exists") if where == "file"
+                    else (errno.ENOTDIR, "Not a directory"))
+    assert capsys.readouterr().err == f"error: [Errno {code}] {reason}: {str(out)!r}\n"
+    assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == "a file\n"
 
 
 @pytest.mark.parametrize("pipe", ["fifo", "dev-fd"])
@@ -1165,7 +1198,7 @@ ENV, PERFORMANCE, CODE = ("env", "<f8", (8,)), ("performance", "<f8", (2,)), ("d
         (lambda b: _edit_json(b / "baseline.json", lambda n: _set_first(n["weights"], 10**400)),
          "baseline.json: int too large to convert to float"),
         (lambda b: _edit_json(b / "meta.json", lambda m: m.__setitem__("behavior_box", None)),
-         "meta.json: behavior_box must be a list of [lo, hi] pairs, got None"),
+         "meta.json: expected a list, got None"),
         (lambda b: _edit_json(b / "meta.json", lambda m: _set_first(m["behavior_box"], True)),
          "meta.json: true and false are not numbers"),
         (lambda b: _edit_json(b / "stats.json", lambda s: _set_first(s["std"], True)),
@@ -1188,6 +1221,32 @@ ENV, PERFORMANCE, CODE = ("env", "<f8", (8,)), ("performance", "<f8", (2,)), ("d
          "meta.json: driver_ids must be a non-empty list of non-empty strings, got []"),
         (_edit_meta(lambda m: m["driver_ids"].__setitem__(0, "")),
          "meta.json: driver_ids must be a non-empty list of non-empty strings, got ['', "),
+        (lambda b: _edit_json(b / "baseline.json", lambda n: _set_first(n["weights"], "0.5")),
+         "baseline.json: '0.5' is not a number"),
+        (lambda b: _edit_json(b / "behavior.json", lambda n: _set_first(n["weights"], True)),
+         "behavior.json: true and false are not numbers"),
+        (lambda b: _edit_json(b / "baseline.json", lambda n: _set_first(n["biases"], "0")),
+         "baseline.json: '0' is not a number"),
+        # the string spells the very number, so the fingerprint still matches
+        (lambda b: _edit_json(b / "stats.json", lambda s: _set_first(s["mean"], repr(s["mean"][0]))),
+         "stats.json: '"),
+        (lambda b: _edit_json(b / "stats.json", lambda s: _set_first(s["std"], repr(s["std"][0]))),
+         "stats.json: '"),
+        (_edit_meta(lambda m: _set_first(m["behavior_box"], repr(m["behavior_box"][0][0]))),
+         "meta.json: '"),
+        (lambda b: _edit_json(b / "baseline.json", lambda n: n["config"].__setitem__("input_dim", 8.0)),
+         "baseline.json: layer widths and seed must be integers, not 8.0"),
+        (lambda b: _edit_json(b / "behavior.json",
+                              lambda n: n["config"]["hidden_widths"].__setitem__(1, 8.0)),
+         "behavior.json: layer widths and seed must be integers, not 8.0"),
+        (lambda b: _edit_json(b / "baseline.json", lambda n: n["config"].__setitem__("seed", "0")),
+         "baseline.json: layer widths and seed must be integers, not '0'"),
+        (lambda b: _edit_json(b / "stats.json", lambda s: s.__setitem__("d_env", 8.0)),
+         "stats.json: block widths must be integers, not 8.0"),
+        (lambda b: _edit_json(b / "behavior.json", lambda n: n["biases"].pop()),
+         "behavior.json: expected 4 weight lists and 4 bias lists"),
+        (lambda b: _edit_json(b / "baseline.json", lambda n: n["weights"][1][2].pop()),
+         "baseline.json: expected lists of 8 entries, got 7"),
     ],
     ids=["truncated-meta", "undecodable-stats", "missing-meta-key", "missing-net-key",
          "float-metric-index", "bool-metric-index", "nan-weight", "inf-bias", "nan-stats", "inf-box", "fingerprint-mismatch",
@@ -1198,7 +1257,10 @@ ENV, PERFORMANCE, CODE = ("env", "<f8", (8,)), ("performance", "<f8", (2,)), ("d
          "driver-code-too-large", "negative-driver-code", "trip-counts-disagree",
          "huge-int-weight", "null-box", "bool-box", "bool-std", "bool-stats-width", "bool-net-seed",
          "bool-hidden-width", "missing-digest", "bool-skipped-rows", "unsorted-driver-ids",
-         "repeated-driver-id", "no-driver-ids", "empty-driver-id"],
+         "repeated-driver-id", "no-driver-ids", "empty-driver-id", "string-weight",
+         "bool-weight", "string-bias", "string-mean", "string-std", "string-box",
+         "float-input-width", "float-hidden-width", "string-net-seed", "float-stats-width",
+         "three-bias-lists", "ragged-weights"],
 )
 def test_rank_rejects_corrupt_bundle(pipeline, tmp_path, capsys, damage, message):
     data, bundle = pipeline

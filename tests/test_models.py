@@ -1,7 +1,10 @@
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fleetrank import errors, models
 from fleetrank.errors import DimensionMismatch
@@ -10,6 +13,7 @@ from fleetrank.models import (
     Regressor,
     TrainingParams,
     behavior_box_from,
+    json_floats,
     load_bundle,
     save_bundle,
     train_regressors,
@@ -207,11 +211,84 @@ def test_bundle_roundtrip_bitwise(tmp_path):
     back, schema, meta = load_bundle(tmp_path / "bundle")
     assert schema == ds.schema
     assert meta["stats_fingerprint"] == stats.fingerprint()
+    for name in ("baseline", "behavior"):
+        saved_net, loaded_net = getattr(model, name).net, getattr(back, name).net
+        assert loaded_net.config == saved_net.config
+        for saved_array, loaded in zip(saved_net.weights + saved_net.biases,
+                                       loaded_net.weights + loaded_net.biases):
+            assert loaded.shape == saved_array.shape and loaded.tobytes() == saved_array.tobytes()
+    for saved_array, loaded in ((stats.mean, back.stats.mean), (stats.std, back.stats.std)):
+        assert loaded.shape == saved_array.shape and loaded.tobytes() == saved_array.tobytes()
     rng = np.random.default_rng(16)
     for _ in range(20):
         s, a = rng.normal(size=8), rng.normal(size=6)
         assert back.advantage(s, a) == model.advantage(s, a)
     np.testing.assert_array_equal(back.behavior_box, model.behavior_box)
+
+
+# JSON values as json.loads gives them: ints past the float range, NaN and the infinities too
+JSON_NUMBERS = st.one_of(
+    st.integers(),
+    st.integers(min_value=2**1023, max_value=2**1100).flatmap(lambda n: st.sampled_from([n, -n])),
+    st.floats(),
+)
+JSON_LEAVES = JSON_NUMBERS | st.booleans() | st.text(max_size=3) | st.none()
+JSON_TREES = st.recursive(
+    JSON_LEAVES,
+    lambda trees: st.lists(trees, max_size=3) | st.dictionaries(st.text(max_size=2), trees,
+                                                                max_size=2),
+    max_leaves=8,
+)
+FLOAT_SHAPES = [(None,), (3,), (2, 2), (None, 2), (2, None), (None, None)]
+
+
+def near_shape(shape):
+    """Mostly numbers in lists nested to ``shape``, some of other lengths.
+
+    One leaf in five is any JSON leaf, and one list in ten any JSON tree.
+    """
+    if not shape:
+        return st.integers(0, 4).flatmap(lambda k: JSON_LEAVES if k == 0 else JSON_NUMBERS)
+    lengths = st.integers(0, 3) if shape[0] is None else st.sampled_from([shape[0]] * 4 + [1])
+    proper = lengths.flatmap(lambda n: st.lists(near_shape(shape[1:]), min_size=n, max_size=n))
+    return st.integers(0, 9).flatmap(lambda k: JSON_TREES if k == 0 else proper)
+
+
+def regular_shape(value, depth):
+    """The shape of ``value`` as a regular array of finite numbers ``depth`` lists deep, or None.
+
+    A level under an empty list has an extent of None: any.
+    """
+    if depth == 0:
+        try:
+            return () if type(value) in (int, float) and math.isfinite(value) else None
+        except OverflowError:  # an int past the float range
+            return None
+    if type(value) is not list:
+        return None
+    inner = {regular_shape(item, depth - 1) for item in value}
+    if None in inner or len(inner) > 1:
+        return None
+    return (len(value),) + (inner.pop() if inner else (None,) * (depth - 1))
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(FLOAT_SHAPES).flatmap(lambda shape: st.tuples(st.just(shape),
+                                                                      near_shape(shape))))
+def test_json_floats_accepts_exactly_finite_numbers_nested_to_the_shape(case):
+    shape, value = case
+    found = regular_shape(value, len(shape))
+    expected = found is not None and all(
+        want is None or got is None or want == got for want, got in zip(shape, found))
+    try:
+        array = json_floats(value, shape)
+    except (TypeError, ValueError, OverflowError, DimensionMismatch):
+        assert not expected
+        return
+    assert expected
+    reference = np.array(value, dtype=float)
+    assert array.dtype == np.float64 and array.shape == reference.shape
+    assert array.tobytes() == reference.tobytes()
 
 
 def test_additive_residual_tracks_behavior_effect():

@@ -14,8 +14,6 @@ from fleetrank.neural import (
     Mlp,
     MlpConfig,
     gradient,
-    load_mlp,
-    save_mlp,
     train,
 )
 
@@ -222,21 +220,6 @@ def test_non_finite_loss_aborts_cleanly():
     assert err.value.epoch == 0
     for wa, wb in zip(net.weights, before.weights):
         np.testing.assert_array_equal(wa, wb)
-
-
-def test_serialization_roundtrip(tmp_path):
-    net = Mlp.init(MlpConfig(3, (8, 8, 8), 2, seed=21))
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=(10, 3))
-    train(net, x, rng.normal(size=(10, 2)), epochs=5, batch_size=4)
-    path = tmp_path / "net.json"
-    save_mlp(net, path)
-    back = load_mlp(path)
-    for trained, loaded in zip(net.weights + net.biases, back.weights + back.biases):
-        assert trained.shape == loaded.shape
-        assert trained.tobytes() == loaded.tobytes()
-    probe = rng.normal(size=(20, 3))
-    np.testing.assert_array_equal(net.forward_batch(probe), back.forward_batch(probe))
 
 
 def reference_train(net, inputs, targets, epochs, batch_size, learning_rate, seed):

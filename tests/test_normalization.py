@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fleetrank.errors import DimensionMismatch, NonFiniteStats, TooFewSamples
-from fleetrank.normalization import VARIANCE_TOLERANCE, NormalizationStats, fit_stats
+from fleetrank.normalization import VARIANCE_TOLERANCE, fit_stats
 from fleetrank.synth import SynthConfig, generate
 from tests.conftest import make_dataset
 
@@ -124,17 +124,6 @@ def test_roundtrip_property(vec):
     x = np.array(vec)
     back = stats.denormalize(stats.normalize(x))
     np.testing.assert_allclose(back, x, rtol=1e-9, atol=1e-9)
-
-
-def test_json_roundtrip(tmp_path):
-    ds, _ = generate(SynthConfig(n_drivers=4, trips_per_driver=20, seed=2))
-    stats = fit_stats(ds)
-    path = tmp_path / "stats.json"
-    stats.save(path)
-    back = NormalizationStats.load(path)
-    np.testing.assert_array_equal(back.mean, stats.mean)
-    np.testing.assert_array_equal(back.std, stats.std)
-    assert back.fingerprint() == stats.fingerprint()
 
 
 def test_fingerprint_distinguishes():
