@@ -39,7 +39,7 @@ from .placement import (
 from .synth import GroundTruth, SynthConfig, generate
 from .trip_data import Dataset, DatasetSchema, load_dataset, save_dataset
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "AdvantageModel",

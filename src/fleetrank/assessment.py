@@ -6,9 +6,11 @@ conditions are accounted for. Averaging over each driver's trips gives
 an environment-debiased quality estimate, and sorting those means gives
 the ranking.
 
-:func:`trip_advantages` scores a parsed ``Dataset`` or the trips ``train``
-stored in the bundle's ``trips.npy``, read as a ``models.StoredTrips``, so
-``rank`` can score the trips ``train`` read without parsing them again.
+``train`` scores the trips it read with :func:`trip_advantages` once and
+stores each trip's advantage in the bundle's ``trips.npy``, so ``rank`` of
+those trips reads them back and runs no forward pass; ``rank`` of other
+trips scores a parse of them. :func:`in_units` gives either in the units
+a report asks for.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyDataset, NonFiniteAdvantage
-from .models import Regressor, StoredTrips
+from .models import Regressor
 from .trip_data import Dataset, group_rows
 
 log = logging.getLogger(__name__)
@@ -44,18 +46,13 @@ class Ranking:
     entries: tuple[DriverAssessment, ...]
 
 
-def trip_advantages(
-    ds: Dataset | StoredTrips,
-    model: Regressor,
-    raw_units: bool = False,
-) -> np.ndarray:
+def trip_advantages(ds: Dataset, model: Regressor, raw_units: bool = False) -> np.ndarray:
     """Observed-minus-baseline advantage for every trip, in dataset order.
 
-    The advantage is taken on the schema's target metric. Values are in
-    normalized units unless ``raw_units`` is set, which scales by the
-    metric's fitted standard deviation. Trips whose values lie far outside
-    the training data's range can overflow; a non-finite advantage raises
-    ``NonFiniteAdvantage`` naming the first such trip.
+    The advantage is taken on the schema's target metric, in the units
+    :func:`in_units` gives for ``raw_units``. Trips whose values lie far
+    outside the training data's range can overflow; a non-finite advantage
+    raises ``NonFiniteAdvantage`` naming the first such trip.
     """
     stats = model.stats
     if ds.schema.d_env != stats.d_env or ds.schema.d_performance != stats.d_performance:
@@ -66,14 +63,31 @@ def trip_advantages(
         observed = stats.normalize_performance(ds.performance)[:, metric_index]
         predicted = model.predict_normalized(stats.normalize_env(ds.env))[:, metric_index]
         values = observed - predicted
-        if raw_units:
-            values = values * stats.performance_std(metric_index)
-    finite = np.isfinite(values)
+    return in_units(values, stats.performance_std(metric_index) if raw_units else None,
+                    ds.driver_ids, ds.driver_codes)
+
+
+def in_units(
+    advantages: np.ndarray,
+    raw_std: float | None,
+    driver_ids: Sequence[str],
+    driver_codes: np.ndarray,
+) -> np.ndarray:
+    """Normalized trip advantages, scaled by ``raw_std`` to raw units if one is given.
+
+    ``raw_std`` is the target metric's fitted standard deviation. A
+    non-finite result raises ``NonFiniteAdvantage`` naming the first such
+    trip and its driver ``driver_ids[driver_codes[k]]``.
+    """
+    if raw_std is not None:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below instead
+            advantages = advantages * raw_std
+    finite = np.isfinite(advantages)
     if not finite.all():
         k = int(np.argmin(finite))
-        raise NonFiniteAdvantage(f"advantage for trip {k + 1} of {len(values)} "
-                                 f"(driver {ds.driver_ids[ds.driver_codes[k]]!r})")
-    return values
+        raise NonFiniteAdvantage(f"advantage for trip {k + 1} of {len(advantages)} "
+                                 f"(driver {driver_ids[driver_codes[k]]!r})")
+    return advantages
 
 
 def assess_drivers(

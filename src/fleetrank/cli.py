@@ -169,12 +169,15 @@ def cmd_train(args: argparse.Namespace) -> tuple[list[str], dict]:
         metric_index=schema.metric_index,
         behavior_box=behavior_box_from(ds, stats),
     )
+    # train scores its own trips once, so that rank of them runs no forward pass
+    advantages = assessment.trip_advantages(ds, baseline)
     out = Path(args.out)
     outputs = save_bundle(
         out,
         model,
         ds,
         placement.build_profiles(ds, stats),
+        advantages,
         data_sha256=data_sha256,
         baseline_report=baseline_report,
         behavior_report=behavior_report,
@@ -198,11 +201,16 @@ def cmd_rank(args: argparse.Namespace) -> tuple[list[str], dict]:
         if given.to_dict() != schema.to_dict():
             raise InvalidConfig("--schema does not match the schema the bundle was trained on")
     trips = recorded_trips(args.bundle, schema, meta, args.data, lenient=args.lenient)
-    source = "data" if trips is None else "bundle"
     if trips is None:
         trips = load_dataset(args.data, schema, lenient=args.lenient)
-    facts = {"trips": source, **_thread_facts(len(trips.driver_codes))}
-    advantages = assessment.trip_advantages(trips, model.baseline, raw_units=args.raw_units)
+        facts = {"trips": "data", **_thread_facts(len(trips))}
+        advantages = assessment.trip_advantages(trips, model.baseline, raw_units=args.raw_units)
+    else:
+        facts = {"trips": "bundle", "threads": 0,
+                 "in_one_thread_because": "no forward pass: train stored each trip's advantage"}
+        raw_std = model.stats.performance_std(model.metric_index) if args.raw_units else None
+        advantages = assessment.in_units(trips.advantages, raw_std, trips.driver_ids,
+                                         trips.driver_codes)
     ranking = assessment.assess_drivers(trips.driver_ids, trips.driver_codes, advantages)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -358,7 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
                    "that a lenient train skipped)")
     p.add_argument("--bundle", required=True)
     p.add_argument("--schema", help="optional cross-check against the bundle schema")
-    p.add_argument("--raw-units", action="store_true")
+    p.add_argument("--raw-units", action="store_true",
+                   help="report advantages in the target metric's units: the normalized ones "
+                   "times its fitted std")
     p.add_argument("--lenient", action="store_true")
     p.add_argument("--out", default="ranking-out")
     p.set_defaults(func=cmd_rank)

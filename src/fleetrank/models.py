@@ -19,14 +19,15 @@ where the host has a second core and the process runs one OS thread
 A bundle is a directory whose every file :func:`save_bundle` writes, each
 fact once: the nets, the statistics and ``meta.json`` as JSON, the nets'
 learning curves as CSV, and ``train``'s record of the trips it read as two
-numpy ``.npy`` arrays of records, ``trips.npy`` (one per trip) and
+numpy ``.npy`` arrays of records, ``trips.npy`` (one per trip: its driver
+code and its baseline advantage, scored once by ``train``) and
 ``drivers.npy`` (one per driver). Only this module knows their formats,
 and every JSON number is read by one checked reader, :func:`json_floats`.
 ``meta.json`` holds the record's provenance: the trips file's SHA-256, the
-rows its load skipped and the driver ids. The record stands in for a parse
-of the trips file, in ``rank`` and ``place``, by one rule
-(:func:`recorded_trips`, :func:`recorded_profiles`), and one checked reader
-reads both arrays.
+rows its load skipped, the driver ids and the fingerprint of the baseline
+net that scored the trips. The record stands in for a parse of the trips
+file, in ``rank`` and ``place``, by one rule (:func:`recorded_trips`,
+:func:`recorded_profiles`), and one checked reader reads both arrays.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .neural import Mlp, MlpConfig, TrainReport, train
 from .normalization import NormalizationStats
 from .trip_data import Dataset, DatasetSchema, file_sha256, log_skipped
 
-TOOL_VERSION = "0.2.0"
+TOOL_VERSION = "0.3.0"
 
 # Fractional padding applied per side when deriving the behavior search
 # box from observed data ranges, keeping the search in-distribution.
@@ -362,6 +363,7 @@ def save_bundle(
     model: AdvantageModel,
     ds: Dataset,
     profiles: list[DriverProfile],
+    advantages: np.ndarray,
     *,
     data_sha256: str,
     baseline_report: TrainReport,
@@ -371,11 +373,12 @@ def save_bundle(
     """Write every file of the bundle of a model fitted on ``ds``; returns their names.
 
     The nets, the statistics and ``meta.json`` are JSON, each net's learning
-    curve ``<net>_curve.csv``. The record is ``trips.npy``, the columns
-    ranking reads, one record per trip in dataset order, and ``drivers.npy``,
+    curve ``<net>_curve.csv``. The record is ``trips.npy``, one record per
+    trip in dataset order: its driver code and ``advantages``, the baseline
+    advantage of each trip in normalized units, and ``drivers.npy``,
     ``profiles`` as one record per driver. ``meta.json`` holds its
     provenance: ``data_sha256`` (of the trips file's bytes), the rows the
-    load skipped and the driver ids.
+    load skipped, the driver ids and the baseline net's fingerprint.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -387,6 +390,7 @@ def save_bundle(
         "schema": ds.schema.to_dict(),
         "metric_index": model.metric_index,
         "stats_fingerprint": model.stats.fingerprint(),
+        "baseline_fingerprint": model.baseline.net.fingerprint(),
         "behavior_box": model.behavior_box.tolist(),
         "training": asdict(params),
         "data_sha256": data_sha256,
@@ -394,10 +398,9 @@ def save_bundle(
         "driver_ids": list(ds.driver_ids),
     }
     _write_json(directory / "meta.json", meta, indent=2)
-    trips = np.empty(len(ds), dtype=_trips_dtype(ds.schema))
-    trips["env"] = ds.env
-    trips["performance"] = ds.performance
+    trips = np.empty(len(ds), dtype=TRIPS_DTYPE)
     trips["driver_code"] = ds.driver_codes
+    trips["advantage"] = advantages
     drivers = np.empty(len(profiles), dtype=_drivers_dtype(ds.schema))
     drivers["trip_count"] = [p.trip_count for p in profiles]
     drivers["mean_behavior"] = [p.mean_behavior for p in profiles]
@@ -435,8 +438,10 @@ def load_bundle(directory: str | Path) -> tuple[AdvantageModel, DatasetSchema, d
     ``behavior.json`` swapped), statistics whose fingerprint differs
     from the one recorded in ``meta.json``, a schema in ``meta.json``
     whose block widths differ from the statistics' or whose target metric
-    is not at ``metric_index``, or driver ids that are not a non-empty,
-    unique and sorted list of non-empty strings. The record's arrays are
+    is not at ``metric_index``, driver ids that are not a non-empty,
+    unique and sorted list of non-empty strings, or a baseline net whose
+    fingerprint differs from ``baseline_fingerprint`` in ``meta.json``: the
+    net that scored the stored trips. The record's arrays are
     read only where they stand in for a trips file (:func:`recorded_trips`,
     :func:`recorded_profiles`).
     """
@@ -460,6 +465,14 @@ def load_bundle(directory: str | Path) -> tuple[AdvantageModel, DatasetSchema, d
         with bundle_file(path):
             parts[name] = Regressor(net=_read_net(path), stats=stats)
             _check_role(name, parts[name])
+    with bundle_file(meta_path):
+        scored_by = meta["baseline_fingerprint"]
+        if type(scored_by) is not str:
+            raise TypeError(f"baseline_fingerprint must be a string, got {scored_by!r}")
+    with bundle_file(directory / "baseline.json"):
+        if parts["baseline"].net.fingerprint() != scored_by:
+            raise ValueError("the net differs from the one that scored trips.npy "
+                             "(baseline_fingerprint in meta.json)")
     with bundle_file(meta_path):
         if meta["stats_fingerprint"] != stats.fingerprint():
             raise ValueError("stats_fingerprint does not match stats.json")
@@ -588,27 +601,20 @@ class DriverProfile:
 
 @dataclass(frozen=True)
 class StoredTrips:
-    """The columns of a trips file that ranking reads, as a bundle stores them.
+    """What ranking reads of a trips file, as a bundle stores it, in file order.
 
-    ``env`` and ``performance`` hold the raw blocks in file order, and
-    trip ``i`` belongs to driver ``driver_ids[driver_codes[i]]``, as in a
-    ``Dataset``.
+    Trip ``i`` belongs to driver ``driver_ids[driver_codes[i]]``, as in a
+    ``Dataset``, and ``advantages[i]`` is its baseline advantage on the
+    target metric in normalized units.
     """
 
-    schema: DatasetSchema
-    env: np.ndarray
-    performance: np.ndarray
     driver_ids: tuple[str, ...]
     driver_codes: np.ndarray
+    advantages: np.ndarray
 
 
-def _trips_dtype(schema: DatasetSchema) -> np.dtype:
-    """One record per trip: the raw env block, the raw performance block, the driver code."""
-    return np.dtype([
-        ("env", "<f8", (schema.d_env,)),
-        ("performance", "<f8", (schema.d_performance,)),
-        ("driver_code", "<i8"),
-    ])
+# one record per trip: the driver code, the baseline advantage in normalized units
+TRIPS_DTYPE = np.dtype([("driver_code", "<i8"), ("advantage", "<f8")])
 
 
 def _drivers_dtype(schema: DatasetSchema) -> np.dtype:
@@ -655,15 +661,15 @@ def recorded_trips(
     """The trips ``train`` stored, if they stand in for the trips file ``data``.
 
     They hold the same rows in the same order as a parse of ``data`` when
-    they do, so both give the same bits. ``None`` means ``data`` must be
-    parsed.
+    they do, with the advantages the bundle's baseline gives those rows, so
+    both give the same bits. ``None`` means ``data`` must be parsed.
     """
     if not _stands_in(meta, data, lenient):
         return None
     driver_ids = tuple(meta["driver_ids"])
     counts = _stored_drivers(bundle, schema, meta)["trip_count"]
     path = Path(bundle) / TRIPS_FILE
-    table = _read_records(path, _trips_dtype(schema))
+    table = _read_records(path, TRIPS_DTYPE)
     codes = table["driver_code"]
     with bundle_file(path):
         if len(codes) and (codes.min() < 0 or codes.max() >= len(driver_ids)):
@@ -678,7 +684,7 @@ def recorded_trips(
                 f"driver {driver_ids[k]!r} has {found[k]} trips here and "
                 f"{counts[k]} in {DRIVERS_FILE}"
             )
-    return StoredTrips(schema, table["env"], table["performance"], driver_ids, codes)
+    return StoredTrips(driver_ids, codes, table["advantage"])
 
 
 def _stored_drivers(bundle: str | Path, schema: DatasetSchema, meta: dict) -> np.ndarray:

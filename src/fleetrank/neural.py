@@ -18,7 +18,9 @@ on a worker thread, with the same block edges and so the same bits, where
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -122,6 +124,14 @@ class Mlp:
 
     def copy(self) -> "Mlp":
         return Mlp(self.config, [w.copy() for w in self.weights], [b.copy() for b in self.biases])
+
+    def fingerprint(self) -> str:
+        """Stable digest of the layer widths and every weight's and bias's bytes."""
+        h = hashlib.sha256()
+        for array in chain(self.weights, self.biases):
+            h.update(np.ascontiguousarray(array).tobytes())
+        h.update(",".join(map(str, self.config.layer_widths)).encode())
+        return h.hexdigest()[:16]
 
     def forward_batch(self, x: np.ndarray) -> np.ndarray:
         """Evaluate a batch of rows; returns (n, output_dim).

@@ -22,7 +22,8 @@ import fleetrank
 from fleetrank import assessment, cli, errors, models, neural
 from fleetrank.atomic import atomic_open
 from fleetrank.cli import build_parser, main
-from fleetrank.models import DRIVERS_FILE, TOOL_VERSION, TRIPS_FILE, load_bundle, recorded_profiles
+from fleetrank.models import (DRIVERS_FILE, TOOL_VERSION, TRIPS_FILE, load_bundle,
+                              recorded_profiles, recorded_trips)
 from fleetrank.neural import BLOCK_ROWS
 from fleetrank.placement import build_profiles
 from fleetrank.synth import SynthConfig, generate
@@ -118,7 +119,8 @@ def test_train_outputs(pipeline):
     # and the losses in the curves
     meta = json.loads((bundle / "meta.json").read_text())
     assert list(meta) == ["version", "schema", "metric_index", "stats_fingerprint",
-                          "behavior_box", "training", "data_sha256", "skipped_rows", "driver_ids"]
+                          "baseline_fingerprint", "behavior_box", "training", "data_sha256",
+                          "skipped_rows", "driver_ids"]
     stats = json.loads((bundle / "stats.json").read_text())
     assert list(stats) == ["mean", "std", "d_env", "d_behavior", "d_performance"]
     assert meta["training"]["epochs"] == 15
@@ -362,7 +364,8 @@ def test_surface_matches_constrained_place(tmp_path):
     )
     ds = load_dataset(data, schema)
     bundle = tmp_path / "bundle"
-    save_bundle(bundle, model, ds, build_profiles(ds, model.stats), data_sha256=file_sha256(data),
+    save_bundle(bundle, model, ds, build_profiles(ds, model.stats),
+                assessment.trip_advantages(ds, model.baseline), data_sha256=file_sha256(data),
                 baseline_report=TrainReport([0.0]), behavior_report=TrainReport([0.0]),
                 params=TrainingParams())
     env = tmp_path / "env.json"
@@ -414,7 +417,8 @@ def test_surface_constant_when_behavior_ignored(tmp_path):
         behavior_box=np.stack([np.full(6, -1.0), np.full(6, 1.0)], axis=1),
     )
     bundle = tmp_path / "zero_bundle"
-    save_bundle(bundle, model, ds, build_profiles(ds, stats), data_sha256="0" * 64,
+    save_bundle(bundle, model, ds, build_profiles(ds, stats),
+                assessment.trip_advantages(ds, model.baseline), data_sha256="0" * 64,
                 baseline_report=TrainReport([0.0]), behavior_report=TrainReport([0.0]),
                 params=TrainingParams())
     env = tmp_path / "env.json"
@@ -1127,7 +1131,7 @@ def _set_meta(key, value):
     return _edit_meta(lambda m: m.__setitem__(key, value))
 
 
-ENV, PERFORMANCE, CODE = ("env", "<f8", (8,)), ("performance", "<f8", (2,)), ("driver_code", "<i8")
+CODE, ADVANTAGE = ("driver_code", "<i8"), ("advantage", "<f8")
 
 
 @pytest.mark.parametrize(
@@ -1174,21 +1178,17 @@ ENV, PERFORMANCE, CODE = ("env", "<f8", (8,)), ("performance", "<f8", (2,)), ("d
          "trips.npy: the magic string is not correct"),
         (_edit_records(TRIPS_FILE, lambda t: np.array([{"trips": len(t)}], dtype=object)),
          "trips.npy: Object arrays cannot be loaded when allow_pickle=False"),
-        (_edit_records(TRIPS_FILE,
-                       lambda t: t.astype([("env", "<f4", (8,)), PERFORMANCE, CODE])),
-         "trips.npy: expected records [('env', '<f8', (8,)), ('performance', '<f8', (2,)), "
-         "('driver_code', '<i8')], got [('env', '<f4', (8,))"),
-        (_edit_records(TRIPS_FILE,
-                       lambda t: t.astype([ENV, PERFORMANCE, ("driver_code", "<f8")])),
-         "('driver_code', '<f8')]"),
-        (_edit_records(TRIPS_FILE,
-                       lambda t: np.zeros(len(t), [("env", "<f8", (7,)), PERFORMANCE, CODE])),
-         "got [('env', '<f8', (7,))"),
+        (_edit_records(TRIPS_FILE, lambda t: t.astype([CODE, ("advantage", "<f4")])),
+         "trips.npy: expected records [('driver_code', '<i8'), ('advantage', '<f8')], "
+         "got [('driver_code', '<i8'), ('advantage', '<f4')]"),
+        (_edit_records(TRIPS_FILE, lambda t: t.astype([("driver_code", "<f8"), ADVANTAGE])),
+         "got [('driver_code', '<f8'), ('advantage', '<f8')]"),
+        (_edit_records(TRIPS_FILE, lambda t: np.zeros(len(t), [CODE])),
+         "got [('driver_code', '<i8')]"),
         (_edit_records(TRIPS_FILE, lambda t: t.reshape(-1, 1)),
          "trips.npy: expected a one-dimensional array, got shape (160, 1)"),
-        (_set_record(TRIPS_FILE, "env", (3, 2), math.nan), "trips.npy: non-finite value"),
-        (_set_record(TRIPS_FILE, "performance", (150, 0), -math.inf),
-         "trips.npy: non-finite value"),
+        (_set_record(TRIPS_FILE, "advantage", 3, math.nan), "trips.npy: non-finite value"),
+        (_set_record(TRIPS_FILE, "advantage", 150, -math.inf), "trips.npy: non-finite value"),
         (_set_record(TRIPS_FILE, "driver_code", 7, 4),
          "trips.npy: driver code 4 is outside the bundle's 4 drivers"),
         (_set_record(TRIPS_FILE, "driver_code", 7, -1),
@@ -1247,6 +1247,14 @@ ENV, PERFORMANCE, CODE = ("env", "<f8", (8,)), ("performance", "<f8", (2,)), ("d
          "behavior.json: expected 4 weight lists and 4 bias lists"),
         (lambda b: _edit_json(b / "baseline.json", lambda n: n["weights"][1][2].pop()),
          "baseline.json: expected lists of 8 entries, got 7"),
+        # a finite edit would leave rank on advantages that another net scored
+        (lambda b: _edit_json(b / "baseline.json", lambda n: _set_first(n["weights"], 0.125)),
+         "baseline.json: the net differs from the one that scored trips.npy "
+         "(baseline_fingerprint in meta.json)"),
+        (_edit_meta(lambda m: m.pop("baseline_fingerprint")),
+         "meta.json: missing entry 'baseline_fingerprint'"),
+        (_set_meta("baseline_fingerprint", None),
+         "meta.json: baseline_fingerprint must be a string, got None"),
     ],
     ids=["truncated-meta", "undecodable-stats", "missing-meta-key", "missing-net-key",
          "float-metric-index", "bool-metric-index", "nan-weight", "inf-bias", "nan-stats", "inf-box", "fingerprint-mismatch",
@@ -1260,7 +1268,8 @@ ENV, PERFORMANCE, CODE = ("env", "<f8", (8,)), ("performance", "<f8", (2,)), ("d
          "repeated-driver-id", "no-driver-ids", "empty-driver-id", "string-weight",
          "bool-weight", "string-bias", "string-mean", "string-std", "string-box",
          "float-input-width", "float-hidden-width", "string-net-seed", "float-stats-width",
-         "three-bias-lists", "ragged-weights"],
+         "three-bias-lists", "ragged-weights", "edited-baseline-weight",
+         "missing-baseline-fingerprint", "null-baseline-fingerprint"],
 )
 def test_rank_rejects_corrupt_bundle(pipeline, tmp_path, capsys, damage, message):
     data, bundle = pipeline
@@ -1526,6 +1535,58 @@ def test_bundle_stands_in_for_data_by_one_rule(stored_copies, tmp_path, caplog, 
                           if trips == "bad" else [])
 
 
+@pytest.mark.parametrize("raw_units", [False, True], ids=["normalized", "raw-units"])
+@pytest.mark.parametrize("fixture", ["pipeline", "two_block_pipeline"])
+def test_stored_advantages_equal_a_fresh_pass_bitwise(request, fixture, raw_units):
+    # train scores its trips with the pass that rank runs on a parse of them; the
+    # two-block bundle's pass splits across two threads where the host allows it
+    root = request.getfixturevalue(fixture)
+    data, bundle = root if fixture == "pipeline" else (root / "data", root / "bundle")
+    model, schema, meta = load_bundle(bundle)
+    stored = recorded_trips(bundle, schema, meta, str(data / "data.csv"), lenient=False)
+    ds = load_dataset(data / "data.csv", schema)
+    assert stored.driver_ids == ds.driver_ids
+    assert stored.driver_codes.tobytes() == ds.driver_codes.astype("<i8").tobytes()
+    raw_std = model.stats.performance_std(model.metric_index) if raw_units else None
+    read = assessment.in_units(stored.advantages, raw_std, stored.driver_ids, stored.driver_codes)
+    fresh = assessment.trip_advantages(ds, model.baseline, raw_units=raw_units)
+    assert read.dtype == fresh.dtype and read.tobytes() == fresh.tobytes()
+
+
+def test_train_with_a_non_finite_advantage_writes_no_bundle(pipeline, tmp_path, capsys,
+                                                           monkeypatch):
+    # train scores its own trips after both fits, and fails before writing any file
+    data, _ = pipeline
+    monkeypatch.setattr(neural.Mlp, "forward_batch",
+                        lambda net, x: np.full((len(x), net.config.output_dim), np.inf))
+    bundle = tmp_path / "bundle"
+    assert run("train", "--data", str(data / "data.csv"), "--schema", str(data / "schema.json"),
+               "--epochs", "2", "--hidden", "8,8,8", "--out", str(bundle)) == 1
+    assert capsys.readouterr().err == (
+        "error: non-finite advantage for trip 1 of 160 (driver 'driver_00')\n")
+    assert not bundle.exists()
+
+
+def test_place_and_surface_refuse_an_edited_baseline(pipeline, tmp_path, capsys):
+    # they would use another net than the one that scored the stored trips, which rank
+    # reads (its case is in test_rank_rejects_corrupt_bundle)
+    _, bundle = pipeline
+    edited = tmp_path / "bundle"
+    shutil.copytree(bundle, edited)
+    _edit_json(edited / "baseline.json", lambda n: n["biases"][0].__setitem__(1, 0.25))
+    (tmp_path / "env.json").write_text(json.dumps([0.0] * 8))
+    (tmp_path / "a0.json").write_text(json.dumps([0.0] * 6))
+    for argv in (["place", "--env", str(tmp_path / "env.json")],
+                 ["surface", "--env", str(tmp_path / "env.json"), "--template",
+                  str(tmp_path / "a0.json"), "--free", "beh_00,beh_01", "--resolution", "3"]):
+        out = tmp_path / argv[0]
+        assert run(*argv, "--bundle", str(edited), "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"error: corrupt bundle file {edited / 'baseline.json'}: the net differs from the "
+            "one that scored trips.npy (baseline_fingerprint in meta.json)\n")
+        assert not out.exists()
+
+
 def test_stored_profiles_equal_a_fresh_build_bitwise(pipeline):
     data, bundle = pipeline
     model, schema, meta, stored = _stored_profiles(bundle)
@@ -1537,6 +1598,35 @@ def test_stored_profiles_equal_a_fresh_build_bitwise(pipeline):
     for a, b in zip(stored, fresh):
         assert a.mean_behavior.dtype == b.mean_behavior.dtype
         assert a.mean_behavior.tobytes() == b.mean_behavior.tobytes()
+
+
+def test_a_bundle_of_version_0_2_0_is_refused(pipeline, tmp_path, capsys):
+    # 0.2.0 stored each trip's raw env and performance blocks in trips.npy, for rank to
+    # score again, and its meta.json named no baseline net
+    data, bundle = pipeline
+    _, schema, meta = load_bundle(bundle)
+    ds = load_dataset(data / "data.csv", schema)
+    old = tmp_path / "bundle"
+    shutil.copytree(bundle, old)
+    meta.pop("baseline_fingerprint")
+    (old / "meta.json").write_text(json.dumps({**meta, "version": "0.2.0"}, indent=2))
+    trips = np.empty(len(ds), [("env", "<f8", (8,)), ("performance", "<f8", (2,)), CODE])
+    trips["env"], trips["performance"], trips["driver_code"] = (ds.env, ds.performance,
+                                                                ds.driver_codes)
+    np.save(old / TRIPS_FILE, trips, allow_pickle=False)
+    padded = tmp_path / "padded.csv"
+    padded.write_bytes((data / "data.csv").read_bytes() + b"\r\n")
+    message = (f"error: corrupt bundle file {old / 'meta.json'}: written by tool version "
+               f"'0.2.0', this is version {TOOL_VERSION!r}\n")
+    for flags in ((), ("--raw-units",)):
+        for path in (data / "data.csv", padded):
+            assert run("rank", "--data", str(path), "--bundle", str(old), *flags,
+                       "--out", str(tmp_path / "rank")) == 2
+            assert capsys.readouterr().err == message
+    for flags in ((), ("--data", str(data / "data.csv"))):
+        assert _place(old, tmp_path / "place", *flags) == (2, None)
+        assert capsys.readouterr().err == message
+    assert not (tmp_path / "rank").exists() and not (tmp_path / "place").exists()
 
 
 def test_a_bundle_of_version_0_1_0_is_refused(pipeline, tmp_path, capsys):
@@ -1585,8 +1675,9 @@ def _with_copied_entries(bundle, degenerate_dims):
         with (bundle / f"{name}_curve.csv").open(newline="") as handle:
             loss[name] = float(list(csv.reader(handle))[-1][1])
     order = ["version", "schema", "target_metric", "metric_index", "stats_fingerprint",
-             "behavior_box", "baseline_seed", "behavior_seed", "training", "baseline_final_loss",
-             "behavior_final_loss", "data_sha256", "skipped_rows", "driver_ids"]
+             "baseline_fingerprint", "behavior_box", "baseline_seed", "behavior_seed", "training",
+             "baseline_final_loss", "behavior_final_loss", "data_sha256", "skipped_rows",
+             "driver_ids"]
     meta.update(target_metric=meta["schema"]["target_metric"], baseline_seed=seed["baseline"],
                 behavior_seed=seed["behavior"], baseline_final_loss=loss["baseline"],
                 behavior_final_loss=loss["behavior"])
@@ -1801,6 +1892,7 @@ def test_rank_place_surface_give_the_same_bytes_on_one_core_and_two(two_block_pi
         "rank": ["rank", "--data", data, "--bundle", bundle],
         "rank-raw": ["rank", "--data", data, "--bundle", bundle, "--raw-units"],
         "rank-parsed": ["rank", "--data", str(padded), "--bundle", bundle],
+        "rank-parsed-raw": ["rank", "--data", str(padded), "--bundle", bundle, "--raw-units"],
         "place": ["place", "--bundle", bundle, "--data", data, "--env", str(root / "env.json"),
                   "--max-generations", "30"],
         "surface": ["surface", "--bundle", bundle, "--env", str(root / "env.json"), "--template",
@@ -1813,13 +1905,19 @@ def test_rank_place_surface_give_the_same_bytes_on_one_core_and_two(two_block_pi
             out = tmp_path / f"{reason}-{name}"
             assert run(*argv, "--out", str(out)) == 0
             manifest = json.loads((out / "manifest.json").read_text())
-            if name != "place":  # its searches evaluate batches of a few rows
+            if name in ("rank", "rank-raw"):  # train stored these trips' advantages
+                assert (manifest["trips"], manifest["threads"]) == ("bundle", 0)
+            elif name != "place":  # its searches evaluate batches of a few rows
                 assert (manifest["threads"], manifest["in_one_thread_because"]) == (
                     (2, None) if reason is None else (1, reason))
             artifacts[reason, name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())
                                        if p.name != "manifest.json"}
     for name in commands:
         assert artifacts[None, name] == artifacts["forced by the test", name], name
+    # the stored advantages give the bytes of a pass over the parsed trips, in either units
+    for reason in (None, "forced by the test"):
+        assert artifacts[reason, "rank"] == artifacts[reason, "rank-parsed"]
+        assert artifacts[reason, "rank-raw"] == artifacts[reason, "rank-parsed-raw"]
 
 
 def test_surface_below_two_blocks_runs_on_one_thread(two_block_pipeline, tmp_path, monkeypatch):
@@ -1839,6 +1937,8 @@ def test_no_thread_outlives_a_command(two_block_pipeline, tmp_path):
     # one, so train still forks; under 2 OpenBLAS threads neither splits nor forks
     root = two_block_pipeline
     data, bundle = root / "data", root / "bundle"
+    padded = tmp_path / "padded.csv"  # other bytes, the same trips: rank runs a forward pass
+    padded.write_bytes((data / "data.csv").read_bytes() + b"\r\n")
     two_cores = len(os.sched_getaffinity(0)) > 1
     script = ("import json, sys\nfrom fleetrank.cli import main\n"
               "for argv in json.loads(sys.argv[1]):\n"
@@ -1847,8 +1947,7 @@ def test_no_thread_outlives_a_command(two_block_pipeline, tmp_path):
                               ("2", (1, "2 OS threads" if two_cores else "one usable core"))):
         out = tmp_path / threads
         commands = [
-            ["rank", "--data", str(data / "data.csv"), "--bundle", str(bundle),
-             "--out", str(out / "rank")],
+            ["rank", "--data", str(padded), "--bundle", str(bundle), "--out", str(out / "rank")],
             ["place", "--bundle", str(bundle), "--data", str(data / "data.csv"), "--env",
              str(root / "env.json"), "--max-generations", "20", "--out", str(out / "place")],
             ["surface", "--bundle", str(bundle), "--env", str(root / "env.json"), "--template",

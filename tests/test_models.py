@@ -15,6 +15,7 @@ from fleetrank.models import (
     behavior_box_from,
     json_floats,
     load_bundle,
+    recorded_trips,
     save_bundle,
     train_regressors,
 )
@@ -22,6 +23,7 @@ from fleetrank.neural import Mlp, MlpConfig, TrainReport
 from fleetrank.normalization import fit_stats
 from fleetrank.placement import build_profiles
 from fleetrank.synth import SynthConfig, generate
+from fleetrank.trip_data import file_sha256
 from tests.conftest import fit_one, make_dataset
 
 SMALL = TrainingParams(epochs=60, batch_size=64, learning_rate=3e-3, hidden_widths=(16, 16, 16), seed=0)
@@ -201,8 +203,13 @@ def test_baseline_value_zero_net_and_purity():
 
 def test_bundle_roundtrip_bitwise(tmp_path):
     ds, _, stats, model = small_advantage_model(seed=15)
-    saved = save_bundle(tmp_path / "bundle", model, ds, build_profiles(ds, stats),
-                        data_sha256="ab" * 32, baseline_report=TrainReport([0.5, 0.1]),
+    data = tmp_path / "trips.csv"  # stands for the trips file: only its digest is read
+    data.write_bytes(b"trips")
+    # -0.0 and subnormals included
+    advantages = np.random.default_rng(17).normal(size=len(ds))
+    advantages[:3] = [-0.0, 5e-324, -(2.0 ** -1074)]
+    saved = save_bundle(tmp_path / "bundle", model, ds, build_profiles(ds, stats), advantages,
+                        data_sha256=file_sha256(data), baseline_report=TrainReport([0.5, 0.1]),
                         behavior_report=TrainReport([0.25]), params=SMALL)
     assert sorted(saved) == sorted(p.name for p in (tmp_path / "bundle").iterdir())
     assert (tmp_path / "bundle" / "baseline_curve.csv").read_bytes() == (
@@ -211,6 +218,12 @@ def test_bundle_roundtrip_bitwise(tmp_path):
     back, schema, meta = load_bundle(tmp_path / "bundle")
     assert schema == ds.schema
     assert meta["stats_fingerprint"] == stats.fingerprint()
+    assert meta["baseline_fingerprint"] == model.baseline.net.fingerprint()
+    trips = recorded_trips(tmp_path / "bundle", schema, meta, str(data), lenient=False)
+    assert trips.driver_ids == ds.driver_ids
+    assert trips.advantages.dtype == advantages.dtype
+    assert trips.advantages.tobytes() == advantages.tobytes()
+    np.testing.assert_array_equal(trips.driver_codes, ds.driver_codes)
     for name in ("baseline", "behavior"):
         saved_net, loaded_net = getattr(model, name).net, getattr(back, name).net
         assert loaded_net.config == saved_net.config

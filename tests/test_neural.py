@@ -302,6 +302,19 @@ def test_copy_of_trained_net_shares_no_memory():
             assert not np.shares_memory(a, b)
 
 
+def test_fingerprint_follows_every_parameter_bit():
+    rng = np.random.default_rng(6)
+    net = Mlp.init(MlpConfig(3, (6, 6, 6), 2, seed=9))
+    train(net, rng.normal(size=(20, 3)), rng.normal(size=(20, 2)), epochs=2, batch_size=8)
+    assert net.copy().fingerprint() == net.fingerprint()  # a trained net's views hash alike
+    for layer in range(4):
+        for params in ("weights", "biases"):
+            edited = net.copy()
+            array = getattr(edited, params)[layer].reshape(-1)
+            array[-1] = np.nextafter(array[-1], np.inf)
+            assert edited.fingerprint() != net.fingerprint(), (params, layer)
+
+
 def unblocked_forward(net, x):
     """``forward_batch`` as one product per layer over every row."""
     h = x

@@ -132,7 +132,7 @@ def test_saved_profiles_load_bitwise(tmp_path):
     profiles = [DriverProfile("a", means[0], 1), DriverProfile("b,\"c\"", means[1], 250)]
     ds = make_dataset(np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 1)), ["a", "b,\"c\""])
     save_bundle(tmp_path, cone_peak_model(np.zeros(3)), dataclasses.replace(ds, skipped_rows=3),
-                profiles, data_sha256="ab" * 32, baseline_report=TrainReport([0.5]),
+                profiles, np.zeros(2), data_sha256="ab" * 32, baseline_report=TrainReport([0.5]),
                 behavior_report=TrainReport([0.25]), params=TrainingParams())
     _, schema, meta = load_bundle(tmp_path)
     assert (meta["data_sha256"], meta["skipped_rows"]) == ("ab" * 32, 3)
